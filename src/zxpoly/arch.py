@@ -2,8 +2,9 @@
 
 An Architecture is an undirected connected graph over qubit indices
 0..num_qubits-1 with an all-pairs hop-count table. It is immutable after
-construction and safe to share across threads; internal caches only memoize
-pure results.
+construction and safe to share across threads. It memoizes only its own
+`terminal_tree` results, which `tree_weight` also reads by leg mask; the
+Steiner-Gauss cost memo belongs to `parity`, keyed weakly by Architecture.
 
 Determinism conventions used throughout:
   * among equal-length shortest paths the lexicographically smallest vertex
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 TreeEdges = tuple[tuple[int, int], ...]
 
@@ -46,14 +47,13 @@ class Architecture:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = [sorted(ns) for ns in adj]
-        self.dist = [self._bfs(s) for s in range(num_qubits)]
+        self.dist = [self.bfs(s) for s in range(num_qubits)]
         if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
             raise ValueError("architecture graph must be connected")
         self._tree_cache: dict[tuple[int, int], tuple[TreeEdges, int]] = {}
-        self._gadget_cost_cache: dict[int, int] = {}
-        self._cnot_cost_cache: dict[tuple[int, ...], int] = {}
 
-    def _bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
+    def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
+        """Hop counts from source (-1 if unreachable), moving only through `allowed`."""
         dist = [-1] * self.num_qubits
         dist[source] = 0
         queue = deque([source])
@@ -73,7 +73,7 @@ class Architecture:
 
     def shortest_path(self, u: int, v: int, allowed: frozenset[int] | None = None) -> list[int]:
         """Lexicographically smallest shortest path from u to v (inclusive)."""
-        dist_to_v = self._bfs(v, allowed) if allowed is not None else self.dist[v]
+        dist_to_v = self.bfs(v, allowed) if allowed is not None else self.dist[v]
         if dist_to_v[u] < 0:
             raise ValueError(f"no path from {u} to {v}")
         path = [u]
@@ -114,6 +114,13 @@ class Architecture:
         self._tree_cache[key] = result
         return result
 
+    def tree_weight(self, legs: int) -> int:
+        """Weight of the terminal tree over the wires set in the `legs` bitmask."""
+        cached = self._tree_cache.get((legs, -1))
+        if cached is None:
+            cached = self.terminal_tree([w for w in range(self.num_qubits) if legs >> w & 1])
+        return cached[1]
+
     def _terminal_tree_uncached(
         self, terms: list[int], allowed: frozenset[int] | None
     ) -> tuple[TreeEdges, int]:
@@ -123,7 +130,7 @@ class Architecture:
         if allowed is None:
             dist = {t: self.dist[t] for t in terms}
         else:
-            dist = {t: self._bfs(t, allowed) for t in terms}
+            dist = {t: self.bfs(t, allowed) for t in terms}
         metric = sorted(
             (dist[u][v], u, v) for i, u in enumerate(terms) for v in terms[i + 1:]
         )
@@ -151,34 +158,19 @@ class Architecture:
             for a, b in zip(path, path[1:]):
                 union_edges.add((min(a, b), max(a, b)))
         # Prune the union back to a tree by BFS from the smallest terminal.
-        nbrs: dict[int, list[int]] = {}
-        for a, b in union_edges:
-            nbrs.setdefault(a, []).append(b)
-            nbrs.setdefault(b, []).append(a)
-        for ns in nbrs.values():
-            ns.sort()
-        root = terms[0]
-        seen = {root}
-        tree_edges: list[tuple[int, int]] = []
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in nbrs.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    tree_edges.append((min(u, v), max(u, v)))
-                    queue.append(v)
-        result = (tuple(sorted(tree_edges)), len(tree_edges))
-        return result
+        up, order = rooted_tree(union_edges, terms[0])
+        tree_edges = sorted((min(v, up[v]), max(v, up[v])) for v in order[1:])
+        return tuple(tree_edges), len(tree_edges)
 
     def __repr__(self) -> str:
         return f"Architecture({self.name!r}, qubits={self.num_qubits}, edges={len(self.edges)})"
 
 
-def rooted_tree(edges: Sequence[tuple[int, int]], root: int) -> tuple[dict[int, int], list[int]]:
+def rooted_tree(edges: Iterable[tuple[int, int]], root: int) -> tuple[dict[int, int], list[int]]:
     """Root an undirected tree edge set; return (parent map, BFS vertex order).
 
     Children are visited in ascending index order; the root maps to itself.
+    Given edges with cycles, the parent map is their BFS spanning tree.
     """
     nbrs: dict[int, list[int]] = {root: []}
     for a, b in edges:

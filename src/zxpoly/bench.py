@@ -13,8 +13,9 @@ A sweep grid is a JSON object like
 "qubits"/"gadgets"/"max_legs"). Repetition r of a grid point uses seed
 base_seed + r, so runs are reproducible; the wall-time column is the only
 non-deterministic output. Every instance with few enough qubits is checked
-against the dense oracle, and failures are recorded without aborting the
-sweep.
+against the dense oracle. A failure does not abort the sweep: an instance
+that raises keeps its row, with the exception in the `error` column and
+the measurement columns left empty.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from . import sim
 from .arch import Architecture, build_architecture
-from .circuit import Circuit, cnot_count, lower_regions, naive_poly_circuit
+from .circuit import Circuit, cnot_count, lower_regions, naive_poly_circuit, reduction
 from .generators import maxcut_qaoa, random_poly
 from .poly import ZXPolynomial
 from .simplify import simplify
@@ -45,15 +46,16 @@ class BenchRecord:
     architecture: str
     algorithm: str
     seed: int
-    cx_naive: int
-    cx_out: int
-    reduction_pct: float
-    time_s: float
+    cx_naive: int | None = None  # the measurements are None when the instance raised
+    cx_out: int | None = None
+    reduction_pct: float | None = None
+    time_s: float | None = None
     verified: bool | None = None  # None when the oracle check was skipped
+    error: str = ""  # "Type: message" of the exception the instance raised
 
 CSV_HEADER = [
     "n_qubits", "n_pgs", "max_legs", "architecture", "algorithm",
-    "seed", "cx_naive", "cx_out", "reduction_pct", "time_s",
+    "seed", "cx_naive", "cx_out", "reduction_pct", "time_s", "verified", "error",
 ]
 
 
@@ -77,21 +79,20 @@ def run_instance(
     algorithm: str,
     verify: bool,
 ) -> tuple[int, int, float, float, bool | None, Circuit]:
-    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, verified, circuit)."""
+    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, verified, circuit).
+
+    The time covers everything that produces the output circuit, simplify included.
+    """
     cx_naive = cnot_count(naive_poly_circuit(poly, arch))
+    start = time.perf_counter()
     if algorithm == "naive":
-        start = time.perf_counter()
         circuit = naive_poly_circuit(poly, arch)
-        elapsed = time.perf_counter() - start
     else:
         mode = {"divide_fast": "fast", "divide_gauss": "gauss"}[algorithm]
-        reduced = simplify(poly)
-        start = time.perf_counter()
-        regions = synthesize(reduced, arch, mode)
-        circuit = lower_regions(regions, arch)
-        elapsed = time.perf_counter() - start
+        circuit = lower_regions(synthesize(simplify(poly), arch, mode), arch)
+    elapsed = time.perf_counter() - start
     cx_out = cnot_count(circuit)
-    reduction_pct = 0.0 if cx_naive == 0 else 100.0 * (cx_naive - cx_out) / cx_naive
+    reduction_pct = reduction(cx_naive, cx_out) if cx_naive else 0.0
     verified: bool | None = None
     if verify and poly.num_qubits <= VERIFY_MAX_QUBITS:
         verified = sim.equal_up_to_global_phase(
@@ -143,29 +144,27 @@ def run_bench(
                 poly = maxcut_qaoa(point["qubits"], point["p_edge"], point["layers"], seed)
                 max_legs = 2
             for algorithm in point["algorithms"]:
-                try:
-                    cx_naive, cx_out, red, elapsed, verified, _ = run_instance(
-                        poly, arch, algorithm, verify
-                    )
-                except Exception:
-                    failures += 1
-                    continue
-                if verified is False:
-                    failures += 1
-                records.append(BenchRecord(
+                record = BenchRecord(
                     n_qubits=poly.num_qubits,
                     n_pgs=len(poly.gadgets),
                     max_legs=max_legs,
                     architecture=arch.name,
                     algorithm=algorithm,
                     seed=seed,
-                    cx_naive=cx_naive,
-                    cx_out=cx_out,
-                    reduction_pct=red,
-                    time_s=elapsed,
-                    verified=verified,
-                ))
+                )
+                try:
+                    (record.cx_naive, record.cx_out, record.reduction_pct, record.time_s,
+                     record.verified, _) = run_instance(poly, arch, algorithm, verify)
+                except Exception as exc:
+                    record.error = f"{type(exc).__name__}: {exc}"
+                if record.error or record.verified is False:
+                    failures += 1
+                records.append(record)
     return records, failures
+
+
+def _fixed(value: float | None, digits: int) -> str:
+    return "" if value is None else f"{value:.{digits}f}"
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -175,7 +174,8 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     for r in records:
         writer.writerow([
             r.n_qubits, r.n_pgs, r.max_legs, r.architecture, r.algorithm,
-            r.seed, r.cx_naive, r.cx_out, f"{r.reduction_pct:.4f}", f"{r.time_s:.6f}",
+            r.seed, r.cx_naive, r.cx_out, _fixed(r.reduction_pct, 4), _fixed(r.time_s, 6),
+            r.verified, r.error,
         ])
     return buf.getvalue()
 

@@ -86,15 +86,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if circuit.num_qubits != poly.num_qubits:
         print("error: qubit counts differ", file=sys.stderr)
         return 2
-    u_poly = sim.poly_unitary(poly)
-    u_circ = sim.circuit_unitary(circuit)
-    ok = sim.equal_up_to_global_phase(u_poly, u_circ, tol=args.tol)
-    flat = abs(u_poly).argmax()
-    i, j = divmod(int(flat), u_poly.shape[1])
-    ratio = u_poly[i, j] / u_circ[i, j] if abs(u_circ[i, j]) > 0 else 1.0
-    if abs(ratio) > 0:
-        ratio /= abs(ratio)
-    residual = float(abs(u_poly - ratio * u_circ).max())
+    residual = sim.global_phase_residual(sim.poly_unitary(poly), sim.circuit_unitary(circuit))
+    ok = residual < args.tol
     print(f"{'PASS' if ok else 'FAIL'} residual={residual:.3e} tol={args.tol:.1e}")
     return 0 if ok else 1
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .arch import Architecture, rooted_tree
 from .rules import Cnot
@@ -76,11 +77,11 @@ def prepend_cnot(m: ParityMap, cnot: Cnot) -> ParityMap:
 
 
 def from_cnots(num_qubits: int, cnots: Iterable[Cnot]) -> ParityMap:
-    """Replay a CNOT sequence from the identity map."""
-    m = identity_map(num_qubits)
+    """Replay a CNOT sequence from the identity map, appending each gate."""
+    rows = [1 << i for i in range(num_qubits)]
     for cnot in cnots:
-        m = append_cnot(m, cnot)
-    return m
+        rows[cnot.target] ^= rows[cnot.control]
+    return ParityMap(num_qubits, tuple(rows))
 
 
 def gauss_cnots(m: ParityMap) -> list[Cnot]:
@@ -309,7 +310,7 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[Cnot]:
 def _stays_connected(arch: Architecture, remaining: set[int], pivot: int) -> bool:
     rest = frozenset(remaining - {pivot})
     start = next(iter(rest))
-    dist = arch._bfs(start, rest)
+    dist = arch.bfs(start, rest)
     return all(dist[v] >= 0 for v in rest)
 
 
@@ -328,8 +329,8 @@ def _stretch_penalty(
     now = frozenset(remaining)
     penalty = 0
     for i, u in enumerate(involved):
-        before = arch._bfs(u, now)
-        after = arch._bfs(u, rest)
+        before = arch.bfs(u, now)
+        after = arch.bfs(u, rest)
         for w in involved[i + 1:]:
             penalty += after[w] - before[w]
     return penalty
@@ -343,23 +344,9 @@ def _gf2_transpose(m: ParityMap) -> ParityMap:
 
 
 def _gf2_invert(m: ParityMap) -> ParityMap:
-    """Gauss-Jordan inverse over GF(2); raises ValueError when singular."""
-    q = m.size
-    rows = list(m.rows)
-    inv = [1 << i for i in range(q)]
-    for col in range(q):
-        bit = 1 << col
-        pivot = next((r for r in range(col, q) if rows[r] & bit), None)
-        if pivot is None:
-            raise ValueError("parity map is singular")
-        if pivot != col:
-            rows[col] ^= rows[pivot]
-            inv[col] ^= inv[pivot]
-        for r in range(q):
-            if r != col and rows[r] & bit:
-                rows[r] ^= rows[col]
-                inv[r] ^= inv[col]
-    return ParityMap(q, tuple(inv))
+    """Inverse over GF(2): gauss_cnots replayed backward, as CNOTs are
+    self-inverse; raises ValueError when singular."""
+    return from_cnots(m.size, reversed(gauss_cnots(m)))
 
 
 def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
@@ -399,10 +386,17 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     return best
 
 
+# Per-Architecture {rows: cost} memo of cnot_cost; an entry lives exactly as
+# long as its Architecture and is shared by every call on it.
+_COST_MEMO: WeakKeyDictionary[Architecture, dict[tuple[int, ...], int]] = WeakKeyDictionary()
+
+
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
     """Number of CNOTs steiner_gauss emits for the map; pure and memoized."""
-    cached = arch._cnot_cost_cache.get(m.rows)
+    memo = _COST_MEMO.get(arch)
+    if memo is None:
+        memo = _COST_MEMO[arch] = {}
+    cached = memo.get(m.rows)
     if cached is None:
-        cached = len(steiner_gauss(m, arch))
-        arch._cnot_cost_cache[m.rows] = cached
+        cached = memo[m.rows] = len(steiner_gauss(m, arch))
     return cached

@@ -33,21 +33,29 @@ class Cnot:
         return f"CNOT({self.control},{self.target})"
 
 
-def propagate_cnot_gadget(gadget: PhaseGadget, cnot: Cnot) -> PhaseGadget:
-    """Conjugate a gadget by a CNOT: returns CNOT * gadget * CNOT.
+def propagated_legs(gadget: PhaseGadget, cnot: Cnot) -> int:
+    """Leg mask of CNOT * gadget * CNOT.
 
     For a Z gadget the control leg toggles iff the target wire carries a
     leg; for an X gadget the target leg toggles iff the control wire does.
-    Basis and phase are unchanged, and the leg set can never become empty
-    (the tested wire keeps its leg).
+    The mask can never become empty (the tested wire keeps its leg).
     """
     if gadget.basis == "Z":
         tested, toggled = cnot.target, cnot.control
     else:
         tested, toggled = cnot.control, cnot.target
     if gadget.legs >> tested & 1:
-        return gadget.with_legs(gadget.legs ^ (1 << toggled))
-    return gadget
+        return gadget.legs ^ (1 << toggled)
+    return gadget.legs
+
+
+def propagate_cnot_gadget(gadget: PhaseGadget, cnot: Cnot) -> PhaseGadget:
+    """Conjugate a gadget by a CNOT: returns CNOT * gadget * CNOT.
+
+    Basis and phase are unchanged; the legs become `propagated_legs`.
+    """
+    legs = propagated_legs(gadget, cnot)
+    return gadget if legs == gadget.legs else gadget.with_legs(legs)
 
 
 def propagate_cnot_poly(poly: ZXPolynomial, cnot: Cnot) -> ZXPolynomial:

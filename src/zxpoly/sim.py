@@ -153,14 +153,20 @@ def regions_unitary(regions: list[Region]) -> np.ndarray:
     return mat
 
 
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Frobenius comparison after aligning b's global phase to a's."""
+def global_phase_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of a - e^(i phi) b, with b's global phase aligned to a's
+    at a's largest entry; infinite when b vanishes there."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     flat = int(np.argmax(np.abs(a)))
     i, j = divmod(flat, a.shape[1])
     if abs(b[i, j]) == 0.0:
-        return False
+        return float("inf")
     ratio = a[i, j] / b[i, j]
     ratio /= abs(ratio)
-    return bool(np.linalg.norm(a - ratio * b) < tol)
+    return float(np.linalg.norm(a - ratio * b))
+
+
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when the global-phase residual of the pair is below tol."""
+    return global_phase_residual(a, b) < tol

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .arch import Architecture
 from .parity import ParityMap, append_cnot, cnot_cost, identity_map, prepend_cnot, steiner_gauss
 from .poly import PhaseGadget, ZXPolynomial
-from .rules import Cnot, commutes, pi_commute_swap, propagate_cnot_poly
+from .rules import Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs
 
 
 @dataclass
@@ -40,29 +40,9 @@ class GadgetRegion:
 Region = ParityRegion | GadgetRegion
 
 
-def _tree_weight(arch: Architecture, legs: int) -> int:
-    cached = arch._gadget_cost_cache.get(legs)
-    if cached is None:
-        _, cached = arch.terminal_tree(
-            [w for w in range(arch.num_qubits) if legs >> w & 1]
-        )
-        arch._gadget_cost_cache[legs] = cached
-    return cached
-
-
 def gadget_cost(gadget: PhaseGadget, arch: Architecture) -> int:
     """Heuristic CNOT count for emitting one gadget: twice its tree weight."""
-    return 2 * _tree_weight(arch, gadget.legs)
-
-
-def _propagated_legs(gadget: PhaseGadget, cnot: Cnot) -> int:
-    if gadget.basis == "Z":
-        tested, toggled = cnot.target, cnot.control
-    else:
-        tested, toggled = cnot.control, cnot.target
-    if gadget.legs >> tested & 1:
-        return gadget.legs ^ (1 << toggled)
-    return gadget.legs
+    return 2 * arch.tree_weight(gadget.legs)
 
 
 def effect_zx(poly: ZXPolynomial, cnot: Cnot, arch: Architecture) -> int:
@@ -70,9 +50,9 @@ def effect_zx(poly: ZXPolynomial, cnot: Cnot, arch: Architecture) -> int:
     through the whole run; negative means the gadgets get cheaper."""
     delta = 0
     for gadget in poly.gadgets:
-        new_legs = _propagated_legs(gadget, cnot)
+        new_legs = propagated_legs(gadget, cnot)
         if new_legs != gadget.legs:
-            delta += 2 * (_tree_weight(arch, new_legs) - _tree_weight(arch, gadget.legs))
+            delta += 2 * (arch.tree_weight(new_legs) - arch.tree_weight(gadget.legs))
     return delta
 
 

@@ -121,6 +121,7 @@ class TestTerminalTree:
             terminals = set(rng.sample(range(q), rng.randint(1, q)))
             edges, weight = arch.terminal_tree(terminals)
             assert weight == len(edges)
+            assert arch.tree_weight(sum(1 << t for t in terminals)) == weight
             for u, v in edges:
                 assert arch.is_edge(u, v)
             vertices = {v for e in edges for v in e} | terminals

@@ -1,12 +1,18 @@
 """CLI subcommands and the benchmark harness contract."""
 
+import csv
+import io
 import json
 
 import pytest
 
 import zxpoly as zx
+from zxpoly import bench
 from zxpoly.bench import CSV_HEADER, records_to_csv, run_bench
 from zxpoly.cli import main
+
+
+PH = zx.Phase
 
 
 def run_cli(*args):
@@ -69,6 +75,20 @@ class TestSynthAndVerify:
         circ_path.write_text(zx.to_qasm(wrong))
         assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 1
 
+    def test_verify_gates_on_the_printed_residual(self, tmp_path, capsys):
+        # the phases differ by pi/10000 on two of the four diagonal entries:
+        # the largest entry error is below tol, the Frobenius residual above
+        poly_path = tmp_path / "poly.json"
+        circ_path = tmp_path / "circ.json"
+        poly_path.write_text(zx.ZXPolynomial(2, (zx.PhaseGadget.z([0], PH(1, 4)),)).to_json())
+        circ_path.write_text(zx.circuit_to_json(zx.Circuit(2, [zx.Rz(PH(2501, 10000), 0)])))
+        tol = 3.8e-4
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
+                       "--tol", tol) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL")
+        assert float(out.split("residual=")[1].split()[0]) >= tol
+
     def test_arch_size_mismatch(self, tmp_path):
         poly_path = tmp_path / "poly.json"
         poly_path.write_text(zx.random_poly(3, 5, 3, seed=6).to_json())
@@ -124,10 +144,31 @@ class TestBench:
         a, _ = run_bench(self.GRID, reps=2, base_seed=3)
         b, _ = run_bench(self.GRID, reps=2, base_seed=3)
 
+        col = CSV_HEADER.index("time_s")
+
         def strip_time(records):
-            return [row.rsplit(",", 1)[0] for row in records_to_csv(records).splitlines()]
+            rows = csv.reader(io.StringIO(records_to_csv(records)))
+            return [row[:col] + row[col + 1:] for row in rows]
 
         assert strip_time(a) == strip_time(b)
+
+    def test_raising_instance_keeps_its_row(self, monkeypatch):
+        def broken_synthesize(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bench, "synthesize", broken_synthesize)
+        records, failures = run_bench(self.GRID, reps=1, base_seed=5)
+        assert len(records) == 8
+        assert failures == 4
+        rows = csv.DictReader(io.StringIO(records_to_csv(records)))
+        for record, row in zip(records, rows, strict=True):
+            if record.algorithm == "naive":
+                assert record.error == "" and record.verified is True
+                assert (row["verified"], row["error"]) == ("True", "")
+            else:
+                assert record.error == "RuntimeError: boom"
+                assert record.cx_out is None and record.verified is None
+                assert (row["cx_out"], row["verified"], row["error"]) == ("", "", record.error)
 
     def test_grid_architecture_requires_square(self):
         grid = dict(self.GRID, architectures=["grid"])

@@ -1,11 +1,13 @@
 """Cost model, greedy CNOT extraction, regrouping, divide and conquer."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 import zxpoly as zx
-from zxpoly import sim
+from zxpoly import parity, sim
 from zxpoly.parity import identity_map
 from conftest import exact_cnot_counts, random_invertible_map, random_zx_poly
 
@@ -263,3 +265,31 @@ class TestSynthesize:
                     assert sim.equal_up_to_global_phase(
                         sim.regions_unitary(regions), sim.poly_unitary(poly), 1e-9
                     )
+
+
+class TestCostMemo:
+    def test_shared_across_synthesize_calls(self, monkeypatch):
+        calls = []
+        steiner_gauss = parity.steiner_gauss
+
+        def counting(m, arch):
+            calls.append(m.rows)
+            return steiner_gauss(m, arch)
+
+        monkeypatch.setattr(parity, "steiner_gauss", counting)
+        arch = zx.line(4)
+        poly = random_zx_poly(random.Random(26), 4, 12, 3)
+        first = zx.synthesize(poly, arch, "gauss")
+        assert calls
+        calls.clear()
+        assert zx.synthesize(poly, arch, "gauss") == first
+        assert calls == []
+
+    def test_dies_with_its_architecture(self):
+        arch = zx.line(4)
+        zx.synthesize(random_zx_poly(random.Random(27), 4, 12, 3), arch, "gauss")
+        assert parity._COST_MEMO[arch]
+        ref = weakref.ref(arch)
+        del arch
+        gc.collect()
+        assert ref() is None
