@@ -1,10 +1,20 @@
 """Hardware coupling graphs: distances, topologies, and Steiner trees.
 
 An Architecture is an undirected connected graph over qubit indices
-0..num_qubits-1 with an all-pairs hop-count table. It is immutable after
-construction and safe to share across threads. It memoizes only its own
-`terminal_tree` results, which `tree_weight` also reads by leg mask; the
-Steiner-Gauss cost memo belongs to `parity`, keyed weakly by Architecture.
+0..num_qubits-1 with an all-pairs hop-count table. Its graph is immutable
+after construction. It memoizes graph facts that depend on nothing but the
+graph, each filled lazily on first use (without a lock) and keyed by int
+vertex bitmasks:
+
+  * `terminal_tree` results, which `tree_weight` also reads by leg mask,
+  * `rooted_terminal_tree`: those trees rooted at a given terminal,
+  * `non_cut_vertices`: the vertices of a set whose removal keeps the rest
+    connected,
+  * `distances_within`: BFS hop tables inside a vertex set.
+
+Every memo, the Steiner-Gauss sequence memo of `parity` (keyed weakly by
+Architecture) included, is filled through `memo_put`, which holds at most
+MEMO_CAP entries and evicts the oldest first.
 
 Determinism conventions used throughout:
   * among equal-length shortest paths the lexicographically smallest vertex
@@ -23,7 +33,22 @@ import json
 from collections import deque
 from typing import Iterable
 
+from .poly import mask_to_legs
+
 TreeEdges = tuple[tuple[int, int], ...]
+# (parent of each vertex, -1 off the tree; the tree's vertices in BFS order)
+RootedTree = tuple[tuple[int, ...], tuple[int, ...]]
+
+MEMO_CAP = 1 << 14  # entries per memo
+
+
+def memo_put(memo: dict, key, value):
+    """Store a memo entry and return the value; past MEMO_CAP entries the
+    oldest (first in dict order) is evicted."""
+    while len(memo) >= MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 class Architecture:
@@ -51,6 +76,9 @@ class Architecture:
         if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
             raise ValueError("architecture graph must be connected")
         self._tree_cache: dict[tuple[int, int], tuple[TreeEdges, int]] = {}
+        self._rooted_cache: dict[int, RootedTree] = {}
+        self._non_cut_cache: dict[int, int] = {}
+        self._distance_cache: dict[int, tuple[tuple[int, ...] | None, ...]] = {}
 
     def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
         """Hop counts from source (-1 if unreachable), moving only through `allowed`."""
@@ -110,16 +138,69 @@ class Architecture:
         cached = self._tree_cache.get(key)
         if cached is not None:
             return cached
-        result = self._terminal_tree_uncached(terms, allowed)
-        self._tree_cache[key] = result
-        return result
+        return memo_put(self._tree_cache, key, self._terminal_tree_uncached(terms, allowed))
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs` bitmask."""
         cached = self._tree_cache.get((legs, -1))
         if cached is None:
-            cached = self.terminal_tree([w for w in range(self.num_qubits) if legs >> w & 1])
+            cached = self.terminal_tree(mask_to_legs(legs))
         return cached[1]
+
+    def rooted_terminal_tree(self, terms: int, root: int, allowed: int = -1) -> RootedTree:
+        """`rooted_tree` of the terminal tree over the `terms` mask, rooted at
+        `root`, moving only through the `allowed` mask (-1: anywhere).
+
+        Returns (parent, order): parent[v] is v's parent (the root's is
+        itself, -1 off the tree) and order is the tree's BFS vertex order.
+        """
+        q = self.num_qubits
+        key = (terms << q | max(allowed, 0)) * q + root  # one int: (terms, allowed, root)
+        cached = self._rooted_cache.get(key)
+        if cached is None:
+            region = None if allowed < 0 else frozenset(mask_to_legs(allowed))
+            edges, _ = self.terminal_tree(mask_to_legs(terms), region)
+            up, order = rooted_tree(edges, root)
+            parent = tuple(up.get(v, -1) for v in range(q))
+            cached = memo_put(self._rooted_cache, key, (parent, tuple(order)))
+        return cached
+
+    def non_cut_vertices(self, vertices: int) -> int:
+        """Mask of the vertices whose removal leaves the rest of the
+        `vertices` mask connected; a single vertex is its own."""
+        cached = self._non_cut_cache.get(vertices)
+        if cached is None:
+            if vertices & (vertices - 1) == 0:
+                cached = vertices
+            else:
+                cached = sum(1 << v for v in mask_to_legs(vertices)
+                             if self._connected(vertices & ~(1 << v)))
+            cached = memo_put(self._non_cut_cache, vertices, cached)
+        return cached
+
+    def _connected(self, vertices: int) -> bool:
+        start = (vertices & -vertices).bit_length() - 1
+        seen = 1 << start
+        stack = [start]
+        while stack:
+            for v in self.adj[stack.pop()]:
+                bit = 1 << v
+                if vertices & bit and not seen & bit:
+                    seen |= bit
+                    stack.append(v)
+        return seen == vertices
+
+    def distances_within(self, vertices: int) -> tuple[tuple[int, ...] | None, ...]:
+        """Hop counts inside the `vertices` mask: entry u is bfs(u, vertices)
+        for each u in the mask, None for the others."""
+        cached = self._distance_cache.get(vertices)
+        if cached is None:
+            region = frozenset(mask_to_legs(vertices))
+            cached = memo_put(self._distance_cache, vertices, tuple(
+                tuple(self.bfs(u, region)) if vertices >> u & 1 else None
+                for u in range(self.num_qubits)
+            ))
+        return cached
 
     def _terminal_tree_uncached(
         self, terms: list[int], allowed: frozenset[int] | None

@@ -225,7 +225,8 @@ def lower_regions(regions: list[Region], arch: Architecture) -> Circuit:
 # --- QASM 2.0 / JSON interchange ---------------------------------------------
 
 _QASM_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$")
-_QASM_ROT = re.compile(r"^(rz|rx)\(([-+0-9.eE]+)\)\s+q\[(\d+)\]\s*;$")
+_QASM_ROT = re.compile(r"^(rz|rx)\(([^()]*)\)\s+q\[(\d+)\]\s*;$")
+_QASM_FACTOR = re.compile(r"\s*(pi|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
 
 
@@ -246,6 +247,42 @@ def _phase_from_radians(theta: float) -> Phase:
     return Phase(frac.numerator, frac.denominator)
 
 
+def _qasm_phase(text: str) -> Phase | None:
+    """Phase of a QASM angle, or None if it is not one this reader takes.
+
+    Takes an optional sign, then numeric literals and `pi` joined by `*`
+    and `/`, whose `pi` factors come to pi^1 or pi^0: `pi/4`, `-pi/2`,
+    `3*pi/4`, `pi*0.25`, `0.785398163397`. A multiple of pi is read
+    exactly; any other value is radians, rounded as `_phase_from_radians`
+    does.
+    """
+    text = text.strip()
+    coefficient = Fraction(-1 if text.startswith("-") else 1)
+    pos = 1 if text.startswith(("-", "+")) else 0
+    pis, op = 0, "*"
+    while True:
+        m = _QASM_FACTOR.match(text, pos)
+        if m is None:
+            return None
+        if m.group(1) == "pi":
+            pis += 1 if op == "*" else -1
+        else:
+            value = Fraction(m.group(1))
+            if op == "/" and value == 0:
+                return None
+            coefficient = coefficient * value if op == "*" else coefficient / value
+        pos = m.end()
+        if pos == len(text):
+            break
+        op = text[pos]
+        if op not in "*/":
+            return None
+        pos += 1
+    if pis == 1:
+        return Phase.from_fraction(coefficient)
+    return _phase_from_radians(float(coefficient)) if pis == 0 else None
+
+
 def from_qasm(text: str) -> Circuit:
     num_qubits = None
     gates: list[Gate] = []
@@ -262,8 +299,8 @@ def from_qasm(text: str) -> Circuit:
             gates.append(Cnot(int(m.group(1)), int(m.group(2))))
             continue
         m = _QASM_ROT.match(line)
-        if m:
-            phase = _phase_from_radians(float(m.group(2)))
+        phase = _qasm_phase(m.group(2)) if m else None
+        if phase is not None:
             qubit = int(m.group(3))
             gates.append(Rz(phase, qubit) if m.group(1) == "rz" else Rx(phase, qubit))
             continue

@@ -11,6 +11,11 @@ onto the control column.
 organizing each pivot column's elimination along a Steiner tree. Both
 satisfy the replay contract: applying the returned gates in order to the
 identity map reproduces the input bit-for-bit.
+
+`steiner_gauss` skips the identity map and memoizes every other sequence
+per Architecture (`_SEQUENCE_MEMO`, weak-keyed, bounded by `memo_put`);
+`cnot_cost` is the length of that sequence, so costing a map and lowering
+it later synthesize it once.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
-from .arch import Architecture, rooted_tree
+from .arch import Architecture, memo_put
+from .poly import mask_to_legs
 from .rules import Cnot
 
 
@@ -110,28 +116,27 @@ def gauss_cnots(m: ParityMap) -> list[Cnot]:
 
 
 def _column_step(
-    rows: list[int], pivot: int, allowed: frozenset[int], arch: Architecture
+    rows: list[int], pivot: int, allowed: int, arch: Architecture
 ) -> list[tuple[int, int]]:
     """Make column `pivot` a unit column using tree-edge row additions.
 
     Builds a Steiner tree over the rows carrying the pivot bit plus the
     pivot row, fills ones downward so every tree row carries the bit, then
     eliminates upward so only the pivot row keeps it. All ops stay inside
-    the allowed vertex set.
+    the `allowed` vertex mask.
     """
     bit = 1 << pivot
-    carriers = {r for r in allowed if rows[r] & bit}
+    carriers = sum(1 << r for r in mask_to_legs(allowed) if rows[r] & bit)
     if not carriers:
         raise ValueError("parity map is singular")
-    if carriers == {pivot}:
+    if carriers == bit:
         return []
     ops: list[tuple[int, int]] = []
-    tree_edges, _ = arch.terminal_tree(carriers | {pivot}, allowed)
-    parent, bfs_order = rooted_tree(tree_edges, pivot)
+    parent, bfs_order = arch.rooted_terminal_tree(carriers | bit, pivot, allowed)
     if not rows[pivot] & bit:
         # Pull a 1 up to the pivot along the path from the nearest carrier;
         # every vertex strictly between them lacks the bit, so each hop sets it.
-        nearest = next(v for v in bfs_order if v in carriers)
+        nearest = next(v for v in bfs_order if carriers >> v & 1)
         path = [nearest]
         while path[-1] != pivot:
             path.append(parent[path[-1]])
@@ -192,8 +197,7 @@ def _row_step(
     source, so the rewind is exact). Because everything but the pivot row
     is restored, the tree may route through any vertex of the graph.
     """
-    tree_edges, _ = arch.terminal_tree(set(sources) | {pivot})
-    parent, order = rooted_tree(tree_edges, pivot)
+    parent, order = arch.rooted_terminal_tree(sum(1 << v for v in sources) | 1 << pivot, pivot)
     children: dict[int, list[int]] = {v: [] for v in order}
     for v in order[1:]:
         children[parent[v]].append(v)
@@ -256,7 +260,7 @@ def _cancel_cnots(seq: list[Cnot]) -> list[Cnot]:
 
 
 def _eliminate_vertex(
-    rows: list[int], pivot: int, allowed: frozenset[int], arch: Architecture
+    rows: list[int], pivot: int, allowed: int, arch: Architecture
 ) -> list[tuple[int, int]]:
     """Purify the pivot's column and row; afterwards both equal the unit vector.
 
@@ -267,7 +271,7 @@ def _eliminate_vertex(
     ops = _column_step(rows, pivot, allowed, arch)
     residue = rows[pivot] ^ (1 << pivot)
     if residue:
-        candidates = sorted(allowed - {pivot})
+        candidates = mask_to_legs(allowed & ~(1 << pivot))
         sources = _solve_row_combination(rows, candidates, residue)
         ops.extend(_row_step(rows, pivot, sources, arch))
     return ops
@@ -283,56 +287,50 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[Cnot]:
     """
     rows = list(m.rows)
     ops: list[tuple[int, int]] = []
-    remaining = set(range(m.size))
+    remaining = (1 << m.size) - 1
     while remaining:
-        allowed = frozenset(remaining)
         trials = []
-        for pivot in sorted(remaining):
-            if len(remaining) > 1 and not _stays_connected(arch, remaining, pivot):
-                continue
+        for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
             trial_rows = rows[:]
-            trial_ops = _eliminate_vertex(trial_rows, pivot, allowed, arch)
+            trial_ops = _eliminate_vertex(trial_rows, pivot, remaining, arch)
             trials.append((len(trial_ops), pivot, trial_ops, trial_rows))
-        assert trials  # connected graphs always have a non-cut vertex
         cheapest = min(t[0] for t in trials)
         tied = [t for t in trials if t[0] == cheapest]
         if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
-            tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], rows), t[1]))
+            structured = _structured(remaining, rows)
+            tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
         _, pivot, trial_ops, trial_rows = tied[0]
         ops.extend(trial_ops)
         rows = trial_rows
-        remaining.remove(pivot)
+        remaining &= ~(1 << pivot)
     if any(row != 1 << i for i, row in enumerate(rows)):
         raise ValueError("parity map is singular")
     return _cancel_cnots([Cnot(src, dst) for src, dst in reversed(ops)])
 
 
-def _stays_connected(arch: Architecture, remaining: set[int], pivot: int) -> bool:
-    rest = frozenset(remaining - {pivot})
-    start = next(iter(rest))
-    dist = arch.bfs(start, rest)
-    return all(dist[v] >= 0 for v in rest)
+def _structured(remaining: int, rows: list[int]) -> list[int]:
+    """Remaining vertices still carrying matrix structure: an off-diagonal
+    bit in their row, or in their column among the remaining rows."""
+    off_diagonal = 0
+    for u in mask_to_legs(remaining):
+        off_diagonal |= rows[u] & ~(1 << u)
+    return [v for v in mask_to_legs(remaining) if rows[v] != 1 << v or off_diagonal >> v & 1]
 
 
 def _stretch_penalty(
-    arch: Architecture, remaining: set[int], pivot: int, rows: list[int]
+    arch: Architecture, remaining: int, pivot: int, structured: list[int]
 ) -> int:
-    """Total growth of pairwise distances between structure-carrying
-    vertices if the pivot were removed from the remaining subgraph."""
-    involved = sorted(
-        v for v in remaining
-        if v != pivot and (rows[v] != 1 << v or any(rows[u] >> v & 1 for u in remaining if u != v))
-    )
+    """Total growth of pairwise distances between the structured vertices
+    (other than the pivot) if the pivot left the remaining subgraph."""
+    involved = [v for v in structured if v != pivot]
     if len(involved) < 2:
         return 0
-    rest = frozenset(remaining - {pivot})
-    now = frozenset(remaining)
+    before = arch.distances_within(remaining)
+    after = arch.distances_within(remaining & ~(1 << pivot))
     penalty = 0
     for i, u in enumerate(involved):
-        before = arch.bfs(u, now)
-        after = arch.bfs(u, rest)
         for w in involved[i + 1:]:
-            penalty += after[w] - before[w]
+            penalty += after[u][w] - before[u][w]
     return penalty
 
 
@@ -367,9 +365,18 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     The pass runs on the map, its inverse, its transpose, and its
     inverse-transpose, whose gate lists convert into one another by
     reversal and/or control-target exchange; the shortest synthesis wins.
+
+    The identity map gives [] at once. Every other result is memoized per
+    Architecture by the map's rows, so a map is synthesized once however
+    often it is costed or lowered; each call returns a fresh list.
     """
-    if m.size != arch.num_qubits:
-        raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
+    memo = _sequences(m, arch)
+    if m.is_identity():
+        return []
+    cached = memo.get(m.rows)
+    if cached is not None:
+        wires = iter(cached)
+        return [Cnot(control, target) for control, target in zip(wires, wires)]
     inverse = _gf2_invert(m)
     transpose = _gf2_transpose(m)
     inv_transpose = _gf2_transpose(inverse)
@@ -383,20 +390,35 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
         candidate = convert(_synthesize_raw(variant, arch))
         if best is None or len(candidate) < len(best):
             best = candidate
+    memo_put(memo, m.rows, tuple(w for g in best for w in (g.control, g.target)))
     return best
 
 
-# Per-Architecture {rows: cost} memo of cnot_cost; an entry lives exactly as
-# long as its Architecture and is shared by every call on it.
-_COST_MEMO: WeakKeyDictionary[Architecture, dict[tuple[int, ...], int]] = WeakKeyDictionary()
+# Per-Architecture {rows: steiner_gauss sequence as flat (control, target)
+# wire pairs}; an entry lives at most as long as its Architecture and is
+# shared by every call on it.
+_SEQUENCE_MEMO: WeakKeyDictionary[Architecture, dict[tuple[int, ...], tuple[int, ...]]] = (
+    WeakKeyDictionary()
+)
+
+
+def _sequences(m: ParityMap, arch: Architecture) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The architecture's sequence memo, once the map is checked to fit it."""
+    if m.size != arch.num_qubits:
+        raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
+    memo = _SEQUENCE_MEMO.get(arch)
+    if memo is None:
+        memo = _SEQUENCE_MEMO[arch] = {}
+    return memo
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map; pure and memoized."""
-    memo = _COST_MEMO.get(arch)
-    if memo is None:
-        memo = _COST_MEMO[arch] = {}
+    """Number of CNOTs steiner_gauss emits for the map: 0 for the identity,
+    otherwise the length of its memoized sequence, synthesized on a miss."""
+    memo = _sequences(m, arch)
+    if m.is_identity():
+        return 0
     cached = memo.get(m.rows)
     if cached is None:
-        cached = memo[m.rows] = len(steiner_gauss(m, arch))
-    return cached
+        return len(steiner_gauss(m, arch))
+    return len(cached) // 2

@@ -82,13 +82,12 @@ def legs_to_mask(legs: Iterable[int]) -> int:
 
 
 def mask_to_legs(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
     legs = []
-    wire = 0
     while mask:
-        if mask & 1:
-            legs.append(wire)
-        mask >>= 1
-        wire += 1
+        low = mask & -mask
+        legs.append(low.bit_length() - 1)
+        mask ^= low
     return legs
 
 

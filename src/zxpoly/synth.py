@@ -91,20 +91,29 @@ def optimize_gauss(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
     """Single greedy sweep over all ordered (control, target) pairs,
-    propagating whenever the exact total emitted-CNOT estimate drops."""
+    propagating whenever the exact total emitted-CNOT estimate drops.
+
+    A region saves at most what it costs now (no cost is negative), so a
+    candidate whose effect_zx reaches the two regions' summed cost cannot
+    win and its parity effects are not computed."""
     q = arch.num_qubits
+    ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     for control in range(q):
         for target in range(q):
             if control == target:
                 continue
             cnot = Cnot(control, target)
+            zx = effect_zx(poly, cnot, arch)
+            if zx >= ceiling:
+                continue
             net = (
-                effect_zx(poly, cnot, arch)
+                zx
                 - effect_parity(pl, cnot, "left", arch)
                 - effect_parity(pr, cnot, "right", arch)
             )
             if net < 0:
                 pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
+                ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     return pl, poly, pr
 
 

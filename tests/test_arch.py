@@ -5,6 +5,7 @@ import random
 import pytest
 
 import zxpoly as zx
+from zxpoly.arch import rooted_tree
 from conftest import bfs_distances, exact_steiner_weight, random_connected_graph
 
 
@@ -132,3 +133,67 @@ class TestTerminalTree:
             assert all(dist[t] >= 0 for t in terminals)
             exact = exact_steiner_weight(arch, terminals)
             assert exact <= weight <= 2 * max(exact, 1)
+
+
+def _star(q):
+    return zx.Architecture(q, [(q - 1, i) for i in range(q - 1)], name=f"star:{q}")
+
+
+MEMO_GRAPHS = [zx.line(5), zx.grid(2, 3), zx.grid(3, 3), zx.circle(6), _star(6)]
+
+
+def _sub_distances(arch, vertices, source):
+    """bfs_distances on the subgraph induced by the `vertices` mask."""
+    sub = [(u, v) for u, v in arch.edges if vertices >> u & 1 and vertices >> v & 1]
+    return bfs_distances(arch.num_qubits, sub, source)
+
+
+def _connected(arch, vertices):
+    members = [v for v in range(arch.num_qubits) if vertices >> v & 1]
+    dist = _sub_distances(arch, vertices, members[0])
+    return all(dist[v] >= 0 for v in members)
+
+
+class TestGraphMemos:
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_non_cut_vertices_match_bfs(self, arch):
+        for vertices in range(1, 1 << arch.num_qubits):
+            expected = sum(
+                1 << v for v in range(arch.num_qubits)
+                if vertices >> v & 1
+                and (vertices == 1 << v or _connected(arch, vertices & ~(1 << v)))
+            )
+            for _ in range(2):  # cold, then memoized
+                assert arch.non_cut_vertices(vertices) == expected, (arch.name, bin(vertices))
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_distances_within_match_bfs(self, arch):
+        for vertices in range(1, 1 << arch.num_qubits):
+            for _ in range(2):  # cold, then memoized
+                table = arch.distances_within(vertices)
+                for u in range(arch.num_qubits):
+                    if vertices >> u & 1:
+                        oracle = _sub_distances(arch, vertices, u)
+                        assert list(table[u]) == [
+                            d if vertices >> w & 1 else -1 for w, d in enumerate(oracle)
+                        ], (arch.name, bin(vertices), u)
+                    else:
+                        assert table[u] is None
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_rooted_terminal_tree_matches_rooted_tree(self, arch):
+        rng = random.Random(12)
+        q = arch.num_qubits
+        for _ in range(100):
+            terms = rng.randint(1, (1 << q) - 1)
+            root = rng.choice([v for v in range(q) if terms >> v & 1])
+            allowed = rng.choice([-1, terms | rng.randint(0, (1 << q) - 1)])
+            if allowed >= 0 and not _connected(arch, allowed):
+                continue
+            region = None if allowed < 0 else frozenset(v for v in range(q) if allowed >> v & 1)
+            edges, _ = arch.terminal_tree([v for v in range(q) if terms >> v & 1], region)
+            up, order = rooted_tree(edges, root)
+            for _ in range(2):  # cold, then memoized
+                assert arch.rooted_terminal_tree(terms, root, allowed) == (
+                    tuple(up.get(v, -1) for v in range(q)), tuple(order)
+                )

@@ -172,6 +172,23 @@ class TestQasm:
         with pytest.raises(ValueError):
             zx.from_qasm('OPENQASM 2.0;\nqreg q[1];\nh q[0];\n')
 
+    def test_pi_form_angles(self):
+        text = "OPENQASM 2.0;\nqreg q[2];\n{}\n"
+        circ = zx.from_qasm(text.format("rz(pi/4) q[0];"))
+        assert circ.gates == [zx.Rz(PH(1, 4), 0)]
+        assert zx.from_qasm(zx.to_qasm(circ)) == circ
+        for angle, phase in [("pi", PH(1)), ("-pi/2", PH(-1, 2)), ("3*pi/4", PH(3, 4)),
+                             ("pi*0.25", PH(1, 4)), (" +pi / 8 ", PH(1, 8)),
+                             ("0.785398163397", PH(1, 4))]:
+            gates = zx.from_qasm(text.format(f"rx({angle}) q[1];")).gates
+            assert gates == [zx.Rx(phase, 1)], angle
+
+    @pytest.mark.parametrize("angle", ["tau", "pi*pi", "1/pi", "pi/0", "pi**2", "pi^2",
+                                       "2-pi", "pi/", "", "-", "sin(pi)"])
+    def test_other_angle_tokens_rejected(self, angle):
+        with pytest.raises(ValueError, match="unsupported QASM line"):
+            zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+
     def test_missing_qreg_rejected(self):
         with pytest.raises(ValueError):
             zx.from_qasm("OPENQASM 2.0;\n")

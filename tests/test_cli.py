@@ -89,6 +89,15 @@ class TestSynthAndVerify:
         assert out.startswith("FAIL")
         assert float(out.split("residual=")[1].split()[0]) >= tol
 
+    def test_verify_reads_pi_form_qasm(self, tmp_path):
+        poly_path = tmp_path / "poly.json"
+        circ_path = tmp_path / "circ.qasm"
+        poly_path.write_text(zx.ZXPolynomial(2, (zx.PhaseGadget.z([0, 1], PH(1, 4)),)).to_json())
+        circ_path.write_text("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                             "cx q[0],q[1];\nrz(pi/4) q[1];\ncx q[0],q[1];\n")
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
+                       "--tol", 1e-9) == 0
+
     def test_arch_size_mismatch(self, tmp_path):
         poly_path = tmp_path / "poly.json"
         poly_path.write_text(zx.random_poly(3, 5, 3, seed=6).to_json())

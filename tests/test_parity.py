@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
+from zxpoly import parity
 from conftest import gf2_matmul, random_invertible_map
 
 
@@ -156,3 +158,44 @@ class TestCnotCost:
         first = zx.cnot_cost(m, arch)
         assert zx.cnot_cost(m, arch) == first
         assert m.rows == rows_before
+
+
+def _star(q):
+    return zx.Architecture(q, [(q - 1, i) for i in range(q - 1)], name=f"star:{q}")
+
+
+_WARM = {  # shared by every example
+    arch.name: arch for q in range(2, 9) for arch in _topologies(q) + [_star(q)]
+}
+
+
+class TestSequenceMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_WARM)), st.randoms(use_true_random=False))
+    def test_warm_equals_cold(self, name, rng):
+        warm = _WARM[name]
+        m = random_invertible_map(rng, warm.num_qubits)
+        seq = zx.steiner_gauss(m, warm)
+        cold = zx.Architecture(warm.num_qubits, warm.edges, name)
+        assert seq == zx.steiner_gauss(m, cold)
+        assert zx.steiner_gauss(m, warm) == seq  # answered from the memo
+        assert zx.cnot_cost(m, warm) == len(seq)
+        assert zx.from_cnots(m.size, seq) == m
+
+    def test_returned_list_is_fresh(self):
+        arch = zx.grid(2, 3)
+        m = random_invertible_map(random.Random(13), 6)
+        first = zx.steiner_gauss(m, arch)
+        assert first
+        expected = list(first)
+        first.clear()
+        second = zx.steiner_gauss(m, arch)
+        assert second == expected
+        second.append(zx.Cnot(0, 1))
+        assert zx.steiner_gauss(m, arch) == expected
+
+    def test_identity_is_not_memoized(self):
+        arch = zx.line(4)
+        assert zx.steiner_gauss(zx.identity_map(4), arch) == []
+        assert zx.cnot_cost(zx.identity_map(4), arch) == 0
+        assert not parity._SEQUENCE_MEMO.get(arch)

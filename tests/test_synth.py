@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 import zxpoly as zx
-from zxpoly import parity, sim
+from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
 from conftest import exact_cnot_counts, random_invertible_map, random_zx_poly
 
@@ -115,6 +115,42 @@ class TestOptimizeGauss:
             u_before = sim.parity_unitary(pr0) @ sim.poly_unitary(poly) @ sim.parity_unitary(pl0)
             u_after = sim.parity_unitary(pr) @ sim.poly_unitary(out) @ sim.parity_unitary(pl)
             assert sim.equal_up_to_global_phase(u_before, u_after, 1e-9)
+
+    def test_prune_matches_unpruned_sweep(self, monkeypatch):
+        def unpruned(pl, poly, pr, arch):
+            for control in range(arch.num_qubits):
+                for target in range(arch.num_qubits):
+                    if control != target:
+                        cnot = zx.Cnot(control, target)
+                        net = (
+                            zx.effect_zx(poly, cnot, arch)
+                            - zx.effect_parity(pl, cnot, "left", arch)
+                            - zx.effect_parity(pr, cnot, "right", arch)
+                        )
+                        if net < 0:
+                            pl = zx.append_cnot(pl, cnot)
+                            poly = zx.propagate_cnot_poly(poly, cnot)
+                            pr = zx.prepend_cnot(pr, cnot)
+            return pl, poly, pr
+
+        calls = []
+        effect_parity = synth.effect_parity
+        monkeypatch.setattr(synth, "effect_parity",
+                            lambda *args: calls.append(args) or effect_parity(*args))
+        rng = random.Random(28)
+        pruned_some = False
+        for _ in range(200):
+            q = rng.randint(2, 5)
+            arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
+            poly = random_zx_poly(rng, q, rng.randint(0, 8))
+            pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
+                      for _ in range(2))
+            expected = unpruned(pl, poly, pr, arch)
+            calls.clear()
+            assert zx.optimize_gauss(pl, poly, pr, arch) == expected
+            assert len(calls) <= 2 * q * (q - 1)
+            pruned_some |= len(calls) < 2 * q * (q - 1)
+        assert pruned_some
 
 
 class TestOptimizeFast:
@@ -288,8 +324,24 @@ class TestCostMemo:
     def test_dies_with_its_architecture(self):
         arch = zx.line(4)
         zx.synthesize(random_zx_poly(random.Random(27), 4, 12, 3), arch, "gauss")
-        assert parity._COST_MEMO[arch]
+        assert parity._SEQUENCE_MEMO[arch]
         ref = weakref.ref(arch)
         del arch
         gc.collect()
         assert ref() is None
+
+    def test_capped_memos_emit_the_same_gates(self, monkeypatch):
+        polys = [zx.simplify(zx.random_poly(6, 8, 4, seed=s)) for s in range(5)]
+
+        def gates(arch):
+            return [zx.lower_regions(zx.synthesize(p, arch, "gauss"), arch).gates for p in polys]
+
+        uncapped = gates(zx.complete(6))
+        monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
+        arch = zx.complete(6)
+        assert gates(arch) == uncapped
+        memos = {name: memo for name, memo in vars(arch).items() if name.endswith("_cache")}
+        memos["sequences"] = parity._SEQUENCE_MEMO[arch]
+        assert len(memos) == 5
+        for name, memo in memos.items():
+            assert len(memo) <= 8, name
