@@ -2,19 +2,26 @@
 
 An Architecture is an undirected connected graph over qubit indices
 0..num_qubits-1 with an all-pairs hop-count table. Its graph is immutable
-after construction. It memoizes graph facts that depend on nothing but the
-graph, each filled lazily on first use (without a lock) and keyed by int
-vertex bitmasks:
+after construction. It is the one owner of every memo of the package, the
+named tables of its `memos` dict, each filled lazily on first use (without
+a lock) and keyed by int vertex bitmasks:
 
-  * `terminal_tree` results, which `tree_weight` also reads by leg mask,
-  * `rooted_terminal_tree`: those trees rooted at a given terminal,
-  * `non_cut_vertices`: the vertices of a set whose removal keeps the rest
-    connected,
-  * `distances_within`: BFS hop tables inside a vertex set.
+  * "tree": `terminal_tree` results, which `tree_weight` also reads by leg
+    mask,
+  * "rooted": `rooted_terminal_tree`, those trees rooted at a given
+    terminal,
+  * "non_cut": `non_cut_vertices`, the vertices of a set whose removal
+    keeps the rest connected,
+  * "distances": `distances_within`, BFS hop tables inside a vertex set,
+  * "sequence": `parity.steiner_gauss` results by map rows, which
+    `parity.cnot_cost` also reads.
 
-Every memo, the Steiner-Gauss sequence memo of `parity` (keyed weakly by
-Architecture) included, is filled through `memo_put`, which holds at most
-MEMO_CAP entries and evicts the oldest first.
+Every table is filled through `memo_put`, which holds at most MEMO_CAP
+entries and evicts the oldest first.
+
+`gather` is the one tree walk that XORs a set of terminal wires onto a root
+along a rooted terminal tree; the Steiner-Gauss row step and the gadget
+ladder are both built from it.
 
 Determinism conventions used throughout:
   * among equal-length shortest paths the lexicographically smallest vertex
@@ -75,10 +82,9 @@ class Architecture:
         self.dist = [self.bfs(s) for s in range(num_qubits)]
         if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
             raise ValueError("architecture graph must be connected")
-        self._tree_cache: dict[tuple[int, int], tuple[TreeEdges, int]] = {}
-        self._rooted_cache: dict[int, RootedTree] = {}
-        self._non_cut_cache: dict[int, int] = {}
-        self._distance_cache: dict[int, tuple[tuple[int, ...] | None, ...]] = {}
+        self.memos: dict[str, dict] = {
+            name: {} for name in ("tree", "rooted", "non_cut", "distances", "sequence")
+        }
 
     def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
         """Hop counts from source (-1 if unreachable), moving only through `allowed`."""
@@ -135,47 +141,83 @@ class Architecture:
             term_mask |= 1 << t
         allowed_mask = -1 if allowed is None else sum(1 << v for v in allowed)
         key = (term_mask, allowed_mask)
-        cached = self._tree_cache.get(key)
+        cached = self.memos["tree"].get(key)
         if cached is not None:
             return cached
-        return memo_put(self._tree_cache, key, self._terminal_tree_uncached(terms, allowed))
+        return memo_put(self.memos["tree"], key, self._terminal_tree_uncached(terms, allowed))
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs` bitmask."""
-        cached = self._tree_cache.get((legs, -1))
+        cached = self.memos["tree"].get((legs, -1))
         if cached is None:
             cached = self.terminal_tree(mask_to_legs(legs))
         return cached[1]
 
     def rooted_terminal_tree(self, terms: int, root: int, allowed: int = -1) -> RootedTree:
         """`rooted_tree` of the terminal tree over the `terms` mask, rooted at
-        `root`, moving only through the `allowed` mask (-1: anywhere).
+        `root`, moving only through the `allowed` mask (-1: anywhere, the
+        same region as the full vertex mask).
 
         Returns (parent, order): parent[v] is v's parent (the root's is
         itself, -1 off the tree) and order is the tree's BFS vertex order.
         """
         q = self.num_qubits
-        key = (terms << q | max(allowed, 0)) * q + root  # one int: (terms, allowed, root)
-        cached = self._rooted_cache.get(key)
+        everywhere = (1 << q) - 1
+        if allowed < 0:
+            allowed = everywhere
+        key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
+        cached = self.memos["rooted"].get(key)
         if cached is None:
-            region = None if allowed < 0 else frozenset(mask_to_legs(allowed))
+            region = None if allowed == everywhere else frozenset(mask_to_legs(allowed))
             edges, _ = self.terminal_tree(mask_to_legs(terms), region)
             up, order = rooted_tree(edges, root)
             parent = tuple(up.get(v, -1) for v in range(q))
-            cached = memo_put(self._rooted_cache, key, (parent, tuple(order)))
+            cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
         return cached
+
+    def gather(self, terms: int, root: int) -> list[tuple[int, int]]:
+        """Row additions (child, parent), each meaning rows[parent] ^=
+        rows[child], that XOR the rows of the `terms` mask onto the `root`
+        terminal along their rooted terminal tree.
+
+        The ops come in post-order, children in ascending order. A relay (a
+        tree vertex outside `terms`) is first added onto its parent once
+        more, so its own row cancels; a subtree holding no terminal is
+        skipped. Afterwards the root row holds the XOR of the terminal rows,
+        and replaying the ops that do not target the root in reverse
+        restores every other row.
+        """
+        parent, order = self.rooted_terminal_tree(terms, root)
+        carries = terms  # vertices whose subtree holds a terminal
+        for v in reversed(order):
+            if carries >> v & 1:
+                carries |= 1 << parent[v]
+        children: dict[int, list[int]] = {v: [] for v in order}
+        for v in order[1:]:  # BFS order lists each vertex's children ascending
+            if carries >> v & 1:
+                children[parent[v]].append(v)
+        ops: list[tuple[int, int]] = []
+        stack = [(child, False) for child in reversed(children[root])]
+        while stack:
+            v, done = stack.pop()
+            if not done:
+                stack.append((v, True))
+                stack.extend((child, False) for child in reversed(children[v]))
+            if done or not terms >> v & 1:
+                ops.append((v, parent[v]))
+        return ops
 
     def non_cut_vertices(self, vertices: int) -> int:
         """Mask of the vertices whose removal leaves the rest of the
         `vertices` mask connected; a single vertex is its own."""
-        cached = self._non_cut_cache.get(vertices)
+        cached = self.memos["non_cut"].get(vertices)
         if cached is None:
             if vertices & (vertices - 1) == 0:
                 cached = vertices
             else:
                 cached = sum(1 << v for v in mask_to_legs(vertices)
                              if self._connected(vertices & ~(1 << v)))
-            cached = memo_put(self._non_cut_cache, vertices, cached)
+            cached = memo_put(self.memos["non_cut"], vertices, cached)
         return cached
 
     def _connected(self, vertices: int) -> bool:
@@ -193,10 +235,10 @@ class Architecture:
     def distances_within(self, vertices: int) -> tuple[tuple[int, ...] | None, ...]:
         """Hop counts inside the `vertices` mask: entry u is bfs(u, vertices)
         for each u in the mask, None for the others."""
-        cached = self._distance_cache.get(vertices)
+        cached = self.memos["distances"].get(vertices)
         if cached is None:
             region = frozenset(mask_to_legs(vertices))
-            cached = memo_put(self._distance_cache, vertices, tuple(
+            cached = memo_put(self.memos["distances"], vertices, tuple(
                 tuple(self.bfs(u, region)) if vertices >> u & 1 else None
                 for u in range(self.num_qubits)
             ))
@@ -313,7 +355,10 @@ def build_architecture(spec: str | dict) -> Architecture:
     graph as {"qubits": Q, "edges": [[u, v], ...]} (as a dict or JSON text).
     """
     if isinstance(spec, dict):
-        return Architecture(int(spec["qubits"]), [tuple(e) for e in spec["edges"]])
+        try:
+            return Architecture(int(spec["qubits"]), [tuple(e) for e in spec["edges"]])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed architecture JSON: {exc}") from exc
     text = spec.strip()
     if text.startswith("{"):
         return build_architecture(json.loads(text))

@@ -83,7 +83,6 @@ def run_instance(
 
     The time covers everything that produces the output circuit, simplify included.
     """
-    cx_naive = cnot_count(naive_poly_circuit(poly, arch))
     start = time.perf_counter()
     if algorithm == "naive":
         circuit = naive_poly_circuit(poly, arch)
@@ -92,6 +91,7 @@ def run_instance(
         circuit = lower_regions(synthesize(simplify(poly), arch, mode), arch)
     elapsed = time.perf_counter() - start
     cx_out = cnot_count(circuit)
+    cx_naive = cx_out if algorithm == "naive" else cnot_count(naive_poly_circuit(poly, arch))
     reduction_pct = reduction(cx_naive, cx_out) if cx_naive else 0.0
     verified: bool | None = None
     if verify and poly.num_qubits <= VERIFY_MAX_QUBITS:

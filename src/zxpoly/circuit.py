@@ -8,7 +8,8 @@ The gate set is CNOT / RZ / RX. Two gadget emitters are provided:
     baseline that CNOT-reduction percentages are measured against.
   * `steiner_gadget_circuit` places CNOTs along a Steiner tree over the
     legs, cancelling non-leg relay wires, and is what the synthesis
-    pipeline emits.
+    pipeline emits. Its ladder is `Architecture.gather`, the tree walk the
+    Steiner-Gauss row step uses too, on a memoized rooted terminal tree.
 
 Both produce circuits whose unitary equals the gadget's exactly.
 """
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
 
-from .arch import Architecture, rooted_tree
+from .arch import Architecture
 from .parity import steiner_gauss
-from .poly import Phase, PhaseGadget, ZXPolynomial
+from .poly import Phase, PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import Cnot
 from .synth import GadgetRegion, ParityRegion, Region
 
@@ -58,7 +59,7 @@ class Circuit:
         if isinstance(gate, Cnot):
             if gate.control >= self.num_qubits or gate.target >= self.num_qubits:
                 raise ValueError(f"{gate} out of range for {self.num_qubits} qubits")
-        elif gate.qubit >= self.num_qubits:
+        elif not 0 <= gate.qubit < self.num_qubits:
             raise ValueError(f"gate qubit {gate.qubit} out of range")
 
     def append(self, gate: Gate) -> None:
@@ -137,17 +138,16 @@ def naive_poly_circuit(poly: ZXPolynomial, arch: Architecture) -> Circuit:
     return circuit
 
 
-def _tree_root(tree_edges, legs: list[int]) -> int:
-    """Leg vertex with minimal tree eccentricity.
+def _tree_root(arch: Architecture, legs: int) -> int:
+    """Leg vertex with minimal eccentricity in the terminal tree over the
+    `legs` mask.
 
     Ties go to the highest leg index, matching the naive ladder's
     convention of rotating the last leg.
     """
-    if not tree_edges:
-        return legs[0]
     best = None
-    for leg in sorted(legs):
-        parent, order = rooted_tree(tree_edges, leg)
+    for leg in mask_to_legs(legs):
+        parent, order = arch.rooted_terminal_tree(legs, leg)
         depth = {leg: 0}
         for v in order[1:]:
             depth[v] = depth[parent[v]] + 1
@@ -160,11 +160,12 @@ def _tree_root(tree_edges, legs: list[int]) -> int:
 def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     """Tree-placed circuit for one gadget.
 
-    The parity of the legs is accumulated onto the root by a post-order
-    sweep of CNOT(child, parent) ops; each non-leg relay vertex emits one
-    extra cancelling CNOT before its subtree so its own input drops out of
-    the parity. The sweep is mirrored after the rotation. X gadgets use the
-    same structure with every CNOT direction reversed and an RX rotation.
+    The parity of the legs is accumulated onto the root by the post-order
+    CNOT(child, parent) ops of `arch.gather`; each non-leg relay vertex
+    emits one extra cancelling CNOT before its subtree so its own input
+    drops out of the parity. The sweep is mirrored after the rotation. X
+    gadgets use the same structure with every CNOT direction reversed and
+    an RX rotation.
     """
     legs = gadget.leg_list()
     if not legs or legs[-1] >= arch.num_qubits:
@@ -173,30 +174,10 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     if len(legs) == 1:
         circuit.append(_rotation(gadget.basis, gadget.phase, legs[0]))
         return circuit
-    tree_edges, _ = arch.terminal_tree(legs)
-    root = _tree_root(tree_edges, legs)
-    parent, order = rooted_tree(tree_edges, root)
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-
+    root = _tree_root(arch, gadget.legs)
     flip = gadget.basis == "X"
-
-    def edge_cnot(v: int) -> Cnot:
-        return Cnot(parent[v], v) if flip else Cnot(v, parent[v])
-
-    def emit(v: int) -> list[Cnot]:
-        gates: list[Cnot] = []
-        if not gadget.has_leg(v):
-            gates.append(edge_cnot(v))
-        for child in sorted(children[v]):
-            gates.extend(emit(child))
-        gates.append(edge_cnot(v))
-        return gates
-
-    up: list[Cnot] = []
-    for child in sorted(children[root]):
-        up.extend(emit(child))
+    up = [Cnot(parent, child) if flip else Cnot(child, parent)
+          for child, parent in arch.gather(gadget.legs, root)]
     circuit.extend(up)
     circuit.append(_rotation(gadget.basis, gadget.phase, root))
     circuit.extend(reversed(up))
@@ -323,17 +304,21 @@ def to_json_dict(circuit: Circuit) -> dict:
 
 def from_json_dict(data: dict) -> Circuit:
     gates: list[Gate] = []
-    for entry in data.get("gates", ()):
-        kind = entry["gate"]
-        if kind == "cx":
-            gates.append(Cnot(int(entry["control"]), int(entry["target"])))
-        elif kind in ("rz", "rx"):
-            phase = Phase.parse(str(entry["phase"]))
-            cls = Rz if kind == "rz" else Rx
-            gates.append(cls(phase, int(entry["qubit"])))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    return Circuit(int(data["qubits"]), gates)
+    try:
+        for entry in data.get("gates", ()):
+            kind = entry["gate"]
+            if kind == "cx":
+                gates.append(Cnot(int(entry["control"]), int(entry["target"])))
+            elif kind in ("rz", "rx"):
+                phase = Phase.parse(str(entry["phase"]))
+                cls = Rz if kind == "rz" else Rx
+                gates.append(cls(phase, int(entry["qubit"])))
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
+        qubits = int(data["qubits"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed circuit JSON: {exc}") from exc
+    return Circuit(qubits, gates)
 
 
 def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:

@@ -13,16 +13,16 @@ satisfy the replay contract: applying the returned gates in order to the
 identity map reproduces the input bit-for-bit.
 
 `steiner_gauss` skips the identity map and memoizes every other sequence
-per Architecture (`_SEQUENCE_MEMO`, weak-keyed, bounded by `memo_put`);
+in its Architecture's "sequence" memo table (bounded by `memo_put`);
 `cnot_cost` is the length of that sequence, so costing a map and lowering
-it later synthesize it once.
+it later synthesize it once. Each row step gathers its sources onto the
+pivot with `Architecture.gather`, the tree walk the gadget ladders use too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 from .arch import Architecture, memo_put
 from .poly import mask_to_legs
@@ -190,40 +190,16 @@ def _row_step(
 ) -> list[tuple[int, int]]:
     """Add the XOR of the source rows onto the pivot row; restore the rest.
 
-    Gathers along a Steiner tree rooted at the pivot: each subtree delivers
-    its sources' XOR to its parent, with relay rows pre-cancelled so their
-    own content stays out of the sum; replaying the non-pivot ops in
-    reverse afterwards restores every other row (the pivot row is never a
-    source, so the rewind is exact). Because everything but the pivot row
-    is restored, the tree may route through any vertex of the graph.
+    `arch.gather` brings the sources' XOR onto the pivot along a Steiner
+    tree rooted there; replaying its non-pivot ops in reverse afterwards
+    restores every other row (the pivot row is never a source, so the
+    rewind is exact). Because everything but the pivot row is restored,
+    the tree may route through any vertex of the graph.
     """
-    parent, order = arch.rooted_terminal_tree(sum(1 << v for v in sources) | 1 << pivot, pivot)
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    wanted = set(sources)
-    carries: dict[int, bool] = {}
-    for v in reversed(order):
-        carries[v] = v in wanted or any(carries[c] for c in children[v])
-
-    ops: list[tuple[int, int]] = []
-
-    def gather(v: int) -> None:
-        for child in sorted(children[v]):
-            if not carries[child]:
-                continue
-            if child not in wanted:
-                ops.append((child, v))
-                rows[v] ^= rows[child]
-            gather(child)
-            ops.append((child, v))
-            rows[v] ^= rows[child]
-
-    gather(pivot)
-    undo = [(src, dst) for src, dst in reversed(ops) if dst != pivot]
-    for src, dst in undo:
-        rows[dst] ^= rows[src]
-    return ops + undo
+    ops = arch.gather(sum(1 << v for v in sources) | 1 << pivot, pivot)
+    for src in sources:
+        rows[pivot] ^= rows[src]
+    return ops + [(src, dst) for src, dst in reversed(ops) if dst != pivot]
 
 
 def _cnots_commute(a: Cnot, b: Cnot) -> bool:
@@ -394,22 +370,12 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     return best
 
 
-# Per-Architecture {rows: steiner_gauss sequence as flat (control, target)
-# wire pairs}; an entry lives at most as long as its Architecture and is
-# shared by every call on it.
-_SEQUENCE_MEMO: WeakKeyDictionary[Architecture, dict[tuple[int, ...], tuple[int, ...]]] = (
-    WeakKeyDictionary()
-)
-
-
 def _sequences(m: ParityMap, arch: Architecture) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The architecture's sequence memo, once the map is checked to fit it."""
+    """The architecture's sequence memo, {rows: flat (control, target) wire
+    pairs}, once the map is checked to fit it."""
     if m.size != arch.num_qubits:
         raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
-    memo = _SEQUENCE_MEMO.get(arch)
-    if memo is None:
-        memo = _SEQUENCE_MEMO[arch] = {}
-    return memo
+    return arch.memos["sequence"]
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:

@@ -197,3 +197,24 @@ class TestGraphMemos:
                 assert arch.rooted_terminal_tree(terms, root, allowed) == (
                     tuple(up.get(v, -1) for v in range(q)), tuple(order)
                 )
+        # an empty region is not "anywhere", even after an unrestricted call
+        arch.rooted_terminal_tree(0b11, 0)
+        with pytest.raises(ValueError, match="not in the allowed vertex set"):
+            arch.rooted_terminal_tree(0b11, 0, 0)
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_gather_xors_terminals_onto_root(self, arch):
+        q = arch.num_qubits
+        identity = [1 << v for v in range(q)]
+        for terms in range(1, 1 << q):
+            for root in (v for v in range(q) if terms >> v & 1):
+                ops = arch.gather(terms, root)
+                assert all(arch.is_edge(child, parent) for child, parent in ops)
+                rows = identity[:]
+                for child, parent in ops:
+                    rows[parent] ^= rows[child]
+                assert rows[root] == terms, (arch.name, bin(terms), root)
+                for child, parent in reversed(ops):
+                    if parent != root:
+                        rows[parent] ^= rows[child]
+                assert rows == identity[:root] + [terms] + identity[root + 1:]

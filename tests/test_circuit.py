@@ -7,6 +7,7 @@ import pytest
 
 import zxpoly as zx
 from zxpoly import sim
+from zxpoly.arch import rooted_tree
 from conftest import random_gadget, random_invertible_map, random_zx_poly
 
 PH = zx.Phase
@@ -60,6 +61,53 @@ class TestSteinerEmitter:
     def test_single_leg(self):
         circ = zx.steiner_gadget_circuit(zx.PhaseGadget.x([0], PH(1, 8)), zx.line(2))
         assert circ.gates == [zx.Rx(PH(1, 8), 0)]
+
+
+def _recursive_gadget_gates(gadget, arch):
+    """Reference tree-placed emitter: a recursive walk over `rooted_tree`
+    of the gadget's terminal tree, rooted at the leg of least eccentricity
+    (ties to the highest leg)."""
+    legs = gadget.leg_list()
+    root, up = legs[0], []
+    if len(legs) > 1:
+        tree_edges, _ = arch.terminal_tree(legs)
+        best = None
+        for leg in legs:
+            parent, order = rooted_tree(tree_edges, leg)
+            depth = {leg: 0}
+            for v in order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            if best is None or max(depth.values()) <= best[0]:
+                best = (max(depth.values()), leg)
+        root = best[1]
+        parent, order = rooted_tree(tree_edges, root)
+        children = {v: [] for v in order}
+        for v in order[1:]:
+            children[parent[v]].append(v)
+
+        def edge_cnot(v):
+            return zx.Cnot(parent[v], v) if gadget.basis == "X" else zx.Cnot(v, parent[v])
+
+        def emit(v):
+            gates = [] if gadget.has_leg(v) else [edge_cnot(v)]
+            for child in sorted(children[v]):
+                gates.extend(emit(child))
+            return gates + [edge_cnot(v)]
+
+        up = [gate for child in sorted(children[root]) for gate in emit(child)]
+    rotation = (zx.Rz if gadget.basis == "Z" else zx.Rx)(gadget.phase, root)
+    return up + [rotation] + up[::-1]
+
+
+class TestSteinerLadderReference:
+    @pytest.mark.parametrize("arch", [zx.line(5), zx.grid(2, 3), zx.grid(3, 3), zx.circle(6)],
+                             ids=lambda a: a.name)
+    def test_matches_recursive_walk(self, arch):
+        for legs in range(1, 1 << arch.num_qubits):
+            for basis in "ZX":
+                g = zx.PhaseGadget(basis, legs, PH(1, 4))
+                assert zx.steiner_gadget_circuit(g, arch).gates == _recursive_gadget_gates(
+                    g, arch), (arch.name, basis, bin(legs))
 
 
 class TestEmitterProperties:

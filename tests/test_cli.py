@@ -114,10 +114,24 @@ class TestSynthAndVerify:
                        "--out", circ_path) == 0
         assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 0
 
-    def test_bad_input_reports_error(self, tmp_path):
+    def test_bad_input_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("simplify", "--in", bad, "--out", tmp_path / "o.json") == 2
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(zx.random_poly(2, 3, 2, seed=1).to_json())
+        for arch in ('{"qubits": 2}', '{"qubits": 2, "edges": [5]}'):
+            capsys.readouterr()
+            assert run_cli("synth", "--in", poly_path, "--arch", arch,
+                           "--out", tmp_path / "c.qasm") == 2, arch
+            assert "error:" in capsys.readouterr().err, arch
+        circ_path = tmp_path / "circ.json"
+        rz_off_register = {"gate": "rz", "phase": "1/4", "qubit": -1}
+        for circuit in ({"qubits": 2, "gates": [{"gate": "cx"}]}, [],
+                        {"qubits": 2, "gates": [rz_off_register]}):
+            circ_path.write_text(json.dumps(circuit))
+            assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2, circuit
+            assert "error:" in capsys.readouterr().err, circuit
 
 
 class TestBench:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
-from zxpoly import parity
 from conftest import gf2_matmul, random_invertible_map
 
 
@@ -198,4 +197,4 @@ class TestSequenceMemo:
         arch = zx.line(4)
         assert zx.steiner_gauss(zx.identity_map(4), arch) == []
         assert zx.cnot_cost(zx.identity_map(4), arch) == 0
-        assert not parity._SEQUENCE_MEMO.get(arch)
+        assert not arch.memos["sequence"]

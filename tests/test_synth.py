@@ -324,7 +324,7 @@ class TestCostMemo:
     def test_dies_with_its_architecture(self):
         arch = zx.line(4)
         zx.synthesize(random_zx_poly(random.Random(27), 4, 12, 3), arch, "gauss")
-        assert parity._SEQUENCE_MEMO[arch]
+        assert arch.memos["sequence"]
         ref = weakref.ref(arch)
         del arch
         gc.collect()
@@ -340,8 +340,6 @@ class TestCostMemo:
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
         arch = zx.complete(6)
         assert gates(arch) == uncapped
-        memos = {name: memo for name, memo in vars(arch).items() if name.endswith("_cache")}
-        memos["sequences"] = parity._SEQUENCE_MEMO[arch]
-        assert len(memos) == 5
-        for name, memo in memos.items():
+        assert len(arch.memos) == 5
+        for name, memo in arch.memos.items():
             assert len(memo) <= 8, name
