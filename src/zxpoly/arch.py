@@ -14,7 +14,10 @@ a lock) and keyed by int vertex bitmasks:
     keeps the rest connected,
   * "distances": `distances_within`, BFS hop tables inside a vertex set,
   * "sequence": `parity.steiner_gauss` results by map rows, which
-    `parity.cnot_cost` also reads.
+    `parity.cnot_cost` also reads,
+  * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
+    additions) by elimination state, the remaining mask and the rows
+    packed into one int.
 
 Every table is filled through `memo_put`, which holds at most MEMO_CAP
 entries and evicts the oldest first.
@@ -83,7 +86,7 @@ class Architecture:
         if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
             raise ValueError("architecture graph must be connected")
         self.memos: dict[str, dict] = {
-            name: {} for name in ("tree", "rooted", "non_cut", "distances", "sequence")
+            name: {} for name in ("tree", "rooted", "non_cut", "distances", "sequence", "round")
         }
 
     def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:

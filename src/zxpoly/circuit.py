@@ -235,7 +235,7 @@ def _qasm_phase(text: str) -> Phase | None:
     and `/`, whose `pi` factors come to pi^1 or pi^0: `pi/4`, `-pi/2`,
     `3*pi/4`, `pi*0.25`, `0.785398163397`. A multiple of pi is read
     exactly; any other value is radians, rounded as `_phase_from_radians`
-    does.
+    does, and must convert to a finite float.
     """
     text = text.strip()
     coefficient = Fraction(-1 if text.startswith("-") else 1)
@@ -261,7 +261,12 @@ def _qasm_phase(text: str) -> Phase | None:
         pos += 1
     if pis == 1:
         return Phase.from_fraction(coefficient)
-    return _phase_from_radians(float(coefficient)) if pis == 0 else None
+    if pis != 0:
+        return None
+    try:
+        return _phase_from_radians(float(coefficient))
+    except OverflowError:  # beyond the largest finite float
+        return None
 
 
 def from_qasm(text: str) -> Circuit:

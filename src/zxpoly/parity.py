@@ -15,8 +15,15 @@ identity map reproduces the input bit-for-bit.
 `steiner_gauss` skips the identity map and memoizes every other sequence
 in its Architecture's "sequence" memo table (bounded by `memo_put`);
 `cnot_cost` is the length of that sequence, so costing a map and lowering
-it later synthesize it once. Each row step gathers its sources onto the
-pivot with `Architecture.gather`, the tree walk the gadget ladders use too.
+it later synthesize it once. Below that, each round of the elimination
+greedy is decided once per elimination state, the remaining vertex mask
+and the rows, and kept in the Architecture's "round" table: the four
+variants of one map, and maps that pass through the same state, replay
+the stored round instead of running its trial eliminations again. The
+greedy works on (control, target) int pairs; `Cnot` objects are built
+only for the list `steiner_gauss` returns. Each row step gathers its
+sources onto the pivot with `Architecture.gather`, the tree walk the
+gadget ladders use too.
 """
 
 from __future__ import annotations
@@ -202,13 +209,15 @@ def _row_step(
     return ops + [(src, dst) for src, dst in reversed(ops) if dst != pivot]
 
 
-def _cnots_commute(a: Cnot, b: Cnot) -> bool:
-    # CNOTs commute unless one's control is the other's target.
-    return a.control != b.target and a.target != b.control
+def _cnots_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    # CNOTs, as (control, target) pairs, commute unless one's control is
+    # the other's target.
+    return a[0] != b[1] and a[1] != b[0]
 
 
-def _cancel_cnots(seq: list[Cnot]) -> list[Cnot]:
-    """Drop self-cancelling CNOT pairs, looking through commuting gates.
+def _cancel_cnots(seq: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Drop self-cancelling (control, target) pairs, looking through
+    commuting gates.
 
     Product-preserving: a gate only meets its twin after commuting past
     everything in between, and CNOTs are self-inverse.
@@ -253,35 +262,66 @@ def _eliminate_vertex(
     return ops
 
 
-def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[Cnot]:
-    """Single greedy vertex-elimination synthesis of the map.
+def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
+    """Single greedy vertex-elimination synthesis of the map, as
+    (control, target) pairs.
 
     Each round eliminates the cheapest vertex among those whose removal
     keeps the remaining graph connected; ties prefer the vertex that least
     stretches the distances between vertices still carrying matrix
     structure, then the smallest index.
+
+    A round's choice depends only on its state, the `remaining` mask and
+    the rows: eliminated rows and columns are unit vectors and every
+    remaining row has bits only in remaining columns. So each decided
+    round is memoized in the Architecture's "round" table, keyed by one
+    int packing both, as the flat tuple (pivot, src, dst, src, dst, ...)
+    of the winning trial's row additions; a hit replays them as row XORs,
+    which reproduces the trial's rows exactly.
     """
+    q = m.size
+    memo = arch.memos["round"]
     rows = list(m.rows)
     ops: list[tuple[int, int]] = []
-    remaining = (1 << m.size) - 1
+    remaining = (1 << q) - 1
     while remaining:
-        trials = []
-        for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
-            trial_rows = rows[:]
-            trial_ops = _eliminate_vertex(trial_rows, pivot, remaining, arch)
-            trials.append((len(trial_ops), pivot, trial_ops, trial_rows))
-        cheapest = min(t[0] for t in trials)
-        tied = [t for t in trials if t[0] == cheapest]
-        if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
-            structured = _structured(remaining, rows)
-            tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
-        _, pivot, trial_ops, trial_rows = tied[0]
-        ops.extend(trial_ops)
-        rows = trial_rows
+        key = remaining
+        for row in rows:
+            key = key << q | row
+        decided = memo.get(key)
+        if decided is None:
+            pivot, trial_ops, rows = _decide_round(rows, remaining, arch)
+            memo_put(memo, key, (pivot, *(w for op in trial_ops for w in op)))
+            ops.extend(trial_ops)
+        else:
+            wires = iter(decided)
+            pivot = next(wires)
+            for src, dst in zip(wires, wires):
+                rows[dst] ^= rows[src]
+                ops.append((src, dst))
         remaining &= ~(1 << pivot)
     if any(row != 1 << i for i, row in enumerate(rows)):
         raise ValueError("parity map is singular")
-    return _cancel_cnots([Cnot(src, dst) for src, dst in reversed(ops)])
+    return _cancel_cnots(ops[::-1])
+
+
+def _decide_round(
+    rows: list[int], remaining: int, arch: Architecture
+) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """One greedy round: a trial elimination of every non-cut pivot of the
+    remaining graph; returns the winner's (pivot, ops, rows)."""
+    trials = []
+    for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
+        trial_rows = rows[:]
+        trial_ops = _eliminate_vertex(trial_rows, pivot, remaining, arch)
+        trials.append((len(trial_ops), pivot, trial_ops, trial_rows))
+    cheapest = min(t[0] for t in trials)
+    tied = [t for t in trials if t[0] == cheapest]
+    if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
+        structured = _structured(remaining, rows)
+        tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
+    _, pivot, trial_ops, trial_rows = tied[0]
+    return pivot, trial_ops, trial_rows
 
 
 def _structured(remaining: int, rows: list[int]) -> list[int]:
@@ -356,18 +396,18 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     inverse = _gf2_invert(m)
     transpose = _gf2_transpose(m)
     inv_transpose = _gf2_transpose(inverse)
-    best: list[Cnot] | None = None
+    best: list[tuple[int, int]] | None = None
     for variant, convert in (
         (m, lambda seq: seq),
-        (inverse, lambda seq: [Cnot(g.control, g.target) for g in reversed(seq)]),
-        (transpose, lambda seq: [Cnot(g.target, g.control) for g in reversed(seq)]),
-        (inv_transpose, lambda seq: [Cnot(g.target, g.control) for g in seq]),
+        (inverse, lambda seq: seq[::-1]),
+        (transpose, lambda seq: [(t, c) for c, t in reversed(seq)]),
+        (inv_transpose, lambda seq: [(t, c) for c, t in seq]),
     ):
         candidate = convert(_synthesize_raw(variant, arch))
         if best is None or len(candidate) < len(best):
             best = candidate
-    memo_put(memo, m.rows, tuple(w for g in best for w in (g.control, g.target)))
-    return best
+    memo_put(memo, m.rows, tuple(w for pair in best for w in pair))
+    return [Cnot(control, target) for control, target in best]
 
 
 def _sequences(m: ParityMap, arch: Architecture) -> dict[tuple[int, ...], tuple[int, ...]]:

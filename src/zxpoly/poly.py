@@ -47,8 +47,12 @@ class Phase:
 
     @staticmethod
     def parse(text: str) -> "Phase":
-        """Parse a phase in pi-units from a fraction string, e.g. "1/2" or "-3/4"."""
-        return Phase.from_fraction(Fraction(text.strip()))
+        """Parse a phase in pi-units from a fraction string, e.g. "1/2" or "-3/4";
+        raises ValueError on anything else, a zero denominator included."""
+        try:
+            return Phase.from_fraction(Fraction(text.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"phase {text!r} has a zero denominator") from None
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)

@@ -125,10 +125,21 @@ class TestSynthAndVerify:
             assert run_cli("synth", "--in", poly_path, "--arch", arch,
                            "--out", tmp_path / "c.qasm") == 2, arch
             assert "error:" in capsys.readouterr().err, arch
+        zero_denominator = tmp_path / "zero_denominator.json"
+        zero_denominator.write_text(json.dumps(
+            {"qubits": 2, "gadgets": [{"basis": "Z", "legs": [0, 1], "phase": "1/0"}]}))
+        capsys.readouterr()
+        assert run_cli("simplify", "--in", zero_denominator, "--out", tmp_path / "o.json") == 2
+        assert "error:" in capsys.readouterr().err
+        assert run_cli("synth", "--in", zero_denominator, "--arch", "line:2",
+                       "--out", tmp_path / "c.qasm") == 2
+        assert "error:" in capsys.readouterr().err
         circ_path = tmp_path / "circ.json"
         rz_off_register = {"gate": "rz", "phase": "1/4", "qubit": -1}
+        rz_zero_denominator = {"gate": "rz", "phase": "1/0", "qubit": 0}
         for circuit in ({"qubits": 2, "gates": [{"gate": "cx"}]}, [],
-                        {"qubits": 2, "gates": [rz_off_register]}):
+                        {"qubits": 2, "gates": [rz_off_register]},
+                        {"qubits": 2, "gates": [rz_zero_denominator]}):
             circ_path.write_text(json.dumps(circuit))
             assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2, circuit
             assert "error:" in capsys.readouterr().err, circuit

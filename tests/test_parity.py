@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
 from conftest import gf2_matmul, random_invertible_map
+from zxpoly import parity
+from zxpoly.poly import mask_to_legs
 
 
 class TestBasics:
@@ -198,3 +200,71 @@ class TestSequenceMemo:
         assert zx.steiner_gauss(zx.identity_map(4), arch) == []
         assert zx.cnot_cost(zx.identity_map(4), arch) == 0
         assert not arch.memos["sequence"]
+
+
+def _reference_greedy(m, arch):
+    """The greedy of `_synthesize_raw` without its round memo: every round
+    runs a trial elimination of every non-cut pivot. Returns the (src, dst)
+    row additions and the state, (remaining, rows), each round starts from.
+    """
+    rows = list(m.rows)
+    ops, states = [], []
+    remaining = (1 << m.size) - 1
+    while remaining:
+        states.append((remaining, tuple(rows)))
+        trials = []
+        for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
+            trial_rows = rows[:]
+            trial_ops = parity._eliminate_vertex(trial_rows, pivot, remaining, arch)
+            trials.append((len(trial_ops), pivot, trial_ops, trial_rows))
+        cheapest = min(t[0] for t in trials)
+        tied = [t for t in trials if t[0] == cheapest]
+        if len(tied) > 1:
+            structured = parity._structured(remaining, rows)
+            tied.sort(key=lambda t: (
+                parity._stretch_penalty(arch, remaining, t[1], structured), t[1]))
+        _, pivot, trial_ops, rows = tied[0]
+        ops.extend(trial_ops)
+        remaining &= ~(1 << pivot)
+    assert all(row == 1 << i for i, row in enumerate(rows))
+    return ops, states
+
+
+class TestRoundMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_WARM)), st.randoms(use_true_random=False))
+    def test_warm_equals_memo_free_reference(self, name, rng):
+        warm = _WARM[name]
+        m = random_invertible_map(rng, warm.num_qubits)
+        ops, _ = _reference_greedy(m, warm)
+        expected = parity._cancel_cnots(ops[::-1])
+        assert parity._synthesize_raw(m, warm) == expected
+        assert parity._synthesize_raw(m, warm) == expected  # every round a hit
+
+    def test_reached_state_skips_trials(self, monkeypatch):
+        # two distinct maps whose first rounds end in the same state
+        seen = {}
+        rng = random.Random(31)
+        while True:
+            m = random_invertible_map(rng, 5)
+            _, states = _reference_greedy(m, zx.line(5))
+            if len(states) > 1 and seen.setdefault(states[1], m) != m:
+                first = seen[states[1]]
+                break
+        calls = []
+        eliminate = parity._eliminate_vertex
+
+        def counting(*args):
+            calls.append(args[1])
+            return eliminate(*args)
+
+        monkeypatch.setattr(parity, "_eliminate_vertex", counting)
+        expected = parity._synthesize_raw(m, zx.line(5))
+        cold_calls = len(calls)
+        warm = zx.line(5)
+        parity._synthesize_raw(first, warm)
+        calls.clear()
+        assert parity._synthesize_raw(m, warm) == expected
+        assert len(calls) < cold_calls
+        # only the first round runs its trials; every later state is stored
+        assert calls == mask_to_legs(warm.non_cut_vertices(0b11111))

@@ -340,6 +340,6 @@ class TestCostMemo:
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
         arch = zx.complete(6)
         assert gates(arch) == uncapped
-        assert len(arch.memos) == 5
+        assert len(arch.memos) == 6
         for name, memo in arch.memos.items():
             assert len(memo) <= 8, name
