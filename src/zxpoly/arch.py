@@ -17,7 +17,8 @@ a lock) and keyed by int vertex bitmasks:
     `parity.cnot_cost` also reads,
   * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
     additions) by elimination state, the remaining mask and the rows
-    packed into one int.
+    packed into one int,
+  * "gather": `gather` op tuples, keyed terms * num_qubits + root.
 
 Every table is filled through `memo_put`, which holds at most MEMO_CAP
 entries and evicts the oldest first.
@@ -86,7 +87,9 @@ class Architecture:
         if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
             raise ValueError("architecture graph must be connected")
         self.memos: dict[str, dict] = {
-            name: {} for name in ("tree", "rooted", "non_cut", "distances", "sequence", "round")
+            name: {} for name in (
+                "tree", "rooted", "non_cut", "distances", "sequence", "round", "gather",
+            )
         }
 
     def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
@@ -178,7 +181,7 @@ class Architecture:
             cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
         return cached
 
-    def gather(self, terms: int, root: int) -> list[tuple[int, int]]:
+    def gather(self, terms: int, root: int) -> tuple[tuple[int, int], ...]:
         """Row additions (child, parent), each meaning rows[parent] ^=
         rows[child], that XOR the rows of the `terms` mask onto the `root`
         terminal along their rooted terminal tree.
@@ -190,6 +193,10 @@ class Architecture:
         and replaying the ops that do not target the root in reverse
         restores every other row.
         """
+        key = terms * self.num_qubits + root
+        cached = self.memos["gather"].get(key)
+        if cached is not None:
+            return cached
         parent, order = self.rooted_terminal_tree(terms, root)
         carries = terms  # vertices whose subtree holds a terminal
         for v in reversed(order):
@@ -208,7 +215,7 @@ class Architecture:
                 stack.extend((child, False) for child in reversed(children[v]))
             if done or not terms >> v & 1:
                 ops.append((v, parent[v]))
-        return ops
+        return memo_put(self.memos["gather"], key, tuple(ops))
 
     def non_cut_vertices(self, vertices: int) -> int:
         """Mask of the vertices whose removal leaves the rest of the

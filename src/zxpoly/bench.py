@@ -101,7 +101,39 @@ def run_instance(
     return cx_naive, cx_out, reduction_pct, elapsed, verified, circuit
 
 
+# (key, element type) of each grid kind's required sweep lists, then of the optional ones
+_SWEEP_LISTS = {
+    "random": (("qubits", int), ("gadgets", int)),
+    "maxcut": (("vertices", int), ("p_edges", (int, float)), ("layers", int)),
+}
+_OPTIONAL_LISTS = (("architectures", str), ("algorithms", str))
+
+
+def _check_grid(grid) -> None:
+    """Raise ValueError("malformed grid JSON: ...") unless the grid is an
+    object of the shape the module docstring describes."""
+    if not isinstance(grid, dict):
+        raise ValueError(f"malformed grid JSON: expected an object, got {type(grid).__name__}")
+    kind = grid.get("kind", "random")
+    if kind not in _SWEEP_LISTS:
+        raise ValueError(f"unknown grid kind {kind!r}")
+    for key, _ in _SWEEP_LISTS[kind]:
+        if key not in grid:
+            raise ValueError(f"malformed grid JSON: a {kind} grid needs a {key!r} list")
+    for key, kinds in _SWEEP_LISTS[kind] + _OPTIONAL_LISTS:
+        values = grid.get(key, [])
+        if not isinstance(values, list) or not all(
+            isinstance(v, kinds) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"malformed grid JSON: {key!r} must be a list of "
+                             f"{'strings' if kinds is str else 'numbers'}, got {values!r}")
+    max_legs = grid.get("max_legs", 4)
+    if not isinstance(max_legs, int) or isinstance(max_legs, bool):
+        raise ValueError(f"malformed grid JSON: 'max_legs' must be an integer, got {max_legs!r}")
+
+
 def _grid_points(grid: dict):
+    _check_grid(grid)
     kind = grid.get("kind", "random")
     arch_names = grid.get("architectures", ["complete"])
     algorithms = grid.get("algorithms", ["divide_fast"])
@@ -115,7 +147,7 @@ def _grid_points(grid: dict):
                     yield {"kind": kind, "qubits": q, "gadgets": n,
                            "max_legs": grid.get("max_legs", 4),
                            "arch": arch_name, "algorithms": algorithms}
-    elif kind == "maxcut":
+    else:
         for v in grid["vertices"]:
             for p in grid["p_edges"]:
                 for layers in grid["layers"]:
@@ -123,8 +155,6 @@ def _grid_points(grid: dict):
                         yield {"kind": kind, "qubits": v, "p_edge": p,
                                "layers": layers, "arch": arch_name,
                                "algorithms": algorithms}
-    else:
-        raise ValueError(f"unknown grid kind {kind!r}")
 
 
 def run_bench(

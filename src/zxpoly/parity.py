@@ -206,7 +206,7 @@ def _row_step(
     ops = arch.gather(sum(1 << v for v in sources) | 1 << pivot, pivot)
     for src in sources:
         rows[pivot] ^= rows[src]
-    return ops + [(src, dst) for src, dst in reversed(ops) if dst != pivot]
+    return [*ops, *((src, dst) for src, dst in reversed(ops) if dst != pivot)]
 
 
 def _cnots_commute(a: tuple[int, int], b: tuple[int, int]) -> bool:

@@ -77,12 +77,25 @@ class Phase:
 
 
 def legs_to_mask(legs: Iterable[int]) -> int:
+    """Bitmask of distinct, non-negative leg indices; a repeated leg raises
+    ValueError rather than being merged."""
     mask = 0
     for leg in legs:
         if leg < 0:
             raise ValueError(f"negative leg index {leg}")
-        mask |= 1 << leg
+        bit = 1 << leg
+        if mask & bit:
+            raise ValueError(f"repeated leg index {leg}")
+        mask |= bit
     return mask
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer as is; a float, bool or string raises instead of being
+    rounded into a different polynomial."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def mask_to_legs(mask: int) -> list[int]:
@@ -191,11 +204,11 @@ class ZXPolynomial:
     @staticmethod
     def from_json_dict(data: dict) -> "ZXPolynomial":
         try:
-            qubits = int(data["qubits"])
+            qubits = _json_int(data["qubits"], "qubit count")
             gadgets = tuple(
                 PhaseGadget(
                     str(entry["basis"]),
-                    legs_to_mask(int(l) for l in entry["legs"]),
+                    legs_to_mask(_json_int(leg, "leg") for leg in entry["legs"]),
                     Phase.parse(str(entry["phase"])),
                 )
                 for entry in data.get("gadgets", ())

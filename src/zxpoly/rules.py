@@ -33,17 +33,23 @@ class Cnot:
         return f"CNOT({self.control},{self.target})"
 
 
-def propagated_legs(gadget: PhaseGadget, cnot: Cnot) -> int:
-    """Leg mask of CNOT * gadget * CNOT.
+def tested_toggled(basis: str, control: int, target: int) -> tuple[int, int]:
+    """(tested wire, toggled wire) of a CNOT(control, target) conjugating a
+    gadget of this basis: a Z gadget's control leg toggles iff its target
+    wire carries a leg, an X gadget's target leg iff its control wire does.
 
-    For a Z gadget the control leg toggles iff the target wire carries a
-    leg; for an X gadget the target leg toggles iff the control wire does.
-    The mask can never become empty (the tested wire keeps its leg).
+    The map swaps (Z) or keeps (X) the pair, so it is its own inverse:
+    `tested_toggled(basis, tested, toggled)` is `(control, target)`.
     """
-    if gadget.basis == "Z":
-        tested, toggled = cnot.target, cnot.control
-    else:
-        tested, toggled = cnot.control, cnot.target
+    return (target, control) if basis == "Z" else (control, target)
+
+
+def propagated_legs(gadget: PhaseGadget, cnot: Cnot) -> int:
+    """Leg mask of CNOT * gadget * CNOT: the toggled wire's leg flips iff
+    the tested wire carries a leg (see `tested_toggled`). The mask can
+    never become empty (the tested wire keeps its leg).
+    """
+    tested, toggled = tested_toggled(gadget.basis, cnot.control, cnot.target)
     if gadget.legs >> tested & 1:
         return gadget.legs ^ (1 << toggled)
     return gadget.legs

@@ -13,16 +13,24 @@ follows the opposite orientation (cost before minus cost after, i.e. the
 CNOTs saved on that parity region); the greedy test therefore accepts a
 candidate when effect_zx - effect_parity(left) - effect_parity(right) < 0,
 which is exactly "the total emitted-CNOT estimate strictly decreases".
+
+Both sweeps read every candidate's effect_zx from one q x q table,
+`_zx_table`, built in one pass over the run and rebuilt only after an
+accept (accepts are rare next to the q(q-1) candidates of a sweep);
+`effect_zx` stays the one-candidate definition the table must equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .arch import Architecture
 from .parity import ParityMap, append_cnot, cnot_cost, identity_map, prepend_cnot, steiner_gauss
-from .poly import PhaseGadget, ZXPolynomial
-from .rules import Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs
+from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
+from .rules import (
+    Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs, tested_toggled,
+)
 
 
 @dataclass
@@ -54,6 +62,36 @@ def effect_zx(poly: ZXPolynomial, cnot: Cnot, arch: Architecture) -> int:
         if new_legs != gadget.legs:
             delta += 2 * (arch.tree_weight(new_legs) - arch.tree_weight(gadget.legs))
     return delta
+
+
+def _zx_table(poly: ZXPolynomial, arch: Architecture) -> list[list[int]]:
+    """`effect_zx` of every ordered pair at once: table[c][t] is
+    effect_zx(poly, Cnot(c, t), arch), and the diagonal is 0.
+
+    One pass over the run: a gadget's cost changes by the same delta for
+    every CNOT that toggles wire v, and such a CNOT acts only when its
+    tested wire is another leg of the gadget. So each gadget reads its own
+    tree weight once and the weight with wire v toggled once per wire,
+    never an empty mask, and adds the delta to each (tested, toggled) pair
+    turned into (control, target) by `tested_toggled`.
+    """
+    q = arch.num_qubits
+    table = [[0] * q for _ in range(q)]
+    for gadget in poly.gadgets:
+        legs = gadget.legs
+        wires = mask_to_legs(legs)
+        base = arch.tree_weight(legs)
+        for v in range(q):
+            toggled_legs = legs ^ 1 << v
+            if not toggled_legs:
+                continue
+            delta = 2 * (arch.tree_weight(toggled_legs) - base)
+            if delta:
+                for t in wires:
+                    if t != v:
+                        control, target = tested_toggled(gadget.basis, t, v)
+                        table[control][target] += delta
+    return table
 
 
 def effect_parity(m: ParityMap, cnot: Cnot, side: str, arch: Architecture) -> int:
@@ -93,19 +131,21 @@ def optimize_gauss(
     """Single greedy sweep over all ordered (control, target) pairs,
     propagating whenever the exact total emitted-CNOT estimate drops.
 
-    A region saves at most what it costs now (no cost is negative), so a
-    candidate whose effect_zx reaches the two regions' summed cost cannot
-    win and its parity effects are not computed."""
+    Every candidate's effect_zx is read from one `_zx_table`, rebuilt only
+    after an accept. A region saves at most what it costs now (no cost is
+    negative), so a candidate whose effect_zx reaches the two regions'
+    summed cost cannot win and its parity effects are not computed."""
     q = arch.num_qubits
     ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
+    table = _zx_table(poly, arch)
     for control in range(q):
         for target in range(q):
             if control == target:
                 continue
-            cnot = Cnot(control, target)
-            zx = effect_zx(poly, cnot, arch)
+            zx = table[control][target]
             if zx >= ceiling:
                 continue
+            cnot = Cnot(control, target)
             net = (
                 zx
                 - effect_parity(pl, cnot, "left", arch)
@@ -114,6 +154,7 @@ def optimize_gauss(
             if net < 0:
                 pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
                 ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
+                table = _zx_table(poly, arch)
     return pl, poly, pr
 
 
@@ -125,23 +166,21 @@ def optimize_fast(
     effect_zx < -2*d(c, t). The 2*d is a heuristic estimate, not a bound on
     what the parity regions may cost. Candidates come from the CNOTs of each
     parity region's own synthesis (computed once), then from all ordered
-    pairs."""
-    def worthwhile(cnot: Cnot) -> bool:
-        return effect_zx(poly, cnot, arch) < -2 * arch.distance(cnot.control, cnot.target)
+    pairs. Every effect_zx is read from one `_zx_table`, rebuilt only after
+    an accept."""
+    table = _zx_table(poly, arch)
 
-    for cnot in steiner_gauss(pl, arch):
-        if worthwhile(cnot):
-            pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
-    for cnot in steiner_gauss(pr, arch):
-        if worthwhile(cnot):
-            pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
+    def sweep(candidates: Iterable[tuple[int, int]]) -> None:
+        nonlocal pl, poly, pr, table
+        for control, target in candidates:
+            if table[control][target] < -2 * arch.dist[control][target]:
+                pl, poly, pr = _propagate_all(pl, poly, pr, Cnot(control, target))
+                table = _zx_table(poly, arch)
+
+    sweep((cnot.control, cnot.target) for cnot in steiner_gauss(pl, arch))
+    sweep((cnot.control, cnot.target) for cnot in steiner_gauss(pr, arch))
     q = arch.num_qubits
-    for control in range(q):
-        for target in range(q):
-            if control != target:
-                cnot = Cnot(control, target)
-                if worthwhile(cnot):
-                    pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
+    sweep((c, t) for c in range(q) for t in range(q) if c != t)
     return pl, poly, pr
 
 

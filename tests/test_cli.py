@@ -134,6 +134,15 @@ class TestSynthAndVerify:
         assert run_cli("synth", "--in", zero_denominator, "--arch", "line:2",
                        "--out", tmp_path / "c.qasm") == 2
         assert "error:" in capsys.readouterr().err
+        rewritten = tmp_path / "rewritten_legs.json"
+        for legs in ([0, 0], [1.7], [True]):
+            rewritten.write_text(json.dumps(
+                {"qubits": 2, "gadgets": [{"basis": "Z", "legs": legs, "phase": "1/4"}]}))
+            assert run_cli("simplify", "--in", rewritten, "--out", tmp_path / "o.json") == 2, legs
+            assert "error:" in capsys.readouterr().err, legs
+            assert run_cli("synth", "--in", rewritten, "--arch", "line:2",
+                           "--out", tmp_path / "c.qasm") == 2, legs
+            assert "error:" in capsys.readouterr().err, legs
         circ_path = tmp_path / "circ.json"
         rz_off_register = {"gate": "rz", "phase": "1/4", "qubit": -1}
         rz_zero_denominator = {"gate": "rz", "phase": "1/0", "qubit": 0}
@@ -203,6 +212,25 @@ class TestBench:
                 assert record.error == "RuntimeError: boom"
                 assert record.cx_out is None and record.verified is None
                 assert (row["cx_out"], row["verified"], row["error"]) == ("", "", record.error)
+
+    @pytest.mark.parametrize("grid", [
+        {"kind": "random"},
+        [{"kind": "random", "qubits": [3], "gadgets": [5]}],
+        {"kind": "random", "qubits": [3], "gadgets": [5], "architectures": [5]},
+        {"kind": "random", "qubits": [3], "gadgets": [5], "architectures": ["line", 5]},
+        {"kind": "maxcut", "vertices": [4], "p_edges": ["0.5"], "layers": [1]},
+        {"kind": "random", "qubits": [3], "gadgets": [5], "max_legs": None},
+    ], ids=["missing-qubits", "top-level-list", "number-architecture",
+            "late-number-architecture", "string-p-edge", "null-max-legs"])
+    def test_malformed_grid_exits_2_before_running(self, tmp_path, capsys, monkeypatch, grid):
+        ran = []
+        monkeypatch.setattr(bench, "run_instance", lambda *args: ran.append(args))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert run_cli("bench", "--grid", grid_path, "--reps", 1,
+                       "--out", tmp_path / "out.csv") == 2
+        assert "error: malformed grid JSON" in capsys.readouterr().err
+        assert ran == []
 
     def test_grid_architecture_requires_square(self):
         grid = dict(self.GRID, architectures=["grid"])

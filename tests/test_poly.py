@@ -1,10 +1,12 @@
 """Phase arithmetic, gadget and polynomial invariants, JSON round-trips."""
 
+import json
 import random
 
 import pytest
 
 from zxpoly import Phase, PhaseGadget, ZXPolynomial
+from zxpoly.poly import legs_to_mask
 
 
 class TestPhase:
@@ -64,6 +66,13 @@ class TestPhaseGadget:
         with pytest.raises(ValueError):
             PhaseGadget("Y", 1, Phase(1, 4))
 
+    def test_repeated_leg_rejected(self):
+        with pytest.raises(ValueError, match="repeated leg index 0"):
+            PhaseGadget.z([0, 0], Phase(1, 4))
+        with pytest.raises(ValueError, match="repeated leg index 2"):
+            legs_to_mask([2, 1, 2])
+        assert legs_to_mask([2, 0]) == 0b101
+
 
 class TestValidate:
     def test_empty_polynomial_ok(self):
@@ -109,3 +118,14 @@ class TestJson:
             ZXPolynomial.from_json('{"qubits": 2, "gadgets": [{"basis": "Z", "legs": [5], "phase": "1/2"}]}')
         with pytest.raises(ValueError):
             ZXPolynomial.from_json('{"qubits": 2, "gadgets": [{"basis": "Z", "legs": [], "phase": "1/2"}]}')
+
+    @pytest.mark.parametrize("legs", [[0, 0], [1.7], [True], [1.0], ["1"], [None], "01"])
+    def test_legs_never_rewritten(self, legs):
+        text = json.dumps({"qubits": 2, "gadgets": [{"basis": "Z", "legs": legs, "phase": "1/2"}]})
+        with pytest.raises(ValueError, match="malformed polynomial JSON"):
+            ZXPolynomial.from_json(text)
+
+    @pytest.mark.parametrize("qubits", [2.7, True, "2"])
+    def test_qubit_count_never_rewritten(self, qubits):
+        with pytest.raises(ValueError, match="malformed polynomial JSON"):
+            ZXPolynomial.from_json(json.dumps({"qubits": qubits, "gadgets": []}))

@@ -5,6 +5,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
 from zxpoly import arch as zx_arch, parity, sim, synth
@@ -37,6 +38,61 @@ class TestEffectZx:
         poly = zx.ZXPolynomial(3, (zx.PhaseGadget.z([0, 2], PH(1, 4)),))
         # legs become {0,1,2}; the tree weight stays 2
         assert zx.effect_zx(poly, zx.Cnot(1, 2), zx.line(3)) == 0
+
+
+def _star(q):
+    return zx.Architecture(q, [(0, v) for v in range(1, q)], name=f"star:{q}")
+
+
+_TABLE_ARCHS = {
+    "line": zx.line,
+    "circle": zx.circle,
+    "complete": zx.complete,
+    "grid": lambda q: zx.grid(2, q // 2) if q % 2 == 0 else zx.grid(1, q),
+    "star": _star,
+}
+
+
+@st.composite
+def _table_cases(draw):
+    q = draw(st.integers(2, 8))
+    arch = _TABLE_ARCHS[draw(st.sampled_from(sorted(_TABLE_ARCHS)))](q)
+    legs = st.one_of(st.integers(0, q - 1).map(lambda v: 1 << v), st.integers(1, (1 << q) - 1))
+    gadgets = draw(st.lists(
+        st.builds(zx.PhaseGadget, st.sampled_from("ZX"), legs, st.integers(1, 7).map(PH)),
+        max_size=10,
+    ))
+    return zx.ZXPolynomial(q, tuple(gadgets)), arch
+
+
+class TestZxTable:
+    @settings(max_examples=300, deadline=None)
+    @given(_table_cases())
+    def test_matches_effect_zx_on_every_pair(self, case):
+        poly, arch = case
+        q = arch.num_qubits
+        read = []
+        tree_weight = arch.tree_weight
+        arch.tree_weight = lambda legs: read.append(legs) or tree_weight(legs)
+        table = synth._zx_table(poly, arch)
+        table_reads = set(read)
+        read.clear()
+        assert [[zx.effect_zx(poly, zx.Cnot(c, t), arch) if c != t else 0 for t in range(q)]
+                for c in range(q)] == table
+        assert 0 not in table_reads
+        assert table_reads == set(read)
+
+    def test_empty_run_is_all_zero(self):
+        assert synth._zx_table(zx.ZXPolynomial(3), zx.line(3)) == [[0] * 3 for _ in range(3)]
+
+    def test_orientation_by_basis(self):
+        # On line:3 a leg on wire 2 costs one more edge. A Z gadget on {0,1}
+        # gains it from CNOT(2,1) (tests wire 1), an X gadget from CNOT(1,2).
+        arch = zx.line(3)
+        z = synth._zx_table(zx.ZXPolynomial(3, (zx.PhaseGadget.z([0, 1], PH(1, 4)),)), arch)
+        x = synth._zx_table(zx.ZXPolynomial(3, (zx.PhaseGadget.x([0, 1], PH(1, 4)),)), arch)
+        assert (z[2][1], z[1][2]) == (2, 0)
+        assert (x[2][1], x[1][2]) == (0, 2)
 
 
 class TestEffectParity:
@@ -179,6 +235,40 @@ class TestOptimizeFast:
         assert zx.effect_zx(poly, zx.Cnot(0, 1), arch) == -2
         pl, out, pr = zx.optimize_fast(identity_map(3), poly, identity_map(3), arch)
         assert pl.is_identity() and pr.is_identity() and out == poly
+
+    def test_table_sweep_matches_per_candidate_sweep(self):
+        def per_candidate(pl, poly, pr, arch):
+            def worthwhile(cnot):
+                return zx.effect_zx(poly, cnot, arch) < -2 * arch.distance(cnot.control, cnot.target)
+
+            def accept(cnot):
+                return (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
+                        zx.prepend_cnot(pr, cnot))
+
+            for cnot in zx.steiner_gauss(pl, arch):
+                if worthwhile(cnot):
+                    pl, poly, pr = accept(cnot)
+            for cnot in zx.steiner_gauss(pr, arch):
+                if worthwhile(cnot):
+                    pl, poly, pr = accept(cnot)
+            for control in range(arch.num_qubits):
+                for target in range(arch.num_qubits):
+                    if control != target and worthwhile(zx.Cnot(control, target)):
+                        pl, poly, pr = accept(zx.Cnot(control, target))
+            return pl, poly, pr
+
+        rng = random.Random(29)
+        accepted = 0
+        for _ in range(240):
+            q = rng.randint(2, 6)
+            arch = [zx.line(q), zx.circle(q), zx.complete(q), _star(q)][rng.randrange(4)]
+            poly = random_zx_poly(rng, q, rng.randint(0, 10))
+            pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
+                      for _ in range(2))
+            expected = per_candidate(pl, poly, pr, arch)
+            assert zx.optimize_fast(pl, poly, pr, arch) == expected
+            accepted += expected[1] != poly
+        assert accepted >= 20
 
 
 class TestScore:
@@ -340,6 +430,6 @@ class TestCostMemo:
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
         arch = zx.complete(6)
         assert gates(arch) == uncapped
-        assert len(arch.memos) == 6
+        assert len(arch.memos) == 7
         for name, memo in arch.memos.items():
             assert len(memo) <= 8, name
