@@ -4,21 +4,23 @@ An Architecture is an undirected connected graph over qubit indices
 0..num_qubits-1 with an all-pairs hop-count table. Its graph is immutable
 after construction. It is the one owner of every memo of the package, the
 named tables of its `memos` dict, each filled lazily on first use (without
-a lock) and keyed by int vertex bitmasks:
+a lock). A vertex set (a region) is an int mask, bit v for vertex v; -1
+means "anywhere" and is normalized to the full mask (1 << num_qubits) - 1.
+With n = num_qubits, the tables and their keys are:
 
-  * "tree": `terminal_tree` results, which `tree_weight` also reads by leg
-    mask,
-  * "rooted": `rooted_terminal_tree`, those trees rooted at a given
-    terminal,
-  * "non_cut": `non_cut_vertices`, the vertices of a set whose removal
-    keeps the rest connected,
-  * "distances": `distances_within`, BFS hop tables inside a vertex set,
-  * "sequence": `parity.steiner_gauss` results by map rows, which
-    `parity.cnot_cost` also reads,
+  * "tree": `terminal_tree` results by terms << n | region (terms the
+    terminal mask); `tree_weight` reads the full-region entries,
+  * "rooted": `rooted_terminal_tree`, those trees rooted at a terminal, by
+    (terms << n | region) * n + root,
+  * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
+    removal keeps the rest connected,
+  * "distances": `distances_within` by vertex mask: BFS hop tables inside it,
+  * "sequence": `parity.steiner_gauss` results by the map's rows tuple,
+    which `parity.cnot_cost` also reads,
   * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
     additions) by elimination state, the remaining mask and the rows
     packed into one int,
-  * "gather": `gather` op tuples, keyed terms * num_qubits + root.
+  * "gather": `gather` op tuples by terms * n + root.
 
 Every table is filled through `memo_put`, which holds at most MEMO_CAP
 entries and evicts the oldest first.
@@ -44,7 +46,7 @@ import json
 from collections import deque
 from typing import Iterable
 
-from .poly import mask_to_legs
+from .poly import json_int, mask_to_legs
 
 TreeEdges = tuple[tuple[int, int], ...]
 # (parent of each vertex, -1 off the tree; the tree's vertices in BFS order)
@@ -92,15 +94,16 @@ class Architecture:
             )
         }
 
-    def bfs(self, source: int, allowed: frozenset[int] | None = None) -> list[int]:
-        """Hop counts from source (-1 if unreachable), moving only through `allowed`."""
+    def bfs(self, source: int, allowed: int = -1) -> list[int]:
+        """Hop counts from source (-1 if unreachable), moving only through
+        the `allowed` vertex mask (-1: anywhere)."""
         dist = [-1] * self.num_qubits
         dist[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
             for v in self.adj[u]:
-                if dist[v] < 0 and (allowed is None or v in allowed):
+                if dist[v] < 0 and allowed >> v & 1:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         return dist
@@ -111,24 +114,29 @@ class Architecture:
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def shortest_path(self, u: int, v: int, allowed: frozenset[int] | None = None) -> list[int]:
-        """Lexicographically smallest shortest path from u to v (inclusive)."""
-        dist_to_v = self.bfs(v, allowed) if allowed is not None else self.dist[v]
-        if dist_to_v[u] < 0:
+    def _region(self, allowed: int | None) -> int:
+        """The vertex mask `allowed` names; -1 or None (anywhere) is the full mask."""
+        everywhere = (1 << self.num_qubits) - 1
+        return everywhere if allowed is None else allowed & everywhere
+
+    def shortest_path(self, u: int, v: int, allowed: int = -1) -> list[int]:
+        """Lexicographically smallest shortest path from u to v (inclusive),
+        moving only through the `allowed` vertex mask (-1: anywhere)."""
+        dist_to_v = self.distances_within(self._region(allowed))[v]
+        if dist_to_v is None or dist_to_v[u] < 0:
             raise ValueError(f"no path from {u} to {v}")
         path = [u]
         cur = u
         while cur != v:
-            cur = min(w for w in self.adj[cur]
-                      if dist_to_v[w] == dist_to_v[cur] - 1
-                      and (allowed is None or w in allowed))
+            cur = min(w for w in self.adj[cur] if dist_to_v[w] == dist_to_v[cur] - 1)
             path.append(cur)
         return path
 
     def terminal_tree(
-        self, terminals: Iterable[int], allowed: frozenset[int] | None = None
+        self, terminals: Iterable[int], allowed: int | None = -1
     ) -> tuple[TreeEdges, int]:
-        """Approximate Steiner tree connecting the terminals.
+        """Approximate Steiner tree connecting the terminals inside the
+        `allowed` vertex mask (-1 or None: anywhere).
 
         Returns (tree edges over physical vertices, weight), where weight is
         the number of physical edges. A single terminal yields an empty tree
@@ -137,26 +145,26 @@ class Architecture:
         terms = sorted(set(terminals))
         if not terms:
             raise ValueError("terminal set must be non-empty")
+        region = self._region(allowed)
+        term_mask = 0
         for t in terms:
             if not 0 <= t < self.num_qubits:
                 raise ValueError(f"terminal {t} out of range")
-            if allowed is not None and t not in allowed:
+            if not region >> t & 1:
                 raise ValueError(f"terminal {t} not in the allowed vertex set")
-        term_mask = 0
-        for t in terms:
             term_mask |= 1 << t
-        allowed_mask = -1 if allowed is None else sum(1 << v for v in allowed)
-        key = (term_mask, allowed_mask)
+        key = term_mask << self.num_qubits | region
         cached = self.memos["tree"].get(key)
-        if cached is not None:
-            return cached
-        return memo_put(self.memos["tree"], key, self._terminal_tree_uncached(terms, allowed))
+        if cached is None:
+            cached = memo_put(self.memos["tree"], key, self._terminal_tree_uncached(terms, region))
+        return cached
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs` bitmask."""
-        cached = self.memos["tree"].get((legs, -1))
+        everywhere = (1 << self.num_qubits) - 1
+        cached = self.memos["tree"].get(legs << self.num_qubits | everywhere)
         if cached is None:
-            cached = self.terminal_tree(mask_to_legs(legs))
+            cached = self.terminal_tree(mask_to_legs(legs), everywhere)
         return cached[1]
 
     def rooted_terminal_tree(self, terms: int, root: int, allowed: int = -1) -> RootedTree:
@@ -168,14 +176,11 @@ class Architecture:
         itself, -1 off the tree) and order is the tree's BFS vertex order.
         """
         q = self.num_qubits
-        everywhere = (1 << q) - 1
-        if allowed < 0:
-            allowed = everywhere
+        allowed = self._region(allowed)
         key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
         cached = self.memos["rooted"].get(key)
         if cached is None:
-            region = None if allowed == everywhere else frozenset(mask_to_legs(allowed))
-            edges, _ = self.terminal_tree(mask_to_legs(terms), region)
+            edges, _ = self.terminal_tree(mask_to_legs(terms), allowed)
             up, order = rooted_tree(edges, root)
             parent = tuple(up.get(v, -1) for v in range(q))
             cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
@@ -222,48 +227,31 @@ class Architecture:
         `vertices` mask connected; a single vertex is its own."""
         cached = self.memos["non_cut"].get(vertices)
         if cached is None:
-            if vertices & (vertices - 1) == 0:
-                cached = vertices
-            else:
-                cached = sum(1 << v for v in mask_to_legs(vertices)
-                             if self._connected(vertices & ~(1 << v)))
+            cached = 0
+            for v in mask_to_legs(vertices):
+                rest = vertices & ~(1 << v)
+                reach = self.bfs(rest.bit_length() - 1, rest) if rest else []
+                if all(reach[u] >= 0 for u in mask_to_legs(rest)):
+                    cached |= 1 << v
             cached = memo_put(self.memos["non_cut"], vertices, cached)
         return cached
-
-    def _connected(self, vertices: int) -> bool:
-        start = (vertices & -vertices).bit_length() - 1
-        seen = 1 << start
-        stack = [start]
-        while stack:
-            for v in self.adj[stack.pop()]:
-                bit = 1 << v
-                if vertices & bit and not seen & bit:
-                    seen |= bit
-                    stack.append(v)
-        return seen == vertices
 
     def distances_within(self, vertices: int) -> tuple[tuple[int, ...] | None, ...]:
         """Hop counts inside the `vertices` mask: entry u is bfs(u, vertices)
         for each u in the mask, None for the others."""
         cached = self.memos["distances"].get(vertices)
         if cached is None:
-            region = frozenset(mask_to_legs(vertices))
             cached = memo_put(self.memos["distances"], vertices, tuple(
-                tuple(self.bfs(u, region)) if vertices >> u & 1 else None
+                tuple(self.bfs(u, vertices)) if vertices >> u & 1 else None
                 for u in range(self.num_qubits)
             ))
         return cached
 
-    def _terminal_tree_uncached(
-        self, terms: list[int], allowed: frozenset[int] | None
-    ) -> tuple[TreeEdges, int]:
+    def _terminal_tree_uncached(self, terms: list[int], region: int) -> tuple[TreeEdges, int]:
         if len(terms) == 1:
             return (), 0
         # Metric closure distances between terminals.
-        if allowed is None:
-            dist = {t: self.dist[t] for t in terms}
-        else:
-            dist = {t: self.bfs(t, allowed) for t in terms}
+        dist = self.distances_within(region)
         metric = sorted(
             (dist[u][v], u, v) for i, u in enumerate(terms) for v in terms[i + 1:]
         )
@@ -287,7 +275,7 @@ class Architecture:
         # Expand metric edges into concrete paths; the union may have cycles.
         union_edges: set[tuple[int, int]] = set()
         for u, v in chosen:
-            path = self.shortest_path(u, v, allowed)
+            path = self.shortest_path(u, v, region)
             for a, b in zip(path, path[1:]):
                 union_edges.add((min(a, b), max(a, b)))
         # Prune the union back to a tree by BFS from the smallest terminal.
@@ -366,7 +354,8 @@ def build_architecture(spec: str | dict) -> Architecture:
     """
     if isinstance(spec, dict):
         try:
-            return Architecture(int(spec["qubits"]), [tuple(e) for e in spec["edges"]])
+            edges = [tuple(json_int(v, "edge vertex") for v in e) for e in spec["edges"]]
+            return Architecture(json_int(spec["qubits"], "qubit count"), edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed architecture JSON: {exc}") from exc
     text = spec.strip()

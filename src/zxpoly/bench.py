@@ -121,11 +121,13 @@ def _check_grid(grid) -> None:
         if key not in grid:
             raise ValueError(f"malformed grid JSON: a {kind} grid needs a {key!r} list")
     for key, kinds in _SWEEP_LISTS[kind] + _OPTIONAL_LISTS:
-        values = grid.get(key, [])
-        if not isinstance(values, list) or not all(
+        if key not in grid:
+            continue  # an optional list left out takes its default
+        values = grid[key]
+        if not isinstance(values, list) or not values or not all(
             isinstance(v, kinds) and not isinstance(v, bool) for v in values
         ):
-            raise ValueError(f"malformed grid JSON: {key!r} must be a list of "
+            raise ValueError(f"malformed grid JSON: {key!r} must be a non-empty list of "
                              f"{'strings' if kinds is str else 'numbers'}, got {values!r}")
     max_legs = grid.get("max_legs", 4)
     if not isinstance(max_legs, int) or isinstance(max_legs, bool):
@@ -160,7 +162,11 @@ def _grid_points(grid: dict):
 def run_bench(
     grid: dict, reps: int, base_seed: int, verify: bool = True
 ) -> tuple[list[BenchRecord], int]:
-    """Run the sweep; returns (records, number of failed instances)."""
+    """Run the sweep; returns (records, number of failed instances). Raises
+    ValueError on a sweep that would measure nothing: `reps` below 1, or an
+    empty sweep list in the grid."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     records: list[BenchRecord] = []
     failures = 0
     for point in _grid_points(grid):

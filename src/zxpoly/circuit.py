@@ -24,7 +24,7 @@ from math import pi
 
 from .arch import Architecture
 from .parity import steiner_gauss
-from .poly import Phase, PhaseGadget, ZXPolynomial, mask_to_legs
+from .poly import Phase, PhaseGadget, ZXPolynomial, json_int, mask_to_legs
 from .rules import Cnot
 from .synth import GadgetRegion, ParityRegion, Region
 
@@ -278,6 +278,8 @@ def from_qasm(text: str) -> Circuit:
             continue
         m = _QASM_QREG.match(line)
         if m:
+            if num_qubits is not None:
+                raise ValueError(f"QASM input declares a second qreg: {line!r}")
             num_qubits = int(m.group(1))
             continue
         m = _QASM_CX.match(line)
@@ -313,14 +315,15 @@ def from_json_dict(data: dict) -> Circuit:
         for entry in data.get("gates", ()):
             kind = entry["gate"]
             if kind == "cx":
-                gates.append(Cnot(int(entry["control"]), int(entry["target"])))
+                gates.append(Cnot(json_int(entry["control"], "control"),
+                                 json_int(entry["target"], "target")))
             elif kind in ("rz", "rx"):
                 phase = Phase.parse(str(entry["phase"]))
                 cls = Rz if kind == "rz" else Rx
-                gates.append(cls(phase, int(entry["qubit"])))
+                gates.append(cls(phase, json_int(entry["qubit"], "qubit")))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
-        qubits = int(data["qubits"])
+        qubits = json_int(data["qubits"], "qubit count")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc}") from exc
     return Circuit(qubits, gates)

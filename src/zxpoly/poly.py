@@ -90,9 +90,9 @@ def legs_to_mask(legs: Iterable[int]) -> int:
     return mask
 
 
-def _json_int(value, what: str) -> int:
+def json_int(value, what: str) -> int:
     """A JSON integer as is; a float, bool or string raises instead of being
-    rounded into a different polynomial."""
+    rounded into a different polynomial, circuit or architecture."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
@@ -204,11 +204,11 @@ class ZXPolynomial:
     @staticmethod
     def from_json_dict(data: dict) -> "ZXPolynomial":
         try:
-            qubits = _json_int(data["qubits"], "qubit count")
+            qubits = json_int(data["qubits"], "qubit count")
             gadgets = tuple(
                 PhaseGadget(
                     str(entry["basis"]),
-                    legs_to_mask(_json_int(leg, "leg") for leg in entry["legs"]),
+                    legs_to_mask(json_int(leg, "leg") for leg in entry["legs"]),
                     Phase.parse(str(entry["phase"])),
                 )
                 for entry in data.get("gadgets", ())

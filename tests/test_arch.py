@@ -91,7 +91,10 @@ class TestShortestPath:
     def test_restricted_path(self):
         arch = zx.build_architecture("circle:5")
         assert arch.shortest_path(1, 4) == [1, 0, 4]
-        assert arch.shortest_path(1, 4, allowed=frozenset({1, 2, 3, 4})) == [1, 2, 3, 4]
+        assert arch.shortest_path(1, 4, allowed=0b11110) == [1, 2, 3, 4]
+        for u, v in ((1, 0), (0, 1)):  # an endpoint outside the region
+            with pytest.raises(ValueError, match=f"no path from {u} to {v}"):
+                arch.shortest_path(u, v, allowed=0b11110)
 
 
 class TestTerminalTree:
@@ -113,6 +116,16 @@ class TestTerminalTree:
     def test_empty_terminals_rejected(self):
         with pytest.raises(ValueError):
             zx.build_architecture("line:3").terminal_tree([])
+
+    def test_anywhere_is_one_region(self):
+        arch = zx.build_architecture("grid:2x3")
+        terms = [0, 2, 5]
+        trees = [arch.terminal_tree(terms, allowed) for allowed in (None, -1, 0b111111)]
+        assert trees[0] == trees[1] == trees[2]
+        assert arch.tree_weight(0b100101) == trees[0][1]
+        assert len(arch.memos["tree"]) == 1
+        with pytest.raises(ValueError, match="not in the allowed vertex set"):
+            arch.terminal_tree(terms, 0)
 
     def test_structure_and_two_approximation(self):
         rng = random.Random(3)
@@ -190,8 +203,7 @@ class TestGraphMemos:
             allowed = rng.choice([-1, terms | rng.randint(0, (1 << q) - 1)])
             if allowed >= 0 and not _connected(arch, allowed):
                 continue
-            region = None if allowed < 0 else frozenset(v for v in range(q) if allowed >> v & 1)
-            edges, _ = arch.terminal_tree([v for v in range(q) if terms >> v & 1], region)
+            edges, _ = arch.terminal_tree([v for v in range(q) if terms >> v & 1], allowed)
             up, order = rooted_tree(edges, root)
             for _ in range(2):  # cold, then memoized
                 assert arch.rooted_terminal_tree(terms, root, allowed) == (

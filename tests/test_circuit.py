@@ -241,6 +241,10 @@ class TestQasm:
         with pytest.raises(ValueError):
             zx.from_qasm("OPENQASM 2.0;\n")
 
+    def test_second_qreg_rejected(self):
+        with pytest.raises(ValueError, match="second qreg"):
+            zx.from_qasm("OPENQASM 2.0;\nqreg q[2];\nqreg q[3];\n")
+
 
 class TestCircuitJson:
     def test_round_trip(self):

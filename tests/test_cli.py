@@ -120,7 +120,9 @@ class TestSynthAndVerify:
         assert run_cli("simplify", "--in", bad, "--out", tmp_path / "o.json") == 2
         poly_path = tmp_path / "poly.json"
         poly_path.write_text(zx.random_poly(2, 3, 2, seed=1).to_json())
-        for arch in ('{"qubits": 2}', '{"qubits": 2, "edges": [5]}'):
+        for arch in ('{"qubits": 2}', '{"qubits": 2, "edges": [5]}',
+                     '{"qubits": 2.7, "edges": [[0, 1]]}', '{"qubits": true, "edges": []}',
+                     '{"qubits": "2", "edges": [[0, 1]]}', '{"qubits": 2, "edges": [[0, true]]}'):
             capsys.readouterr()
             assert run_cli("synth", "--in", poly_path, "--arch", arch,
                            "--out", tmp_path / "c.qasm") == 2, arch
@@ -146,9 +148,14 @@ class TestSynthAndVerify:
         circ_path = tmp_path / "circ.json"
         rz_off_register = {"gate": "rz", "phase": "1/4", "qubit": -1}
         rz_zero_denominator = {"gate": "rz", "phase": "1/0", "qubit": 0}
+        cx_fractional_control = {"gate": "cx", "control": 0.7, "target": 1}
+        rz_bool_qubit = {"gate": "rz", "phase": "1/4", "qubit": True}
         for circuit in ({"qubits": 2, "gates": [{"gate": "cx"}]}, [],
                         {"qubits": 2, "gates": [rz_off_register]},
-                        {"qubits": 2, "gates": [rz_zero_denominator]}):
+                        {"qubits": 2, "gates": [rz_zero_denominator]},
+                        {"qubits": 2, "gates": [cx_fractional_control]},
+                        {"qubits": 2, "gates": [rz_bool_qubit]},
+                        {"qubits": 2.0, "gates": []}):
             circ_path.write_text(json.dumps(circuit))
             assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2, circuit
             assert "error:" in capsys.readouterr().err, circuit
@@ -231,6 +238,23 @@ class TestBench:
                        "--out", tmp_path / "out.csv") == 2
         assert "error: malformed grid JSON" in capsys.readouterr().err
         assert ran == []
+
+    @pytest.mark.parametrize("reps,grid", [
+        (0, GRID),
+        (-1, GRID),
+        (1, dict(GRID, gadgets=[])),
+        (1, dict(GRID, architectures=[])),
+        (1, dict(GRID, algorithms=[])),
+        (1, {"kind": "maxcut", "vertices": [4], "p_edges": [], "layers": [1]}),
+    ], ids=["zero-reps", "negative-reps", "no-gadgets", "no-architectures",
+            "no-algorithms", "no-p-edges"])
+    def test_sweep_that_measures_nothing_exits_2(self, tmp_path, capsys, reps, grid):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "out.csv"
+        assert run_cli("bench", "--grid", grid_path, "--reps", reps, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_architecture_requires_square(self):
         grid = dict(self.GRID, architectures=["grid"])
