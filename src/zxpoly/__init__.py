@@ -29,6 +29,7 @@ from .parity import (
     ParityMap,
     append_cnot,
     cnot_cost,
+    cnot_lower_bound,
     from_cnots,
     gauss_cnots,
     identity_map,
@@ -68,7 +69,7 @@ __all__ = [
     "Cnot", "propagate_cnot_gadget", "propagate_cnot_poly", "commutes",
     "pi_commute_swap", "try_merge",
     "ParityMap", "identity_map", "append_cnot", "prepend_cnot", "from_cnots",
-    "gauss_cnots", "steiner_gauss", "cnot_cost",
+    "gauss_cnots", "steiner_gauss", "cnot_cost", "cnot_lower_bound",
     "simplify",
     "Region", "ParityRegion", "GadgetRegion", "gadget_cost", "effect_zx",
     "effect_parity", "optimize_gauss", "optimize_fast", "score", "regroup",

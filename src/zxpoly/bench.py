@@ -14,8 +14,8 @@ A sweep grid is a JSON object like
 base_seed + r, so runs are reproducible; the wall-time column is the only
 non-deterministic output. Every instance with few enough qubits is checked
 against the dense oracle. A failure does not abort the sweep: an instance
-that raises keeps its row, with the exception in the `error` column and
-the measurement columns left empty.
+that raises, while it is generated or compiled, keeps its row, with the
+exception in the `error` column and the measurement columns left empty.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ ALGORITHMS = ("divide_fast", "divide_gauss", "naive")
 @dataclass
 class BenchRecord:
     n_qubits: int
-    n_pgs: int
+    n_pgs: int | None  # None when a maxcut instance could not be generated
     max_legs: int
     architecture: str
     algorithm: str
@@ -155,8 +155,14 @@ def _grid_points(grid: dict):
                 for layers in grid["layers"]:
                     for arch_name in arch_names:
                         yield {"kind": kind, "qubits": v, "p_edge": p,
-                               "layers": layers, "arch": arch_name,
+                               "layers": layers, "max_legs": 2, "arch": arch_name,
                                "algorithms": algorithms}
+
+
+def _instance(point: dict, seed: int) -> ZXPolynomial:
+    if point["kind"] == "random":
+        return random_poly(point["qubits"], point["gadgets"], point["max_legs"], seed)
+    return maxcut_qaoa(point["qubits"], point["p_edge"], point["layers"], seed)
 
 
 def run_bench(
@@ -173,22 +179,18 @@ def run_bench(
         arch = build_architecture(_arch_descriptor(point["arch"], point["qubits"]))
         for rep in range(reps):
             seed = base_seed + rep
-            if point["kind"] == "random":
-                poly = random_poly(point["qubits"], point["gadgets"], point["max_legs"], seed)
-                max_legs = point["max_legs"]
-            else:
-                poly = maxcut_qaoa(point["qubits"], point["p_edge"], point["layers"], seed)
-                max_legs = 2
             for algorithm in point["algorithms"]:
                 record = BenchRecord(
-                    n_qubits=poly.num_qubits,
-                    n_pgs=len(poly.gadgets),
-                    max_legs=max_legs,
+                    n_qubits=point["qubits"],
+                    n_pgs=point.get("gadgets"),
+                    max_legs=point["max_legs"],
                     architecture=arch.name,
                     algorithm=algorithm,
                     seed=seed,
                 )
                 try:
+                    poly = _instance(point, seed)
+                    record.n_pgs = len(poly.gadgets)
                     (record.cx_naive, record.cx_out, record.reduction_pct, record.time_s,
                      record.verified, _) = run_instance(poly, arch, algorithm, verify)
                 except Exception as exc:

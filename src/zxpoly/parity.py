@@ -418,6 +418,26 @@ def _sequences(m: ParityMap, arch: Architecture) -> dict[tuple[int, ...], tuple[
     return arch.memos["sequence"]
 
 
+def cnot_lower_bound(m: ParityMap) -> int:
+    """Fewest CNOTs any sequence for the map can have, on any architecture:
+    the larger of its rows and its columns that are not unit vectors.
+
+    Appending a CNOT changes one row and prepending one changes one column,
+    so a sequence of k gates leaves at least q - k of each untouched. Column
+    j is a unit column when row j has bit j and no other row does.
+    """
+    rows = off_diagonal = diagonal = 0
+    bit = 1  # the diagonal bit of the current row
+    for row in m.rows:
+        if row != bit:
+            rows += 1
+            off_diagonal |= row & ~bit
+        diagonal |= row & bit
+        bit <<= 1
+    columns = (off_diagonal | (bit - 1) & ~diagonal).bit_count()
+    return rows if rows > columns else columns
+
+
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
     """Number of CNOTs steiner_gauss emits for the map: 0 for the identity,
     otherwise the length of its memoized sequence, synthesized on a miss."""

@@ -18,6 +18,12 @@ Both sweeps read every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
 accept (accepts are rare next to the q(q-1) candidates of a sweep);
 `effect_zx` stays the one-candidate definition the table must equal.
+
+`optimize_gauss` prices a candidate's parity regions exactly (Steiner-Gauss
+through `cnot_cost`) only when `cnot_lower_bound`, a row/column count that
+no CNOT sequence for a map can beat, leaves room for a strict decrease;
+a skipped candidate has net >= 0 and would have been rejected, so the skip
+never changes the output.
 """
 
 from __future__ import annotations
@@ -26,7 +32,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arch import Architecture
-from .parity import ParityMap, append_cnot, cnot_cost, identity_map, prepend_cnot, steiner_gauss
+from .parity import (
+    ParityMap, append_cnot, cnot_cost, cnot_lower_bound, identity_map, prepend_cnot, steiner_gauss,
+)
 from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
     Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs, tested_toggled,
@@ -115,16 +123,6 @@ def effect_parity(m: ParityMap, cnot: Cnot, side: str, arch: Architecture) -> in
     return cnot_cost(m, arch) - cnot_cost(absorbed, arch)
 
 
-def _propagate_all(
-    pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, cnot: Cnot
-) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
-    return (
-        append_cnot(pl, cnot),
-        propagate_cnot_poly(poly, cnot),
-        prepend_cnot(pr, cnot),
-    )
-
-
 def optimize_gauss(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
@@ -132,9 +130,14 @@ def optimize_gauss(
     propagating whenever the exact total emitted-CNOT estimate drops.
 
     Every candidate's effect_zx is read from one `_zx_table`, rebuilt only
-    after an accept. A region saves at most what it costs now (no cost is
-    negative), so a candidate whose effect_zx reaches the two regions'
-    summed cost cannot win and its parity effects are not computed."""
+    after an accept. A candidate's net is effect_zx plus what the two
+    absorbed regions cost minus what the current ones cost (the ceiling).
+    `cnot_lower_bound` is at most what any synthesis of a map costs, so a
+    candidate whose effect_zx plus the bounds of its absorbed regions
+    reaches the ceiling has net >= 0 and is skipped before the exact
+    Steiner-Gauss costing. The skip cannot change the output only because
+    acceptance is strict (net < 0); a rule that accepted net == 0 would
+    need the strict skip (>) instead."""
     q = arch.num_qubits
     ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     table = _zx_table(poly, arch)
@@ -146,14 +149,13 @@ def optimize_gauss(
             if zx >= ceiling:
                 continue
             cnot = Cnot(control, target)
-            net = (
-                zx
-                - effect_parity(pl, cnot, "left", arch)
-                - effect_parity(pr, cnot, "right", arch)
-            )
-            if net < 0:
-                pl, poly, pr = _propagate_all(pl, poly, pr, cnot)
-                ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
+            left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
+            if zx + cnot_lower_bound(left) + cnot_lower_bound(right) >= ceiling:
+                continue
+            absorbed = cnot_cost(left, arch) + cnot_cost(right, arch)
+            if zx + absorbed < ceiling:
+                pl, poly, pr = left, propagate_cnot_poly(poly, cnot), right
+                ceiling = absorbed
                 table = _zx_table(poly, arch)
     return pl, poly, pr
 
@@ -174,7 +176,9 @@ def optimize_fast(
         nonlocal pl, poly, pr, table
         for control, target in candidates:
             if table[control][target] < -2 * arch.dist[control][target]:
-                pl, poly, pr = _propagate_all(pl, poly, pr, Cnot(control, target))
+                cnot = Cnot(control, target)
+                pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
+                poly = propagate_cnot_poly(poly, cnot)
                 table = _zx_table(poly, arch)
 
     sweep((cnot.control, cnot.target) for cnot in steiner_gauss(pl, arch))

@@ -256,6 +256,31 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_instance_that_cannot_be_generated_keeps_its_rows(self):
+        # the default max_legs of 4 is out of range for 3 qubits, not for 5
+        grid = {"kind": "random", "qubits": [5, 3], "gadgets": [4], "architectures": ["line"],
+                "algorithms": ["divide_fast", "naive"]}
+        records, failures = run_bench(grid, reps=1, base_seed=0)
+        assert [(r.n_qubits, r.algorithm) for r in records] == [
+            (5, "divide_fast"), (5, "naive"), (3, "divide_fast"), (3, "naive")]
+        assert failures == 2
+        for record in records[:2]:
+            assert record.error == "" and record.verified is True and record.n_pgs == 4
+        for record in records[2:]:
+            assert record.error == "ValueError: max_legs must be in [1, 3], got 4"
+            assert record.cx_out is None and record.verified is None
+            assert (record.n_pgs, record.max_legs, record.architecture) == (4, 4, "line:3")
+
+    def test_maxcut_instance_that_cannot_be_generated_keeps_its_row(self):
+        grid = {"kind": "maxcut", "vertices": [1], "p_edges": [0.5], "layers": [1],
+                "architectures": ["line"]}
+        records, failures = run_bench(grid, reps=1, base_seed=0)
+        assert failures == 1
+        [record] = records
+        assert record.error == "ValueError: need at least two vertices"
+        assert (record.n_qubits, record.n_pgs, record.max_legs) == (1, None, 2)
+        assert records_to_csv(records).splitlines()[1].startswith("1,,2,line:1,divide_fast,0,")
+
     def test_grid_architecture_requires_square(self):
         grid = dict(self.GRID, architectures=["grid"])
         with pytest.raises(ValueError):

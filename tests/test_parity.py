@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
-from conftest import gf2_matmul, random_invertible_map
+from conftest import exact_cnot_counts, gf2_matmul, random_invertible_map
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
 
@@ -168,6 +168,51 @@ def _star(q):
 _WARM = {  # shared by every example
     arch.name: arch for q in range(2, 9) for arch in _topologies(q) + [_star(q)]
 }
+
+
+def _non_unit_rows(m):
+    return sum(row != 1 << i for i, row in enumerate(m.rows))
+
+
+class TestCnotLowerBound:
+    def test_identity_zero(self):
+        for q in range(1, 6):
+            assert zx.cnot_lower_bound(zx.identity_map(q)) == 0
+
+    def test_single_cnot_one(self):
+        for c, t in itertools.permutations(range(4), 2):
+            assert zx.cnot_lower_bound(zx.from_cnots(4, [zx.Cnot(c, t)])) == 1
+
+    def test_rows_and_columns_both_count(self):
+        one_row = zx.ParityMap(3, (0b111, 0b010, 0b100))  # 1 non-unit row, 2 columns
+        one_column = parity._gf2_transpose(one_row)  # 2 non-unit rows, 1 column
+        assert zx.cnot_lower_bound(one_row) == zx.cnot_lower_bound(one_column) == 2
+
+    @pytest.mark.parametrize("arch", [zx.line(3), zx.complete(3), zx.line(4), zx.circle(4)],
+                             ids=lambda arch: arch.name)
+    def test_below_optimum_on_every_map(self, arch):
+        optimum = exact_cnot_counts(arch.num_qubits, sorted(arch.edges))
+        assert len(optimum) == {3: 168, 4: 20160}[arch.num_qubits]
+        tight = 0
+        for rows, count in optimum.items():
+            bound = zx.cnot_lower_bound(zx.ParityMap(arch.num_qubits, rows))
+            assert bound <= count
+            tight += bound == count > 0
+        assert tight
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(n for n, a in _WARM.items() if a.num_qubits <= 6)),
+           st.randoms(use_true_random=False))
+    def test_below_steiner_gauss_after_a_cnot(self, name, rng):
+        arch = _WARM[name]
+        q = arch.num_qubits
+        m = random_invertible_map(rng, q)
+        cnot = zx.Cnot(*rng.sample(range(q), 2))
+        for absorbed in (zx.append_cnot(m, cnot), zx.prepend_cnot(m, cnot)):
+            bound = zx.cnot_lower_bound(absorbed)
+            assert bound <= zx.cnot_cost(absorbed, arch)
+            transpose = parity._gf2_transpose(absorbed)
+            assert bound == max(_non_unit_rows(absorbed), _non_unit_rows(transpose))
 
 
 class TestSequenceMemo:

@@ -189,12 +189,21 @@ class TestOptimizeGauss:
                             pr = zx.prepend_cnot(pr, cnot)
             return pl, poly, pr
 
-        calls = []
-        effect_parity = synth.effect_parity
-        monkeypatch.setattr(synth, "effect_parity",
-                            lambda *args: calls.append(args) or effect_parity(*args))
+        costings = []
+        cnot_cost = synth.cnot_cost
+        monkeypatch.setattr(synth, "cnot_cost",
+                            lambda m, arch: costings.append(m) or cnot_cost(m, arch))
+
+        def exact_costings(bound, pl, poly, pr, arch, expected):
+            """Maps one sweep costs exactly when it skips with `bound`."""
+            monkeypatch.setattr(synth, "cnot_lower_bound", bound)
+            costings.clear()
+            assert zx.optimize_gauss(pl, poly, pr, arch) == expected
+            return len(costings)
+
         rng = random.Random(28)
         pruned_some = False
+        totals = {"bound": 0, "zx_only": 0}
         for _ in range(200):
             q = rng.randint(2, 5)
             arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
@@ -202,11 +211,16 @@ class TestOptimizeGauss:
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
             expected = unpruned(pl, poly, pr, arch)
-            calls.clear()
-            assert zx.optimize_gauss(pl, poly, pr, arch) == expected
-            assert len(calls) <= 2 * q * (q - 1)
-            pruned_some |= len(calls) < 2 * q * (q - 1)
+            args = (pl, poly, pr, arch, expected)
+            bound = exact_costings(parity.cnot_lower_bound, *args)
+            zx_only = exact_costings(lambda m: 0, *args)  # skip on zx >= ceiling alone
+            every = 2 + 2 * q * (q - 1)  # the two current regions, two maps per candidate
+            assert bound <= zx_only <= every
+            pruned_some |= zx_only < every
+            totals["bound"] += bound
+            totals["zx_only"] += zx_only
         assert pruned_some
+        assert totals["bound"] < totals["zx_only"]
 
 
 class TestOptimizeFast:
