@@ -1,11 +1,12 @@
 """Hardware coupling graphs: distances, topologies, and Steiner trees.
 
 An Architecture is an undirected connected graph over qubit indices
-0..num_qubits-1 with an all-pairs hop-count table. Its graph is immutable
-after construction. It is the one owner of every memo of the package, the
-named tables of its `memos` dict, each filled lazily on first use (without
-a lock). A vertex set (a region) is an int mask, bit v for vertex v; -1
-means "anywhere" and is normalized to the full mask (1 << num_qubits) - 1.
+0..num_qubits-1, with `dist` its all-pairs hop-count table. Its graph is
+immutable after construction. It is the one owner of every memo of the
+package, the named tables of its `memos` dict, each filled lazily on first
+use (without a lock). A vertex set (a region) is an int mask, bit v for
+vertex v; -1 means "anywhere" and is normalized to the full mask
+(1 << num_qubits) - 1.
 With n = num_qubits, the tables and their keys are:
 
   * "tree": `terminal_tree` results by terms << n | region (terms the
@@ -14,9 +15,10 @@ With n = num_qubits, the tables and their keys are:
     (terms << n | region) * n + root,
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
-  * "distances": `distances_within` by vertex mask: BFS hop tables inside it,
+  * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
+    the full mask's entry, built first, is `dist`,
   * "sequence": `parity.steiner_gauss` results by the map's rows tuple,
-    which `parity.cnot_cost` also reads,
+    read only through `parity._stored`,
   * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
     additions) by elimination state, the remaining mask and the rows
     packed into one int,
@@ -85,14 +87,14 @@ class Architecture:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = [sorted(ns) for ns in adj]
-        self.dist = [self.bfs(s) for s in range(num_qubits)]
-        if num_qubits > 1 and any(d < 0 for d in self.dist[0]):
-            raise ValueError("architecture graph must be connected")
         self.memos: dict[str, dict] = {
             name: {} for name in (
                 "tree", "rooted", "non_cut", "distances", "sequence", "round", "gather",
             )
         }
+        self.dist = self.distances_within((1 << num_qubits) - 1)
+        if -1 in self.dist[0]:
+            raise ValueError("architecture graph must be connected")
 
     def bfs(self, source: int, allowed: int = -1) -> list[int]:
         """Hop counts from source (-1 if unreachable), moving only through
@@ -328,7 +330,7 @@ def circle(num_qubits: int) -> Architecture:
 
 
 def grid(rows: int, cols: int) -> Architecture:
-    if rows * cols == 0:
+    if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     edges = []
     for r in range(rows):

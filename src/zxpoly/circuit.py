@@ -148,10 +148,9 @@ def _tree_root(arch: Architecture, legs: int) -> int:
     best = None
     for leg in mask_to_legs(legs):
         parent, order = arch.rooted_terminal_tree(legs, leg)
-        depth = {leg: 0}
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        ecc = max(depth.values())
+        ecc, v = 0, order[-1]  # BFS order ends at a deepest vertex
+        while v != leg:
+            ecc, v = ecc + 1, parent[v]
         if best is None or ecc <= best[0]:
             best = (ecc, leg)
     return best[1]
@@ -190,8 +189,6 @@ def lower_regions(regions: list[Region], arch: Architecture) -> Circuit:
     circuit = Circuit(arch.num_qubits)
     for region in regions:
         if isinstance(region, ParityRegion):
-            if region.map.size != arch.num_qubits:
-                raise ValueError("parity region size does not match architecture")
             circuit.extend(steiner_gauss(region.map, arch))
         elif isinstance(region, GadgetRegion):
             if region.poly.num_qubits != arch.num_qubits:

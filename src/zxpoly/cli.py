@@ -65,10 +65,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if arch_spec.endswith(".json"):
         arch_spec = Path(arch_spec).read_text()
     arch = build_architecture(arch_spec)
-    if arch.num_qubits != poly.num_qubits:
-        print(f"error: polynomial has {poly.num_qubits} qubits, architecture "
-              f"{arch.name} has {arch.num_qubits}", file=sys.stderr)
-        return 2
     if args.simplify:
         poly = simplify_poly(poly)
     regions = synthesize(poly, arch, args.mode)

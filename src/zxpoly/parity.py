@@ -12,18 +12,17 @@ organizing each pivot column's elimination along a Steiner tree. Both
 satisfy the replay contract: applying the returned gates in order to the
 identity map reproduces the input bit-for-bit.
 
-`steiner_gauss` skips the identity map and memoizes every other sequence
-in its Architecture's "sequence" memo table (bounded by `memo_put`);
-`cnot_cost` is the length of that sequence, so costing a map and lowering
-it later synthesize it once. Below that, each round of the elimination
+`_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
+checks the map fits, gives () for the identity, else the map's entry in
+the Architecture's "sequence" table (bounded by `memo_put`). On a miss
+`steiner_gauss` synthesizes the map and stores it, so costing a map and
+lowering it later synthesize it once. Below that, each round of the
 greedy is decided once per elimination state, the remaining vertex mask
-and the rows, and kept in the Architecture's "round" table: the four
-variants of one map, and maps that pass through the same state, replay
-the stored round instead of running its trial eliminations again. The
-greedy works on (control, target) int pairs; `Cnot` objects are built
-only for the list `steiner_gauss` returns. Each row step gathers its
-sources onto the pivot with `Architecture.gather`, the tree walk the
-gadget ladders use too.
+and the rows, and kept in the "round" table; fresh and stored rounds are
+applied by one replay. The greedy works on (control, target) int pairs;
+`Cnot` objects are built only for the list `steiner_gauss` returns. Each
+row step gathers its sources onto the pivot with `Architecture.gather`,
+the tree walk the gadget ladders use too.
 """
 
 from __future__ import annotations
@@ -273,11 +272,11 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
 
     A round's choice depends only on its state, the `remaining` mask and
     the rows: eliminated rows and columns are unit vectors and every
-    remaining row has bits only in remaining columns. So each decided
-    round is memoized in the Architecture's "round" table, keyed by one
+    remaining row has bits only in remaining columns. So each round is
+    decided once, memoized in the Architecture's "round" table under one
     int packing both, as the flat tuple (pivot, src, dst, src, dst, ...)
-    of the winning trial's row additions; a hit replays them as row XORs,
-    which reproduces the trial's rows exactly.
+    of the winning trial's row additions; fresh or stored, it is applied by
+    replaying them as row XORs, which reproduces the trial's rows exactly.
     """
     q = m.size
     memo = arch.memos["round"]
@@ -290,38 +289,32 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
             key = key << q | row
         decided = memo.get(key)
         if decided is None:
-            pivot, trial_ops, rows = _decide_round(rows, remaining, arch)
-            memo_put(memo, key, (pivot, *(w for op in trial_ops for w in op)))
-            ops.extend(trial_ops)
-        else:
-            wires = iter(decided)
-            pivot = next(wires)
-            for src, dst in zip(wires, wires):
-                rows[dst] ^= rows[src]
-                ops.append((src, dst))
+            decided = memo_put(memo, key, _decide_round(rows, remaining, arch))
+        wires = iter(decided)
+        pivot = next(wires)
+        for src, dst in zip(wires, wires):
+            rows[dst] ^= rows[src]
+            ops.append((src, dst))
         remaining &= ~(1 << pivot)
     if any(row != 1 << i for i, row in enumerate(rows)):
         raise ValueError("parity map is singular")
     return _cancel_cnots(ops[::-1])
 
 
-def _decide_round(
-    rows: list[int], remaining: int, arch: Architecture
-) -> tuple[int, list[tuple[int, int]], list[int]]:
+def _decide_round(rows: list[int], remaining: int, arch: Architecture) -> tuple[int, ...]:
     """One greedy round: a trial elimination of every non-cut pivot of the
-    remaining graph; returns the winner's (pivot, ops, rows)."""
+    remaining graph; returns the winner as (pivot, src, dst, src, dst, ...)."""
     trials = []
     for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
-        trial_rows = rows[:]
-        trial_ops = _eliminate_vertex(trial_rows, pivot, remaining, arch)
-        trials.append((len(trial_ops), pivot, trial_ops, trial_rows))
+        trial_ops = _eliminate_vertex(rows[:], pivot, remaining, arch)
+        trials.append((len(trial_ops), pivot, trial_ops))
     cheapest = min(t[0] for t in trials)
     tied = [t for t in trials if t[0] == cheapest]
     if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
         structured = _structured(remaining, rows)
         tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
-    _, pivot, trial_ops, trial_rows = tied[0]
-    return pivot, trial_ops, trial_rows
+    _, pivot, trial_ops = tied[0]
+    return (pivot, *(w for op in trial_ops for w in op))
 
 
 def _structured(remaining: int, rows: list[int]) -> list[int]:
@@ -386,36 +379,37 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     Architecture by the map's rows, so a map is synthesized once however
     often it is costed or lowered; each call returns a fresh list.
     """
-    memo = _sequences(m, arch)
-    if m.is_identity():
-        return []
-    cached = memo.get(m.rows)
-    if cached is not None:
-        wires = iter(cached)
-        return [Cnot(control, target) for control, target in zip(wires, wires)]
-    inverse = _gf2_invert(m)
-    transpose = _gf2_transpose(m)
-    inv_transpose = _gf2_transpose(inverse)
-    best: list[tuple[int, int]] | None = None
-    for variant, convert in (
-        (m, lambda seq: seq),
-        (inverse, lambda seq: seq[::-1]),
-        (transpose, lambda seq: [(t, c) for c, t in reversed(seq)]),
-        (inv_transpose, lambda seq: [(t, c) for c, t in seq]),
-    ):
-        candidate = convert(_synthesize_raw(variant, arch))
-        if best is None or len(candidate) < len(best):
-            best = candidate
-    memo_put(memo, m.rows, tuple(w for pair in best for w in pair))
-    return [Cnot(control, target) for control, target in best]
+    wires = _stored(m, arch)
+    if wires is None:
+        wires = memo_put(arch.memos["sequence"], m.rows, _shortest_variant(m, arch))
+    return list(map(Cnot, wires[::2], wires[1::2]))
 
 
-def _sequences(m: ParityMap, arch: Architecture) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The architecture's sequence memo, {rows: flat (control, target) wire
-    pairs}, once the map is checked to fit it."""
+def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
+    """The map's known sequence as flat (control, target) wires: its entry in
+    the architecture's "sequence" memo, () for the identity (never stored),
+    None on a miss. Raises ValueError when the map does not fit the
+    architecture."""
     if m.size != arch.num_qubits:
         raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
-    return arch.memos["sequence"]
+    wires = arch.memos["sequence"].get(m.rows)
+    if wires is None and m.is_identity():
+        return ()
+    return wires
+
+
+def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
+    """The shortest of the four variants' syntheses (the first on a tie),
+    converted back to a sequence for the map, as flat (control, target) wires."""
+    inverse = _gf2_invert(m)
+    best = min(
+        _synthesize_raw(m, arch),
+        _synthesize_raw(inverse, arch)[::-1],
+        [(t, c) for c, t in reversed(_synthesize_raw(_gf2_transpose(m), arch))],
+        [(t, c) for c, t in _synthesize_raw(_gf2_transpose(inverse), arch)],
+        key=len,
+    )
+    return tuple(w for pair in best for w in pair)
 
 
 def cnot_lower_bound(m: ParityMap) -> int:
@@ -439,12 +433,9 @@ def cnot_lower_bound(m: ParityMap) -> int:
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map: 0 for the identity,
-    otherwise the length of its memoized sequence, synthesized on a miss."""
-    memo = _sequences(m, arch)
-    if m.is_identity():
-        return 0
-    cached = memo.get(m.rows)
-    if cached is None:
+    """Number of CNOTs steiner_gauss emits for the map: the length of its
+    known sequence, synthesized by steiner_gauss on a miss."""
+    wires = _stored(m, arch)
+    if wires is None:
         return len(steiner_gauss(m, arch))
-    return len(cached) // 2
+    return len(wires) // 2

@@ -260,12 +260,17 @@ def synthesize(
     (which may be shared with a neighboring run), and splits runs longer
     than two gadgets around a fresh identity parity region. Returns a list
     alternating parity and gadget regions that begins and ends with a
-    parity region and whose total unitary equals the polynomial's.
+    parity region and whose total unitary equals the polynomial's. The
+    polynomial is checked here, against the architecture and by `validate`.
     """
     if mode not in _OPTIMIZERS:
         raise ValueError(f"mode must be one of {sorted(_OPTIMIZERS)}, got {mode!r}")
     if poly.num_qubits != arch.num_qubits:
-        raise ValueError("polynomial and architecture disagree on qubit count")
+        raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
+                         f"qubits, architecture {arch.name} has {arch.num_qubits}")
+    violation = poly.validate()
+    if violation is not None:
+        raise ValueError(f"invalid polynomial: {violation}")
     if len(poly.gadgets) == 0:
         return [ParityRegion(identity_map(arch.num_qubits))]
     optimize = _OPTIMIZERS[mode]

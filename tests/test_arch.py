@@ -50,6 +50,11 @@ class TestBuilders:
         with pytest.raises(ValueError):
             zx.build_architecture("grid:0x3")
 
+    @pytest.mark.parametrize("spec", ["grid:-1x-1", "grid:-2x-2", "grid:0x3", "grid:2x-1"])
+    def test_non_positive_grid_rejected(self, spec):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            zx.build_architecture(spec)
+
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
             zx.build_architecture("torus:4")
@@ -59,7 +64,7 @@ class TestDistances:
     def test_grid_2x3_full_table(self):
         arch = zx.build_architecture("grid:2x3")
         for src in range(6):
-            assert arch.dist[src] == bfs_distances(6, arch.edges, src)
+            assert list(arch.dist[src]) == bfs_distances(6, arch.edges, src)
 
     def test_random_graphs_match_bfs(self):
         rng = random.Random(11)
@@ -68,7 +73,7 @@ class TestDistances:
             edges = random_connected_graph(rng, q)
             arch = zx.Architecture(q, edges)
             for src in range(q):
-                assert arch.dist[src] == bfs_distances(q, edges, src)
+                assert list(arch.dist[src]) == bfs_distances(q, edges, src)
 
     def test_metric_properties(self):
         arch = zx.build_architecture("grid:3x3")

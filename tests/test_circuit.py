@@ -171,6 +171,11 @@ class TestLowerRegions:
         lowered = zx.lower_regions([zx.ParityRegion(m)], arch)
         assert zx.from_cnots(4, lowered.gates) == m
 
+    @pytest.mark.parametrize("rows", [(1, 2, 4), (1, 3, 4)])  # identity, one CNOT
+    def test_parity_region_of_another_size_rejected(self, rows):
+        with pytest.raises(ValueError, match="map size 3 does not match architecture line:2"):
+            zx.lower_regions([zx.ParityRegion(zx.ParityMap(3, rows))], zx.line(2))
+
 
 class TestMetrics:
     def test_cnot_count(self):

@@ -104,6 +104,20 @@ class TestSynthAndVerify:
         assert run_cli("synth", "--in", poly_path, "--arch", "line:5",
                        "--out", tmp_path / "c.qasm") == 2
 
+    def test_arch_size_mismatch_names_both_counts(self, tmp_path, capsys):
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(zx.random_poly(3, 5, 3, seed=6).to_json())
+        assert run_cli("synth", "--in", poly_path, "--arch", "line:5",
+                       "--out", tmp_path / "c.qasm") == 2
+        assert "polynomial has 3 qubits, architecture line:5 has 5" in capsys.readouterr().err
+
+    def test_non_positive_grid_is_an_error(self, tmp_path, capsys):
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(zx.random_poly(1, 3, 1, seed=2).to_json())
+        assert run_cli("synth", "--in", poly_path, "--arch", "grid:-1x-1",
+                       "--out", tmp_path / "c.qasm") == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_explicit_arch_file(self, tmp_path):
         arch_path = tmp_path / "arch.json"
         arch_path.write_text(json.dumps({"qubits": 3, "edges": [[0, 1], [1, 2]]}))

@@ -1,0 +1,64 @@
+"""Golden output: the exact gates emitted for fixed simplified instances.
+
+Each case pins the first 16 hex digits of the SHA-256 of the lowered
+circuit's gate text (`cx{c},{t}`, `rz{q}:{phase}`, `rx{q}:{phase}`, joined
+by spaces, the perfbench format) and its CNOT count. A change meant to
+leave the output bit-for-bit identical must pass unchanged; a change that
+sets out to alter the output updates these constants and records the new
+ones in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+import zxpoly as zx
+
+
+def gate_text(circuit: zx.Circuit) -> str:
+    parts = []
+    for gate in circuit.gates:
+        if isinstance(gate, zx.Cnot):
+            parts.append(f"cx{gate.control},{gate.target}")
+        else:
+            kind = "rz" if isinstance(gate, zx.Rz) else "rx"
+            parts.append(f"{kind}{gate.qubit}:{gate.phase}")
+    return " ".join(parts)
+
+
+def _random(q, n, legs, seed):
+    return lambda: zx.random_poly(q, n, legs, seed)
+
+
+def _qaoa(seed):
+    return lambda: zx.maxcut_qaoa(8, 0.5, 2, seed)
+
+
+# (label, polynomial factory, architecture, mode, digest, CNOT count)
+CASES = [
+    ("rand4-s1", _random(4, 30, 4, 1), "line:4", "gauss", "6d6b9f1feefdf2e2", 51),
+    ("rand4-s1", _random(4, 30, 4, 1), "circle:4", "gauss", "5daaf7e5cc0e16c7", 30),
+    ("rand4-s1", _random(4, 30, 4, 1), "complete:4", "gauss", "01363219800e58d1", 20),
+    ("rand4-s2", _random(4, 30, 4, 2), "line:4", "gauss", "1ea6ccf2a3af66a5", 53),
+    ("rand4-s2", _random(4, 30, 4, 2), "circle:4", "gauss", "eee64f7779a8b7af", 41),
+    ("rand4-s2", _random(4, 30, 4, 2), "complete:4", "gauss", "8702dd8af580daa4", 29),
+    ("rand9-s3", _random(9, 12, 4, 3), "grid:3x3", "fast", "265ae252676e17ab", 62),
+    ("rand9-s3", _random(9, 12, 4, 3), "line:9", "fast", "be9a648f3898640d", 104),
+    ("qaoa8-s5", _qaoa(5), "line:8", "gauss", "0b087e88248efc74", 264),
+    ("qaoa8-s5", _qaoa(5), "grid:2x4", "gauss", "20d95a88def2c339", 144),
+    ("qaoa8-s5", _qaoa(5), "line:8", "fast", "0b087e88248efc74", 264),
+    ("qaoa8-s5", _qaoa(5), "grid:2x4", "fast", "20d95a88def2c339", 144),
+]
+
+
+@pytest.mark.parametrize(
+    "make, arch_spec, mode, digest, cx",
+    [case[1:] for case in CASES],
+    ids=[f"{label}-{arch}-{mode}" for label, _, arch, mode, _, _ in CASES],
+)
+def test_output_is_unchanged(make, arch_spec, mode, digest, cx):
+    arch = zx.build_architecture(arch_spec)
+    poly = zx.simplify(make())
+    circuit = zx.lower_regions(zx.synthesize(poly, arch, mode), arch)
+    assert zx.cnot_count(circuit) == cx
+    assert hashlib.sha256(gate_text(circuit).encode()).hexdigest()[:16] == digest

@@ -386,6 +386,19 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             zx.synthesize(zx.ZXPolynomial(3), zx.line(2))
 
+    def test_size_mismatch_names_both_counts(self):
+        with pytest.raises(ValueError, match="polynomial has 3 qubits, architecture line:2 has 2"):
+            zx.synthesize(zx.ZXPolynomial(3), zx.line(2))
+
+    @pytest.mark.parametrize("mode", ["fast", "gauss"])
+    @pytest.mark.parametrize("legs, problem",
+                             [(0, "empty leg set"), (0b1001, "leg 3 out of range")])
+    def test_invalid_polynomial_is_reported_as_such(self, mode, legs, problem):
+        bad = zx.PhaseGadget("Z", legs, PH(1, 4))
+        poly = zx.ZXPolynomial(3, (zx.PhaseGadget.z([0, 1], PH(1, 4)), bad))
+        with pytest.raises(ValueError, match=f"^invalid polynomial: gadget 1: {problem}"):
+            zx.synthesize(poly, zx.line(3), mode)
+
     def test_alternation_and_unitary(self):
         rng = random.Random(25)
         for _ in range(40):
