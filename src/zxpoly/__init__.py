@@ -4,8 +4,8 @@ circuits.
 A quantum circuit is modeled as a ZX polynomial (an ordered run of Z/X
 phase gadgets, optionally flanked by GF(2) parity maps), simplified by
 exact peephole rewriting, and lowered to a CNOT+RZ/RX circuit that only
-uses the coupling edges of a target architecture. A dense-unitary oracle
-verifies every stage at small qubit counts.
+uses the coupling edges of a target architecture. `sim.verify` proves each
+output with an exact certificate, or a dense-unitary oracle at small sizes.
 """
 
 from .arch import Architecture, build_architecture, circle, complete, grid, line

@@ -12,8 +12,8 @@ A sweep grid is a JSON object like
 (for kind "maxcut" use "vertices", "p_edges" and "layers" lists instead of
 "qubits"/"gadgets"/"max_legs"). Repetition r of a grid point uses seed
 base_seed + r, so runs are reproducible; the wall-time column is the only
-non-deterministic output. Every instance with few enough qubits is checked
-against the dense oracle. A failure does not abort the sweep: an instance
+non-deterministic output. Every output is checked by `sim.verify`, and its
+`method` is recorded. A failure does not abort the sweep: an instance
 that raises, while it is generated or compiled, keeps its row, with the
 exception in the `error` column and the measurement columns left empty.
 """
@@ -33,8 +33,6 @@ from .poly import ZXPolynomial
 from .simplify import simplify
 from .synth import synthesize
 
-VERIFY_MAX_QUBITS = 8
-
 ALGORITHMS = ("divide_fast", "divide_gauss", "naive")
 
 
@@ -50,12 +48,13 @@ class BenchRecord:
     cx_out: int | None = None
     reduction_pct: float | None = None
     time_s: float | None = None
-    verified: bool | None = None  # None when the oracle check was skipped
+    verified: bool | None = None  # None when not checked, or checked but unproven
+    method: str = ""  # the sim.verify method, "" when not checked
     error: str = ""  # "Type: message" of the exception the instance raised
 
 CSV_HEADER = [
     "n_qubits", "n_pgs", "max_legs", "architecture", "algorithm",
-    "seed", "cx_naive", "cx_out", "reduction_pct", "time_s", "verified", "error",
+    "seed", "cx_naive", "cx_out", "reduction_pct", "time_s", "verified", "method", "error",
 ]
 
 
@@ -78,8 +77,9 @@ def run_instance(
     arch: Architecture,
     algorithm: str,
     verify: bool,
-) -> tuple[int, int, float, float, bool | None, Circuit]:
-    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, verified, circuit).
+) -> tuple[int, int, float, float, tuple[str, bool, object] | None, Circuit]:
+    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, check, circuit),
+    where check is the `sim.verify` triple, or None without `verify`.
 
     The time covers everything that produces the output circuit, simplify included.
     """
@@ -93,12 +93,8 @@ def run_instance(
     cx_out = cnot_count(circuit)
     cx_naive = cx_out if algorithm == "naive" else cnot_count(naive_poly_circuit(poly, arch))
     reduction_pct = reduction(cx_naive, cx_out) if cx_naive else 0.0
-    verified: bool | None = None
-    if verify and poly.num_qubits <= VERIFY_MAX_QUBITS:
-        verified = sim.equal_up_to_global_phase(
-            sim.poly_unitary(poly), sim.circuit_unitary(circuit), tol=1e-9
-        )
-    return cx_naive, cx_out, reduction_pct, elapsed, verified, circuit
+    check = sim.verify(poly, circuit, arch) if verify else None
+    return cx_naive, cx_out, reduction_pct, elapsed, check, circuit
 
 
 # (key, element type) of each grid kind's required sweep lists, then of the optional ones
@@ -192,7 +188,10 @@ def run_bench(
                     poly = _instance(point, seed)
                     record.n_pgs = len(poly.gadgets)
                     (record.cx_naive, record.cx_out, record.reduction_pct, record.time_s,
-                     record.verified, _) = run_instance(poly, arch, algorithm, verify)
+                     check, _) = run_instance(poly, arch, algorithm, verify)
+                    if check is not None:
+                        record.method, ok, _ = check
+                        record.verified = None if record.method == "unproven" else ok
                 except Exception as exc:
                     record.error = f"{type(exc).__name__}: {exc}"
                 if record.error or record.verified is False:
@@ -213,7 +212,7 @@ def records_to_csv(records: list[BenchRecord]) -> str:
         writer.writerow([
             r.n_qubits, r.n_pgs, r.max_legs, r.architecture, r.algorithm,
             r.seed, r.cx_naive, r.cx_out, _fixed(r.reduction_pct, 4), _fixed(r.time_s, 6),
-            r.verified, r.error,
+            r.verified, r.method, r.error,
         ])
     return buf.getvalue()
 

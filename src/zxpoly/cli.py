@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,14 +78,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    poly = _load_poly(args.poly)
-    circuit = _load_circuit(args.circuit)
-    if circuit.num_qubits != poly.num_qubits:
-        print("error: qubit counts differ", file=sys.stderr)
-        return 2
-    residual = sim.global_phase_residual(sim.poly_unitary(poly), sim.circuit_unitary(circuit))
-    ok = residual < args.tol
-    print(f"{'PASS' if ok else 'FAIL'} residual={residual:.3e} tol={args.tol:.1e}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    method, ok, detail = sim.verify(_load_poly(args.poly), _load_circuit(args.circuit),
+                                    tol=args.tol)
+    verdict = "PASS" if ok else "UNPROVEN" if method == "unproven" else "FAIL"
+    residual = f" residual={detail:.3e} tol={args.tol:.1e}" if method == "oracle" else ""
+    print(f"{verdict} method={method}{residual}")
     return 0 if ok else 1
 
 
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", default="-")
     ben.add_argument("--no-verify", action="store_true",
-                     help="skip per-instance oracle checks")
+                     help="skip per-instance output checks")
     ben.set_defaults(func=_cmd_bench)
     return parser
 

@@ -1,10 +1,10 @@
-"""Dense-unitary oracle for desk-scale correctness checks.
+"""Output verification: an exact certificate first, a dense-unitary oracle after.
 
-Builds exact 2^q x 2^q unitaries for gadgets, polynomials, circuits, parity
-maps and region lists so rewrite rules and the synthesis pipeline can be
-verified numerically. Qubit j is the j-th least significant bit of the
-basis-state index. Capped at 12 qubits; this module is an oracle, not a
-simulator.
+`verify` is the one check that a circuit implements a polynomial. The oracle
+builds exact 2^q x 2^q unitaries for gadgets, polynomials, circuits, parity
+maps and region lists, so rewrite rules can be checked numerically too. Qubit
+j is the j-th least significant bit of the basis-state index. It is capped at
+12 qubits: above that, an output without a certificate is unproven.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from math import cos, sin
 
 import numpy as np
 
+from .arch import Architecture
 from .circuit import Circuit, Rx, Rz
 from .parity import ParityMap
 from .poly import PhaseGadget, ZXPolynomial
 from .rules import Cnot
+from .simplify import simplify
 from .synth import GadgetRegion, ParityRegion, Region
 
 MAX_QUBITS = 12
@@ -100,7 +102,6 @@ def gadget_unitary(gadget: PhaseGadget, num_qubits: int) -> np.ndarray:
 
 
 def poly_unitary(poly: ZXPolynomial) -> np.ndarray:
-    _check_size(poly.num_qubits)
     mat = identity_unitary(poly.num_qubits)
     for gadget in poly.gadgets:
         mat = _apply_gadget(mat, gadget, poly.num_qubits)
@@ -109,7 +110,6 @@ def poly_unitary(poly: ZXPolynomial) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Unitary of a gate list; temporal order left to right."""
-    _check_size(circuit.num_qubits)
     mat = identity_unitary(circuit.num_qubits)
     for gate in circuit.gates:
         if isinstance(gate, Cnot):
@@ -170,3 +170,39 @@ def global_phase_residual(a: np.ndarray, b: np.ndarray) -> float:
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     """True when the global-phase residual of the pair is below tol."""
     return global_phase_residual(a, b) < tol
+
+
+def verify(
+    poly: ZXPolynomial, circuit: Circuit, arch: Architecture | None = None, tol: float = 1e-9
+) -> tuple[str, bool, object]:
+    """Check that the circuit implements the polynomial; returns (method, ok, detail).
+
+    The first rule that applies decides. "edges", not ok: a CNOT, the detail, is
+    not a coupling edge of `arch`. "certificate", ok: with P the CNOT map so far,
+    an Rz on wire w is the Z gadget on row w of P, an Rx the X gadget on column w
+    of P^-1; P ends as I, and `simplify` cancels the polynomial against those
+    gadgets' inverse (Amy, arXiv:1805.06908). "oracle" up to MAX_QUBITS: ok iff
+    the residual, the detail, is below tol. Else "unproven", never ok.
+    """
+    q = poly.num_qubits
+    if circuit.num_qubits != q:
+        raise ValueError(f"polynomial has {q} qubits, circuit has {circuit.num_qubits}")
+    identity = [1 << i for i in range(q)]
+    rows, cols, undo = list(identity), list(identity), []  # P by rows, P^-1 by columns
+    for gate in circuit.gates:
+        if isinstance(gate, Cnot):
+            if arch is not None and not arch.is_edge(gate.control, gate.target):
+                return "edges", False, gate
+            rows[gate.target] ^= rows[gate.control]
+            cols[gate.control] ^= cols[gate.target]
+        elif isinstance(gate, Rz):
+            undo.append(PhaseGadget("Z", rows[gate.qubit], -gate.phase))
+        else:
+            undo.append(PhaseGadget("X", cols[gate.qubit], -gate.phase))
+    undone = ZXPolynomial(q, poly.gadgets + tuple(reversed(undo)))
+    if rows == identity and not simplify(undone).gadgets:
+        return "certificate", True, None
+    if q > MAX_QUBITS:
+        return "unproven", False, None
+    residual = global_phase_residual(poly_unitary(poly), circuit_unitary(circuit))
+    return "oracle", residual < tol, residual

@@ -13,6 +13,20 @@ from itertools import combinations
 import zxpoly as zx
 
 
+def star(q: int) -> zx.Architecture:
+    return zx.Architecture(q, [(0, v) for v in range(1, q)], name=f"star:{q}")
+
+
+# one connected coupling graph of each family on any q >= 2 qubits
+ARCH_FAMILIES = {
+    "line": zx.line,
+    "circle": zx.circle,
+    "complete": zx.complete,
+    "grid": lambda q: zx.grid(2, q // 2) if q % 2 == 0 else zx.grid(1, q),
+    "star": star,
+}
+
+
 def random_gadget(rng: random.Random, q: int, max_legs: int | None = None) -> zx.PhaseGadget:
     basis = "Z" if rng.random() < 0.5 else "X"
     count = rng.randint(1, max_legs or q)

@@ -296,6 +296,7 @@ def test_criterion_7_table2_spot_check():
     }
     records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED, verify=True)
     assert failures == 0
+    assert all(r.verified for r in records)
     reduction = mean(r.reduction_pct for r in records)
     ok = abs(reduction - TABLE2_FAST_Q9) <= TABLE1_BAND_PP
     _report(7, ok, f"fast@q9 grid {reduction:.2f}% (target {TABLE2_FAST_Q9}+-{TABLE1_BAND_PP})")

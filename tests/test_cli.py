@@ -173,6 +173,11 @@ class TestSynthAndVerify:
             circ_path.write_text(json.dumps(circuit))
             assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2, circuit
             assert "error:" in capsys.readouterr().err, circuit
+        circ_path.write_text(zx.circuit_to_json(zx.Circuit(2, [])))
+        for tol in ("nan", "inf", "0", "-1e-9"):
+            assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
+                           f"--tol={tol}") == 2, tol
+            assert "error:" in capsys.readouterr().err, tol
 
 
 class TestBench:
@@ -228,11 +233,13 @@ class TestBench:
         for record, row in zip(records, rows, strict=True):
             if record.algorithm == "naive":
                 assert record.error == "" and record.verified is True
-                assert (row["verified"], row["error"]) == ("True", "")
+                assert (row["verified"], row["method"], row["error"]) == (
+                    "True", "certificate", "")
             else:
                 assert record.error == "RuntimeError: boom"
                 assert record.cx_out is None and record.verified is None
-                assert (row["cx_out"], row["verified"], row["error"]) == ("", "", record.error)
+                assert (row["cx_out"], row["verified"], row["method"], row["error"]) == (
+                    "", "", "", record.error)
 
     @pytest.mark.parametrize("grid", [
         {"kind": "random"},

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
-from conftest import exact_cnot_counts, random_invertible_map, random_zx_poly
+from conftest import ARCH_FAMILIES, exact_cnot_counts, random_invertible_map, random_zx_poly, star
 
 PH = zx.Phase
 
@@ -40,23 +40,10 @@ class TestEffectZx:
         assert zx.effect_zx(poly, zx.Cnot(1, 2), zx.line(3)) == 0
 
 
-def _star(q):
-    return zx.Architecture(q, [(0, v) for v in range(1, q)], name=f"star:{q}")
-
-
-_TABLE_ARCHS = {
-    "line": zx.line,
-    "circle": zx.circle,
-    "complete": zx.complete,
-    "grid": lambda q: zx.grid(2, q // 2) if q % 2 == 0 else zx.grid(1, q),
-    "star": _star,
-}
-
-
 @st.composite
 def _table_cases(draw):
     q = draw(st.integers(2, 8))
-    arch = _TABLE_ARCHS[draw(st.sampled_from(sorted(_TABLE_ARCHS)))](q)
+    arch = ARCH_FAMILIES[draw(st.sampled_from(sorted(ARCH_FAMILIES)))](q)
     legs = st.one_of(st.integers(0, q - 1).map(lambda v: 1 << v), st.integers(1, (1 << q) - 1))
     gadgets = draw(st.lists(
         st.builds(zx.PhaseGadget, st.sampled_from("ZX"), legs, st.integers(1, 7).map(PH)),
@@ -275,7 +262,7 @@ class TestOptimizeFast:
         accepted = 0
         for _ in range(240):
             q = rng.randint(2, 6)
-            arch = [zx.line(q), zx.circle(q), zx.complete(q), _star(q)][rng.randrange(4)]
+            arch = [zx.line(q), zx.circle(q), zx.complete(q), star(q)][rng.randrange(4)]
             poly = random_zx_poly(rng, q, rng.randint(0, 10))
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
