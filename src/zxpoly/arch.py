@@ -34,7 +34,8 @@ ladder are both built from it.
 Determinism conventions used throughout:
   * among equal-length shortest paths the lexicographically smallest vertex
     sequence is chosen,
-  * Kruskal edges are sorted by (weight, u, v),
+  * metric-closure edges are ordered by (distance, u, v), u < v, so the
+    minimum spanning tree over them is unique,
   * tree traversals visit children in ascending index order.
 
 Steiner trees are approximated by the minimum spanning tree of the terminal
@@ -250,30 +251,17 @@ class Architecture:
         return cached
 
     def _terminal_tree_uncached(self, terms: list[int], region: int) -> tuple[TreeEdges, int]:
-        if len(terms) == 1:
-            return (), 0
-        # Metric closure distances between terminals.
+        # Prim over the metric closure, grown from the smallest terminal:
+        # best[t] is the least (distance, u, v) key of an edge from the tree
+        # to t. Keys are distinct, so the spanning tree is unique.
         dist = self.distances_within(region)
-        metric = sorted(
-            (dist[u][v], u, v) for i, u in enumerate(terms) for v in terms[i + 1:]
-        )
-        # Kruskal over the metric closure.
-        parent = {t: t for t in terms}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        best = {t: (dist[terms[0]][t], terms[0], t) for t in terms[1:]}
         chosen: list[tuple[int, int]] = []
-        for _, u, v in metric:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append((u, v))
-                if len(chosen) == len(terms) - 1:
-                    break
+        while best:
+            t = min(best, key=best.__getitem__)
+            chosen.append(best.pop(t)[1:])
+            for s in best:
+                best[s] = min(best[s], (dist[t][s], min(t, s), max(t, s)))
         # Expand metric edges into concrete paths; the union may have cycles.
         union_edges: set[tuple[int, int]] = set()
         for u, v in chosen:
@@ -356,6 +344,9 @@ def build_architecture(spec: str | dict) -> Architecture:
     """
     if isinstance(spec, dict):
         try:
+            for e in spec["edges"]:
+                if not isinstance(e, (list, tuple)) or len(e) != 2:
+                    raise ValueError(f"malformed architecture JSON: edge {e!r} does not have two vertices")
             edges = [tuple(json_int(v, "edge vertex") for v in e) for e in spec["edges"]]
             return Architecture(json_int(spec["qubits"], "qubit count"), edges)
         except (KeyError, TypeError) as exc:

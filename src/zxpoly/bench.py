@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -133,32 +134,23 @@ def _check_grid(grid) -> None:
 def _grid_points(grid: dict):
     _check_grid(grid)
     kind = grid.get("kind", "random")
-    arch_names = grid.get("architectures", ["complete"])
     algorithms = grid.get("algorithms", ["divide_fast"])
     for algo in algorithms:
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
-    if kind == "random":
-        for q in grid["qubits"]:
-            for n in grid["gadgets"]:
-                for arch_name in arch_names:
-                    yield {"kind": kind, "qubits": q, "gadgets": n,
-                           "max_legs": grid.get("max_legs", 4),
-                           "arch": arch_name, "algorithms": algorithms}
-    else:
-        for v in grid["vertices"]:
-            for p in grid["p_edges"]:
-                for layers in grid["layers"]:
-                    for arch_name in arch_names:
-                        yield {"kind": kind, "qubits": v, "p_edge": p,
-                               "layers": layers, "max_legs": 2, "arch": arch_name,
-                               "algorithms": algorithms}
+    keys = [key for key, _ in _SWEEP_LISTS[kind]]
+    max_legs = grid.get("max_legs", 4) if kind == "random" else 2
+    lists = [grid[key] for key in keys] + [grid.get("architectures", ["complete"])]
+    for *values, arch_name in itertools.product(*lists):
+        # the first list, qubits or vertices, is the qubit count
+        yield {"kind": kind, **dict(zip(keys, values)), "qubits": values[0],
+               "max_legs": max_legs, "arch": arch_name, "algorithms": algorithms}
 
 
 def _instance(point: dict, seed: int) -> ZXPolynomial:
     if point["kind"] == "random":
         return random_poly(point["qubits"], point["gadgets"], point["max_legs"], seed)
-    return maxcut_qaoa(point["qubits"], point["p_edge"], point["layers"], seed)
+    return maxcut_qaoa(point["vertices"], point["p_edges"], point["layers"], seed)
 
 
 def run_bench(

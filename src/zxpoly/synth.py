@@ -41,10 +41,8 @@ from .rules import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParityRegion:
-    """Holder for a parity map; shared by the two gadget runs it separates."""
-
     map: ParityMap
 
 
@@ -192,22 +190,10 @@ def score(a: PhaseGadget, b: PhaseGadget, num_qubits: int) -> int:
     """Leg-affinity score between two gadgets, basis ignored.
 
     Per wire: +1 when both gadgets have a leg, -1 when exactly one does,
-    -1 when neither does. Bounded by num_qubits in absolute value.
+    -1 when neither does; summed, that is 2 * both - num_qubits. Bounded by
+    num_qubits in absolute value.
     """
-    both = (a.legs & b.legs).bit_count()
-    either = (a.legs | b.legs).bit_count()
-    mismatch = either - both
-    neither = num_qubits - either
-    return both - mismatch - neither
-
-
-def _legal_swap(
-    first: PhaseGadget, second: PhaseGadget
-) -> tuple[PhaseGadget, PhaseGadget] | None:
-    """Swap an adjacent pair if commuting (free) or via the pi rule."""
-    if commutes(first, second):
-        return second, first
-    return pi_commute_swap(first, second)
+    return 2 * (a.legs & b.legs).bit_count() - num_qubits
 
 
 def regroup(poly: ZXPolynomial) -> ZXPolynomial:
@@ -227,7 +213,8 @@ def regroup(poly: ZXPolynomial) -> ZXPolynomial:
         while nxt < n and score(gadgets[prev], gadgets[cur], q) < score(
             gadgets[prev], gadgets[nxt], q
         ):
-            swapped = _legal_swap(gadgets[cur], gadgets[nxt])
+            first, second = gadgets[cur], gadgets[nxt]
+            swapped = (second, first) if commutes(first, second) else pi_commute_swap(first, second)
             if swapped is None:
                 break
             gadgets[cur], gadgets[nxt] = swapped
@@ -256,12 +243,14 @@ def synthesize(
     """Divide-and-conquer synthesis into an alternating region list.
 
     Starts from [I, poly, I]; every recursion step regroups its gadget run,
-    runs one optimizer sweep against the run's flanking parity regions
-    (which may be shared with a neighboring run), and splits runs longer
-    than two gadgets around a fresh identity parity region. Returns a list
-    alternating parity and gadget regions that begins and ends with a
-    parity region and whose total unitary equals the polynomial's. The
-    polynomial is checked here, against the architecture and by `validate`.
+    runs one optimizer sweep against the run's two flanking parity maps,
+    and splits runs longer than two gadgets around a fresh identity map.
+    A step returns its flanking maps as its sweeps left them: the head's
+    final right map is the map the tail starts from, and a map becomes a
+    ParityRegion once its last sweep is done. Returns a list alternating
+    parity and gadget regions that begins and ends with a parity region and
+    whose total unitary equals the polynomial's. The polynomial is checked
+    here, against the architecture and by `validate`.
     """
     if mode not in _OPTIMIZERS:
         raise ValueError(f"mode must be one of {sorted(_OPTIMIZERS)}, got {mode!r}")
@@ -271,22 +260,21 @@ def synthesize(
     violation = poly.validate()
     if violation is not None:
         raise ValueError(f"invalid polynomial: {violation}")
+    identity = identity_map(arch.num_qubits)
     if len(poly.gadgets) == 0:
-        return [ParityRegion(identity_map(arch.num_qubits))]
+        return [ParityRegion(identity)]
     optimize = _OPTIMIZERS[mode]
-    left = ParityRegion(identity_map(arch.num_qubits))
-    right = ParityRegion(identity_map(arch.num_qubits))
 
-    def descend(pl: ParityRegion, run: ZXPolynomial, pr: ParityRegion) -> list[Region]:
-        run = regroup(run)
-        pl.map, run, pr.map = optimize(pl.map, run, pr.map, arch)
+    def descend(
+        pl: ParityMap, run: ZXPolynomial, pr: ParityMap
+    ) -> tuple[ParityMap, list[Region], ParityMap]:
+        pl, run, pr = optimize(pl, regroup(run), pr, arch)
         if len(run.gadgets) <= 2:
-            return [GadgetRegion(run)]
+            return pl, [GadgetRegion(run)], pr
         head, tail = split(run)
-        middle = ParityRegion(identity_map(arch.num_qubits))
-        left_part = descend(pl, head, middle)
-        right_part = descend(middle, tail, pr)
-        return left_part + [middle] + right_part
+        pl, left_part, middle = descend(pl, head, identity)
+        middle, right_part, pr = descend(middle, tail, pr)
+        return pl, left_part + [ParityRegion(middle)] + right_part, pr
 
-    inner = descend(left, poly, right)
-    return [left] + inner + [right]
+    pl, inner, pr = descend(identity, poly, identity)
+    return [ParityRegion(pl)] + inner + [ParityRegion(pr)]

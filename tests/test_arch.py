@@ -6,7 +6,8 @@ import pytest
 
 import zxpoly as zx
 from zxpoly.arch import rooted_tree
-from conftest import bfs_distances, exact_steiner_weight, random_connected_graph
+from zxpoly.poly import mask_to_legs
+from conftest import bfs_distances, exact_steiner_weight, random_connected_graph, star
 
 
 class TestBuilders:
@@ -102,7 +103,63 @@ class TestShortestPath:
                 arch.shortest_path(u, v, allowed=0b11110)
 
 
+def _kruskal_tree(arch, terms, region):
+    """The terminal tree as Kruskal builds it: the reference for the Prim
+    builder, which must find the same unique spanning tree."""
+    if len(terms) == 1:
+        return (), 0
+    dist = arch.distances_within(region)
+    metric = sorted((dist[u][v], u, v) for i, u in enumerate(terms) for v in terms[i + 1:])
+    parent = {t: t for t in terms}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for _, u, v in metric:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append((u, v))
+            if len(chosen) == len(terms) - 1:
+                break
+    union_edges = set()
+    for u, v in chosen:
+        path = arch.shortest_path(u, v, region)
+        for a, b in zip(path, path[1:]):
+            union_edges.add((min(a, b), max(a, b)))
+    up, order = rooted_tree(union_edges, terms[0])
+    tree_edges = sorted((min(v, up[v]), max(v, up[v])) for v in order[1:])
+    return tuple(tree_edges), len(tree_edges)
+
+
+def _tree_or_error(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestTerminalTree:
+    def test_prim_matches_kruskal_reference(self):
+        pairs = errors = 0
+        for arch in (zx.line(6), zx.circle(6), zx.grid(2, 3), zx.complete(5), star(6)):
+            for region in range(1, 1 << arch.num_qubits):
+                for terms_mask in range(1, region + 1):
+                    if terms_mask & ~region:
+                        continue
+                    terms = mask_to_legs(terms_mask)
+                    expected = _tree_or_error(_kruskal_tree, arch, terms, region)
+                    assert _tree_or_error(arch.terminal_tree, terms, region) == expected, \
+                        (arch.name, terms, region)
+                    pairs += 1
+                    errors += isinstance(expected, str)
+        # every (terminal set, region) pair, disconnected regions included
+        assert pairs == 4 * (3 ** 6 - 2 ** 6) + 3 ** 5 - 2 ** 5 and errors > 0
+
     def test_line5_three_terminals(self):
         arch = zx.build_architecture("line:5")
         edges, weight = arch.terminal_tree([0, 2, 4])

@@ -141,6 +141,14 @@ class TestSynthAndVerify:
             assert run_cli("synth", "--in", poly_path, "--arch", arch,
                            "--out", tmp_path / "c.qasm") == 2, arch
             assert "error:" in capsys.readouterr().err, arch
+        for arch, edge in (('{"qubits": 3, "edges": [[0, 1, 2]]}', "[0, 1, 2]"),
+                           ('{"qubits": 2, "edges": [[0]]}', "[0]"),
+                           ('{"qubits": 2, "edges": [5]}', "5")):
+            capsys.readouterr()
+            assert run_cli("synth", "--in", poly_path, "--arch", arch,
+                           "--out", tmp_path / "c.qasm") == 2, arch
+            assert (f"error: malformed architecture JSON: edge {edge} does not have two vertices"
+                    in capsys.readouterr().err), arch
         zero_denominator = tmp_path / "zero_denominator.json"
         zero_denominator.write_text(json.dumps(
             {"qubits": 2, "gadgets": [{"basis": "Z", "legs": [0, 1], "phase": "1/0"}]}))

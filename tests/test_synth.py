@@ -1,5 +1,6 @@
 """Cost model, greedy CNOT extraction, regrouping, divide and conquer."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -291,6 +292,15 @@ class TestScore:
         # an empty fourth wire counts -1
         assert zx.score(a, b, 4) == -2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda q: st.tuples(
+        st.just(q), st.integers(1, (1 << q) - 1), st.integers(1, (1 << q) - 1))))
+    def test_two_shared_legs_minus_the_wires(self, case):
+        q, a_legs, b_legs = case
+        a, b = zx.PhaseGadget("Z", a_legs, PH(1, 4)), zx.PhaseGadget("X", b_legs, PH(1, 4))
+        per_wire = sum(1 if a_legs >> w & 1 and b_legs >> w & 1 else -1 for w in range(q))
+        assert zx.score(a, b, q) == per_wire == 2 * (a_legs & b_legs).bit_count() - q
+
 
 class TestRegroup:
     def test_already_grouped_unchanged(self):
@@ -364,6 +374,15 @@ class TestSynthesize:
         assert isinstance(regions[0], zx.ParityRegion)
         assert isinstance(regions[1], zx.GadgetRegion)
         assert isinstance(regions[2], zx.ParityRegion)
+
+    @pytest.mark.parametrize("mode", ["fast", "gauss"])
+    def test_regions_are_frozen_and_distinct(self, mode):
+        poly = random_zx_poly(random.Random(26), 4, 12, 3)
+        regions = zx.synthesize(poly, zx.line(4), mode)
+        assert len(regions) > 3
+        assert len({id(region) for region in regions}) == len(regions)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            regions[0].map = identity_map(4)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
