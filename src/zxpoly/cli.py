@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import circuit as circ
 from . import sim
-from .arch import build_architecture
+from .arch import Architecture, build_architecture
 from .bench import records_to_csv, run_bench
 from .generators import maxcut_qaoa, random_poly
 from .poly import ZXPolynomial
@@ -45,6 +45,10 @@ def _load_circuit(path: str) -> circ.Circuit:
     return circ.circuit_from_json(text)
 
 
+def _load_arch(spec: str) -> Architecture:
+    return build_architecture(Path(spec).read_text() if spec.endswith(".json") else spec)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.maxcut:
         poly = maxcut_qaoa(args.vertices, args.p_edge, args.layers, args.seed)
@@ -62,10 +66,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     poly = _load_poly(args.infile)
-    arch_spec = args.arch
-    if arch_spec.endswith(".json"):
-        arch_spec = Path(arch_spec).read_text()
-    arch = build_architecture(arch_spec)
+    arch = _load_arch(args.arch)
     if args.simplify:
         poly = simplify_poly(poly)
     regions = synthesize(poly, arch, args.mode)
@@ -80,11 +81,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    method, ok, detail = sim.verify(_load_poly(args.poly), _load_circuit(args.circuit),
-                                    tol=args.tol)
+    arch = None if args.arch is None else _load_arch(args.arch)
+    method, ok, detail = sim.verify(_load_poly(args.poly), _load_circuit(args.circuit), arch,
+                                    args.tol)
     verdict = "PASS" if ok else "UNPROVEN" if method == "unproven" else "FAIL"
-    residual = f" residual={detail:.3e} tol={args.tol:.1e}" if method == "oracle" else ""
-    print(f"{verdict} method={method}{residual}")
+    note = ""
+    if method == "oracle":
+        note = f" residual={detail:.3e} tol={args.tol:.1e}"
+    elif method == "edges":
+        note = f" cx={detail.control},{detail.target}"
+    print(f"{verdict} method={method}{note}")
     return 0 if ok else 1
 
 
@@ -125,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     syn = sub.add_parser("synth", help="synthesize a polynomial onto an architecture")
     syn.add_argument("--in", dest="infile", required=True)
-    syn.add_argument("--arch", required=True,
-                     help="descriptor like line:4, grid:3x3, complete:5, or a JSON graph file")
+    arch_help = "descriptor like line:4, grid:3x3, complete:5, or a JSON graph file"
+    syn.add_argument("--arch", required=True, help=arch_help)
     syn.add_argument("--mode", choices=("fast", "gauss"), default="fast")
     syn.add_argument("--format", choices=("qasm", "json"), default="qasm")
     syn.add_argument("--no-simplify", dest="simplify", action="store_false",
@@ -138,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--poly", required=True)
     ver.add_argument("--circuit", required=True)
     ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--arch", help=arch_help + "; every CNOT must be one of its coupling edges")
     ver.set_defaults(func=_cmd_verify)
 
     ben = sub.add_parser("bench", help="run a benchmark sweep to CSV")

@@ -390,12 +390,16 @@ def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
     the architecture's "sequence" memo, () for the identity (never stored),
     None on a miss. Raises ValueError when the map does not fit the
     architecture."""
-    if m.size != arch.num_qubits:
-        raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
+    _check_size(m, arch)
     wires = arch.memos["sequence"].get(m.rows)
     if wires is None and m.is_identity():
         return ()
     return wires
+
+
+def _check_size(m: ParityMap, arch: Architecture) -> None:
+    if m.size != arch.num_qubits:
+        raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
 
 
 def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
@@ -412,24 +416,48 @@ def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
     return tuple(w for pair in best for w in pair)
 
 
-def cnot_lower_bound(m: ParityMap) -> int:
-    """Fewest CNOTs any sequence for the map can have, on any architecture:
-    the larger of its rows and its columns that are not unit vectors.
+def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
+    """Fewest CNOTs any sequence of coupling-edge gates for the map can have:
+    max(r, c, 2D - min(r, c)), where r and c count the rows and columns that
+    are not unit vectors and D is the largest `arch.dist[i][j]` over the
+    off-diagonal bits (i, j), the farthest hop from a wire to an input its
+    parity holds (0 for the identity). Raises ValueError when the map does
+    not fit the architecture.
 
     Appending a CNOT changes one row and prepending one changes one column,
     so a sequence of k gates leaves at least q - k of each untouched. Column
     j is a unit column when row j has bit j and no other row does.
+
+    The relay term: x_j reaches row i only along coupling edges, through a
+    time-ordered chain of gates, and every hop targets a wire; the chain
+    passes a wire at each hop distance 1, ..., D - 1 from j, so at least
+    D - 1 relays, none of them i, are targeted.
+    A wire targeted exactly once ends as its own unit plus the control's
+    row, which is never zero, so it cannot end as a unit row. Of those
+    relays at most r - 1 end non-unit (row i is non-unit and not a relay);
+    every non-unit row is targeted at least once and every unit relay at
+    least twice, so the sequence has at least r + 2 * max(0, D - r) gates.
+    A sequence for the transpose is the same gates reversed with control
+    and target exchanged, on the same distances, which gives the same with c.
     """
-    rows = off_diagonal = diagonal = 0
+    _check_size(m, arch)
+    rows = off_diagonal = diagonal = reach = 0
     bit = 1  # the diagonal bit of the current row
-    for row in m.rows:
+    for dist, row in zip(arch.dist, m.rows):
         if row != bit:
             rows += 1
-            off_diagonal |= row & ~bit
+            off = row & ~bit
+            off_diagonal |= off
+            while off:
+                low = off & -off
+                hops = dist[low.bit_length() - 1]
+                if hops > reach:
+                    reach = hops
+                off ^= low
         diagonal |= row & bit
         bit <<= 1
     columns = (off_diagonal | (bit - 1) & ~diagonal).bit_count()
-    return rows if rows > columns else columns
+    return max(rows, columns, 2 * reach - min(rows, columns))
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:

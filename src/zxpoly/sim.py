@@ -187,6 +187,9 @@ def verify(
     q = poly.num_qubits
     if circuit.num_qubits != q:
         raise ValueError(f"polynomial has {q} qubits, circuit has {circuit.num_qubits}")
+    if arch is not None and arch.num_qubits != q:
+        raise ValueError(f"polynomial has {q} qubits, architecture {arch.name} "
+                         f"has {arch.num_qubits}")
     identity = [1 << i for i in range(q)]
     rows, cols, undo = list(identity), list(identity), []  # P by rows, P^-1 by columns
     for gate in circuit.gates:

@@ -20,9 +20,11 @@ accept (accepts are rare next to the q(q-1) candidates of a sweep);
 `effect_zx` stays the one-candidate definition the table must equal.
 
 `optimize_gauss` prices a candidate's parity regions exactly (Steiner-Gauss
-through `cnot_cost`) only when `cnot_lower_bound`, a row/column count that
-no CNOT sequence for a map can beat, leaves room for a strict decrease;
-a skipped candidate has net >= 0 and would have been rejected, so the skip
+through `cnot_cost`) only when `cnot_lower_bound` leaves room for a strict
+decrease. That bound, max(r, c, 2D - min(r, c)) over the non-unit rows r,
+the non-unit columns c and the farthest hop D from a wire to an input its
+parity holds, is one no coupling-edge CNOT sequence for the map can beat; a
+skipped candidate has net >= 0 and would have been rejected, so the skip
 never changes the output.
 """
 
@@ -130,12 +132,13 @@ def optimize_gauss(
     Every candidate's effect_zx is read from one `_zx_table`, rebuilt only
     after an accept. A candidate's net is effect_zx plus what the two
     absorbed regions cost minus what the current ones cost (the ceiling).
-    `cnot_lower_bound` is at most what any synthesis of a map costs, so a
-    candidate whose effect_zx plus the bounds of its absorbed regions
-    reaches the ceiling has net >= 0 and is skipped before the exact
-    Steiner-Gauss costing. The skip cannot change the output only because
-    acceptance is strict (net < 0); a rule that accepted net == 0 would
-    need the strict skip (>) instead."""
+    `cnot_lower_bound`, which counts the non-unit rows and columns and the
+    relays a parity needs to cross the coupling graph, is at most what any
+    synthesis of a map on `arch` costs, so a candidate whose effect_zx plus
+    the bounds of its absorbed regions reaches the ceiling has net >= 0 and
+    is skipped before the exact Steiner-Gauss costing. The skip cannot
+    change the output only because acceptance is strict (net < 0); a rule
+    that accepted net == 0 would need the strict skip (>) instead."""
     q = arch.num_qubits
     ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     table = _zx_table(poly, arch)
@@ -148,7 +151,7 @@ def optimize_gauss(
                 continue
             cnot = Cnot(control, target)
             left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-            if zx + cnot_lower_bound(left) + cnot_lower_bound(right) >= ceiling:
+            if zx + cnot_lower_bound(left, arch) + cnot_lower_bound(right, arch) >= ceiling:
                 continue
             absorbed = cnot_cost(left, arch) + cnot_cost(right, arch)
             if zx + absorbed < ceiling:

@@ -113,6 +113,15 @@ def exact_cnot_counts(num_qubits: int, edges) -> dict[tuple[int, ...], int]:
     return counts
 
 
+def row_column_bound(m: zx.ParityMap) -> int:
+    """The architecture-blind CNOT lower bound: the larger of the map's
+    non-unit rows and non-unit columns (a gate changes one of each)."""
+    q = m.size
+    columns = [sum((m.rows[j] >> i & 1) << j for j in range(q)) for i in range(q)]
+    return max(sum(row != 1 << i for i, row in enumerate(vectors))
+               for vectors in (m.rows, columns))
+
+
 def gf2_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     n = len(a)
     return [

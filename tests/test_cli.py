@@ -67,6 +67,30 @@ class TestSynthAndVerify:
                        "--mode", "gauss", "--out", circ_path) == 0
         assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 0
 
+    def test_verify_checks_edges_of_the_given_arch(self, tmp_path, capsys):
+        poly_path = tmp_path / "poly.json"
+        circ_path = tmp_path / "circ.qasm"
+        graph_path = tmp_path / "line4.json"
+        poly_path.write_text(zx.random_poly(4, 8, 4, seed=3).to_json())
+        graph_path.write_text(json.dumps({"qubits": 4, "edges": [[0, 1], [1, 2], [2, 3]]}))
+        assert run_cli("synth", "--in", poly_path, "--arch", "complete:4",
+                       "--out", circ_path) == 0
+        off_line = next(g for g in zx.from_qasm(circ_path.read_text()).gates
+                        if isinstance(g, zx.Cnot) and abs(g.control - g.target) > 1)
+        capsys.readouterr()
+        for arch in ("complete:4", None):
+            extra = () if arch is None else ("--arch", arch)
+            assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path, *extra) == 0
+            assert capsys.readouterr().out == "PASS method=certificate\n"
+        for arch in ("line:4", graph_path):
+            assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
+                           "--arch", arch) == 1
+            assert capsys.readouterr().out == (
+                f"FAIL method=edges cx={off_line.control},{off_line.target}\n")
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
+                       "--arch", "line:5") == 2
+        assert "architecture line:5 has 5" in capsys.readouterr().err
+
     def test_verify_fails_on_wrong_circuit(self, tmp_path):
         poly_path = tmp_path / "poly.json"
         circ_path = tmp_path / "circ.qasm"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
-from conftest import exact_cnot_counts, gf2_matmul, random_invertible_map
+from conftest import exact_cnot_counts, gf2_matmul, random_invertible_map, row_column_bound, star
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
 
@@ -170,35 +170,60 @@ _WARM = {  # shared by every example
 }
 
 
-def _non_unit_rows(m):
-    return sum(row != 1 << i for i, row in enumerate(m.rows))
+def _relay_bound(m, arch):
+    """max(r, c, 2D - min(r, c)) spelled out: non-unit rows r and columns c,
+    D the farthest hop from a wire to an input its parity holds."""
+    q = m.size
+    columns = parity._gf2_transpose(m).rows
+    r = sum(row != 1 << i for i, row in enumerate(m.rows))
+    c = sum(col != 1 << i for i, col in enumerate(columns))
+    reach = max((arch.dist[i][j] for i in range(q) for j in range(q)
+                 if i != j and m.rows[i] >> j & 1), default=0)
+    return max(r, c, 2 * reach - min(r, c))
 
 
 class TestCnotLowerBound:
     def test_identity_zero(self):
         for q in range(1, 6):
-            assert zx.cnot_lower_bound(zx.identity_map(q)) == 0
+            assert zx.cnot_lower_bound(zx.identity_map(q), zx.line(q)) == 0
 
     def test_single_cnot_one(self):
         for c, t in itertools.permutations(range(4), 2):
-            assert zx.cnot_lower_bound(zx.from_cnots(4, [zx.Cnot(c, t)])) == 1
+            assert zx.cnot_lower_bound(zx.from_cnots(4, [zx.Cnot(c, t)]), zx.complete(4)) == 1
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_single_cnot_pays_its_relays(self, d):
+        m = zx.from_cnots(8, [zx.Cnot(0, d)])
+        assert zx.cnot_lower_bound(m, zx.line(8)) == 2 * d - 1
+        assert zx.cnot_lower_bound(m, zx.complete(8)) == 1
 
     def test_rows_and_columns_both_count(self):
         one_row = zx.ParityMap(3, (0b111, 0b010, 0b100))  # 1 non-unit row, 2 columns
         one_column = parity._gf2_transpose(one_row)  # 2 non-unit rows, 1 column
-        assert zx.cnot_lower_bound(one_row) == zx.cnot_lower_bound(one_column) == 2
+        arch = zx.complete(3)
+        assert zx.cnot_lower_bound(one_row, arch) == zx.cnot_lower_bound(one_column, arch) == 2
 
-    @pytest.mark.parametrize("arch", [zx.line(3), zx.complete(3), zx.line(4), zx.circle(4)],
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match architecture line:4"):
+            zx.cnot_lower_bound(zx.identity_map(3), zx.line(4))
+
+    @pytest.mark.parametrize("arch", [zx.line(3), zx.complete(3), zx.circle(3), zx.line(4),
+                                      zx.circle(4), zx.complete(4), star(4)],
                              ids=lambda arch: arch.name)
     def test_below_optimum_on_every_map(self, arch):
         optimum = exact_cnot_counts(arch.num_qubits, sorted(arch.edges))
         assert len(optimum) == {3: 168, 4: 20160}[arch.num_qubits]
-        tight = 0
+        tight = relayed = 0
         for rows, count in optimum.items():
-            bound = zx.cnot_lower_bound(zx.ParityMap(arch.num_qubits, rows))
-            assert bound <= count
+            m = zx.ParityMap(arch.num_qubits, rows)
+            bound = zx.cnot_lower_bound(m, arch)
+            old = row_column_bound(m)
+            assert old <= bound <= count
             tight += bound == count > 0
+            relayed += bound > old
         assert tight
+        # the relay term only bites where some pair of wires is 2 or more hops apart
+        assert (relayed > 0) == (max(map(max, arch.dist)) >= 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(sorted(n for n, a in _WARM.items() if a.num_qubits <= 6)),
@@ -209,10 +234,9 @@ class TestCnotLowerBound:
         m = random_invertible_map(rng, q)
         cnot = zx.Cnot(*rng.sample(range(q), 2))
         for absorbed in (zx.append_cnot(m, cnot), zx.prepend_cnot(m, cnot)):
-            bound = zx.cnot_lower_bound(absorbed)
+            bound = zx.cnot_lower_bound(absorbed, arch)
             assert bound <= zx.cnot_cost(absorbed, arch)
-            transpose = parity._gf2_transpose(absorbed)
-            assert bound == max(_non_unit_rows(absorbed), _non_unit_rows(transpose))
+            assert bound == _relay_bound(absorbed, arch)
 
 
 class TestSequenceMemo:

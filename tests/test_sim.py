@@ -173,6 +173,8 @@ class TestVerify:
     def test_qubit_counts_must_match(self):
         with pytest.raises(ValueError, match="polynomial has 2 qubits, circuit has 3"):
             sim.verify(zx.ZXPolynomial(2, ()), zx.Circuit(3, []))
+        with pytest.raises(ValueError, match="polynomial has 2 qubits, architecture line:3 has 3"):
+            sim.verify(zx.ZXPolynomial(2, ()), zx.Circuit(2, []), zx.line(3))
 
     def test_uncertified_falls_back_to_the_oracle(self):
         # the gadgets equal the CNOT, but the CNOT map is not the identity

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
-from conftest import ARCH_FAMILIES, exact_cnot_counts, random_invertible_map, random_zx_poly, star
+from conftest import (
+    ARCH_FAMILIES, exact_cnot_counts, random_invertible_map, random_zx_poly, row_column_bound, star,
+)
 
 PH = zx.Phase
 
@@ -160,55 +162,83 @@ class TestOptimizeGauss:
             u_after = sim.parity_unitary(pr) @ sim.poly_unitary(out) @ sim.parity_unitary(pl)
             assert sim.equal_up_to_global_phase(u_before, u_after, 1e-9)
 
-    def test_prune_matches_unpruned_sweep(self, monkeypatch):
-        def unpruned(pl, poly, pr, arch):
-            for control in range(arch.num_qubits):
-                for target in range(arch.num_qubits):
-                    if control != target:
-                        cnot = zx.Cnot(control, target)
-                        net = (
-                            zx.effect_zx(poly, cnot, arch)
-                            - zx.effect_parity(pl, cnot, "left", arch)
-                            - zx.effect_parity(pr, cnot, "right", arch)
-                        )
-                        if net < 0:
-                            pl = zx.append_cnot(pl, cnot)
-                            poly = zx.propagate_cnot_poly(poly, cnot)
-                            pr = zx.prepend_cnot(pr, cnot)
-            return pl, poly, pr
+    @staticmethod
+    def _unpruned(pl, poly, pr, arch):
+        """The sweep by its definition: every candidate priced exactly."""
+        for control in range(arch.num_qubits):
+            for target in range(arch.num_qubits):
+                if control != target:
+                    cnot = zx.Cnot(control, target)
+                    net = (
+                        zx.effect_zx(poly, cnot, arch)
+                        - zx.effect_parity(pl, cnot, "left", arch)
+                        - zx.effect_parity(pr, cnot, "right", arch)
+                    )
+                    if net < 0:
+                        pl = zx.append_cnot(pl, cnot)
+                        poly = zx.propagate_cnot_poly(poly, cnot)
+                        pr = zx.prepend_cnot(pr, cnot)
+        return pl, poly, pr
 
+    @pytest.fixture
+    def exact_costings(self, monkeypatch):
+        """Maps one sweep costs exactly when it skips with `bound`; the sweep
+        must still return `expected`."""
         costings = []
         cnot_cost = synth.cnot_cost
         monkeypatch.setattr(synth, "cnot_cost",
                             lambda m, arch: costings.append(m) or cnot_cost(m, arch))
 
-        def exact_costings(bound, pl, poly, pr, arch, expected):
-            """Maps one sweep costs exactly when it skips with `bound`."""
+        def count(bound, pl, poly, pr, arch, expected):
             monkeypatch.setattr(synth, "cnot_lower_bound", bound)
             costings.clear()
             assert zx.optimize_gauss(pl, poly, pr, arch) == expected
             return len(costings)
+        return count
 
+    def test_prune_matches_unpruned_sweep(self, exact_costings):
         rng = random.Random(28)
         pruned_some = False
-        totals = {"bound": 0, "zx_only": 0}
+        totals = {"bound": 0, "row_column": 0, "zx_only": 0}
         for _ in range(200):
             q = rng.randint(2, 5)
             arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
             poly = random_zx_poly(rng, q, rng.randint(0, 8))
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
-            expected = unpruned(pl, poly, pr, arch)
-            args = (pl, poly, pr, arch, expected)
+            args = (pl, poly, pr, arch, self._unpruned(pl, poly, pr, arch))
             bound = exact_costings(parity.cnot_lower_bound, *args)
-            zx_only = exact_costings(lambda m: 0, *args)  # skip on zx >= ceiling alone
+            row_column = exact_costings(lambda m, arch: row_column_bound(m), *args)
+            zx_only = exact_costings(lambda m, arch: 0, *args)  # skip on zx >= ceiling alone
             every = 2 + 2 * q * (q - 1)  # the two current regions, two maps per candidate
-            assert bound <= zx_only <= every
+            assert bound <= row_column <= zx_only <= every
             pruned_some |= zx_only < every
             totals["bound"] += bound
+            totals["row_column"] += row_column
             totals["zx_only"] += zx_only
         assert pruned_some
-        assert totals["bound"] < totals["zx_only"]
+        assert totals["bound"] < totals["row_column"] < totals["zx_only"]
+
+    @pytest.mark.parametrize("arch", [zx.line(8), zx.circle(8), zx.grid(2, 4)],
+                             ids=lambda arch: arch.name)
+    def test_qaoa_candidates_rejected_before_costing(self, arch, exact_costings, monkeypatch):
+        # every gauss sweep of a MaxCut synthesis, as the recursion makes it
+        sweeps = []
+        optimize = synth.optimize_gauss
+        monkeypatch.setitem(synth._OPTIMIZERS, "gauss",
+                            lambda *args: sweeps.append(args) or optimize(*args))
+        for layers in (1, 2, 3):
+            for seed in range(3):
+                zx.synthesize(zx.maxcut_qaoa(8, 0.5, layers, seed), arch, "gauss")
+        identity = identity_map(8)
+        for args in sweeps:
+            # a candidate C(c, t) must save more than the 2(2d - 1) the bound
+            # charges each identity flank; none does, so only the flanks are
+            # costed exactly, and none would have been accepted
+            assert args[0] == args[2] == identity
+            expected = self._unpruned(*args)
+            assert expected == args[:3]
+            assert exact_costings(parity.cnot_lower_bound, *args, expected) == 2
 
 
 class TestOptimizeFast:
