@@ -10,7 +10,9 @@ vertex v; -1 means "anywhere" and is normalized to the full mask
 With n = num_qubits, the tables and their keys are:
 
   * "tree": `terminal_tree` results by terms << n | region (terms the
-    terminal mask); `tree_weight` reads the full-region entries,
+    terminal mask),
+  * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
+    by u * n + v (u < v); `tree_weight` reads only these,
   * "rooted": `rooted_terminal_tree`, those trees rooted at a terminal, by
     (terms << n | region) * n + root,
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
@@ -22,7 +24,9 @@ With n = num_qubits, the tables and their keys are:
   * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
     additions) by elimination state, the remaining mask and the rows
     packed into one int,
-  * "gather": `gather` op tuples by terms * n + root.
+  * "gather": `gather` op tuples by terms * n + root,
+  * "zx": `synth._zx_table`'s (control, target, delta) triples of one
+    gadget, flattened, by legs << 1 | (basis == "X").
 
 Every table is filled through `memo_put`, which holds at most MEMO_CAP
 entries and evicts the oldest first.
@@ -49,7 +53,7 @@ import json
 from collections import deque
 from typing import Iterable
 
-from .poly import json_int, mask_to_legs
+from .poly import json_int, legs_to_mask, mask_to_legs
 
 TreeEdges = tuple[tuple[int, int], ...]
 # (parent of each vertex, -1 off the tree; the tree's vertices in BFS order)
@@ -90,7 +94,8 @@ class Architecture:
         self.adj = [sorted(ns) for ns in adj]
         self.memos: dict[str, dict] = {
             name: {} for name in (
-                "tree", "rooted", "non_cut", "distances", "sequence", "round", "gather",
+                "tree", "span", "rooted", "non_cut", "distances", "sequence", "round", "gather",
+                "zx",
             )
         }
         self.dist = self.distances_within((1 << num_qubits) - 1)
@@ -125,6 +130,9 @@ class Architecture:
     def shortest_path(self, u: int, v: int, allowed: int = -1) -> list[int]:
         """Lexicographically smallest shortest path from u to v (inclusive),
         moving only through the `allowed` vertex mask (-1: anywhere)."""
+        for w in (u, v):
+            if not 0 <= w < self.num_qubits:
+                raise ValueError(f"vertex {w} out of range")
         dist_to_v = self.distances_within(self._region(allowed))[v]
         if dist_to_v is None or dist_to_v[u] < 0:
             raise ValueError(f"no path from {u} to {v}")
@@ -163,12 +171,32 @@ class Architecture:
         return cached
 
     def tree_weight(self, legs: int) -> int:
-        """Weight of the terminal tree over the wires set in the `legs` bitmask."""
-        everywhere = (1 << self.num_qubits) - 1
-        cached = self.memos["tree"].get(legs << self.num_qubits | everywhere)
-        if cached is None:
-            cached = self.terminal_tree(mask_to_legs(legs), everywhere)
-        return cached[1]
+        """Weight of the terminal tree over the wires set in the `legs`
+        bitmask: `terminal_tree(mask_to_legs(legs))[1]`, without building
+        the tree's edges.
+
+        That tree is the union U of the shortest paths along the metric
+        closure's Prim edges, pruned by a BFS from the smallest terminal.
+        The Prim edges span the terminals and each path joins its edge's
+        two ends, so U is connected, and the BFS tree of a connected graph
+        has one edge per vertex but its root. So the weight is |V(U)| - 1, where V(U)
+        is the terminals together with the vertices of those paths: the OR
+        of `legs` and each edge's "span" mask.
+        """
+        terms = mask_to_legs(legs)
+        n = self.num_qubits
+        if not terms:
+            raise ValueError("terminal set must be non-empty")
+        if terms[-1] >= n:
+            raise ValueError(f"terminal {terms[-1]} out of range")
+        spans = self.memos["span"]
+        covered = legs
+        for u, v in self._prim(terms, self.dist):
+            span = spans.get(u * n + v)
+            if span is None:
+                span = memo_put(spans, u * n + v, legs_to_mask(self.shortest_path(u, v)))
+            covered |= span
+        return covered.bit_count() - 1
 
     def rooted_terminal_tree(self, terms: int, root: int, allowed: int = -1) -> RootedTree:
         """`rooted_tree` of the terminal tree over the `terms` mask, rooted at
@@ -177,12 +205,15 @@ class Architecture:
 
         Returns (parent, order): parent[v] is v's parent (the root's is
         itself, -1 off the tree) and order is the tree's BFS vertex order.
+        Raises ValueError when `root` is not in `terms`.
         """
         q = self.num_qubits
         allowed = self._region(allowed)
         key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
         cached = self.memos["rooted"].get(key)
         if cached is None:
+            if not (0 <= root < q and terms >> root & 1):
+                raise ValueError(f"root {root} is not a terminal")
             edges, _ = self.terminal_tree(mask_to_legs(terms), allowed)
             up, order = rooted_tree(edges, root)
             parent = tuple(up.get(v, -1) for v in range(q))
@@ -199,7 +230,8 @@ class Architecture:
         more, so its own row cancels; a subtree holding no terminal is
         skipped. Afterwards the root row holds the XOR of the terminal rows,
         and replaying the ops that do not target the root in reverse
-        restores every other row.
+        restores every other row. Raises ValueError when `root` is not in
+        `terms`.
         """
         key = terms * self.num_qubits + root
         cached = self.memos["gather"].get(key)
@@ -250,11 +282,13 @@ class Architecture:
             ))
         return cached
 
-    def _terminal_tree_uncached(self, terms: list[int], region: int) -> tuple[TreeEdges, int]:
-        # Prim over the metric closure, grown from the smallest terminal:
-        # best[t] is the least (distance, u, v) key of an edge from the tree
-        # to t. Keys are distinct, so the spanning tree is unique.
-        dist = self.distances_within(region)
+    @staticmethod
+    def _prim(terms: list[int], dist) -> list[tuple[int, int]]:
+        """Edges (u, v), u < v, of the metric closure's minimum spanning
+        tree over the ascending `terms`, with `dist` the hop table. Prim,
+        grown from the smallest terminal: best[t] is the least (distance,
+        u, v) key of an edge from the tree to t. Keys are distinct, so the
+        spanning tree is unique."""
         best = {t: (dist[terms[0]][t], terms[0], t) for t in terms[1:]}
         chosen: list[tuple[int, int]] = []
         while best:
@@ -262,9 +296,12 @@ class Architecture:
             chosen.append(best.pop(t)[1:])
             for s in best:
                 best[s] = min(best[s], (dist[t][s], min(t, s), max(t, s)))
+        return chosen
+
+    def _terminal_tree_uncached(self, terms: list[int], region: int) -> tuple[TreeEdges, int]:
         # Expand metric edges into concrete paths; the union may have cycles.
         union_edges: set[tuple[int, int]] = set()
-        for u, v in chosen:
+        for u, v in self._prim(terms, self.distances_within(region)):
             path = self.shortest_path(u, v, region)
             for a, b in zip(path, path[1:]):
                 union_edges.add((min(a, b), max(a, b)))

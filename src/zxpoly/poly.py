@@ -99,7 +99,10 @@ def json_int(value, what: str) -> int:
 
 
 def mask_to_legs(mask: int) -> list[int]:
-    """Indices of the set bits of a mask, ascending."""
+    """Indices of the set bits of a non-negative mask, ascending; a
+    negative mask, which has infinitely many set bits, raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     legs = []
     while mask:
         low = mask & -mask

@@ -17,7 +17,11 @@ which is exactly "the total emitted-CNOT estimate strictly decreases".
 Both sweeps read every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
 accept (accepts are rare next to the q(q-1) candidates of a sweep);
-`effect_zx` stays the one-candidate definition the table must equal.
+`effect_zx` stays the one-candidate definition the table must equal. The
+table sums one row of nonzero effects per gadget, and a row depends only
+on the gadget's legs and basis, so it is computed once per Architecture
+(its "zx" memo) and reused at every recursion level, in every QAOA layer
+and after every accept.
 
 `optimize_gauss` prices a candidate's parity regions exactly (Steiner-Gauss
 through `cnot_cost`) only when `cnot_lower_bound` leaves room for a strict
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arch import Architecture
+from .arch import Architecture, memo_put
 from .parity import (
     ParityMap, append_cnot, cnot_cost, cnot_lower_bound, identity_map, prepend_cnot, steiner_gauss,
 )
@@ -76,30 +80,50 @@ def _zx_table(poly: ZXPolynomial, arch: Architecture) -> list[list[int]]:
     """`effect_zx` of every ordered pair at once: table[c][t] is
     effect_zx(poly, Cnot(c, t), arch), and the diagonal is 0.
 
-    One pass over the run: a gadget's cost changes by the same delta for
-    every CNOT that toggles wire v, and such a CNOT acts only when its
-    tested wire is another leg of the gadget. So each gadget reads its own
-    tree weight once and the weight with wire v toggled once per wire,
-    never an empty mask, and adds the delta to each (tested, toggled) pair
-    turned into (control, target) by `tested_toggled`.
+    The sum over the run of each gadget's `_gadget_effects`, which depend
+    only on its legs, its basis and the architecture and so are looked up
+    in the architecture's "zx" table.
     """
     q = arch.num_qubits
     table = [[0] * q for _ in range(q)]
+    rows = arch.memos["zx"]
     for gadget in poly.gadgets:
-        legs = gadget.legs
-        wires = mask_to_legs(legs)
-        base = arch.tree_weight(legs)
-        for v in range(q):
-            toggled_legs = legs ^ 1 << v
-            if not toggled_legs:
-                continue
-            delta = 2 * (arch.tree_weight(toggled_legs) - base)
-            if delta:
-                for t in wires:
-                    if t != v:
-                        control, target = tested_toggled(gadget.basis, t, v)
-                        table[control][target] += delta
+        key = gadget.legs << 1 | (gadget.basis == "X")
+        effects = rows.get(key)
+        if effects is None:
+            effects = memo_put(rows, key, _gadget_effects(gadget, arch))
+        it = iter(effects)
+        for control, target, delta in zip(it, it, it):
+            table[control][target] += delta
     return table
+
+
+def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
+    """One gadget's nonzero `effect_zx` entries as flat (control, target,
+    delta) triples.
+
+    The gadget's cost changes by the same delta for every CNOT that toggles
+    wire v, and such a CNOT acts only when its tested wire is another leg
+    of the gadget. So the gadget reads its own tree weight once and the
+    weight with wire v toggled once per wire, never an empty mask, and
+    gives the delta to each (tested, toggled) pair turned into (control,
+    target) by `tested_toggled`.
+    """
+    legs = gadget.legs
+    wires = mask_to_legs(legs)
+    base = arch.tree_weight(legs)
+    effects: list[int] = []
+    for v in range(arch.num_qubits):
+        toggled_legs = legs ^ 1 << v
+        if not toggled_legs:
+            continue
+        delta = 2 * (arch.tree_weight(toggled_legs) - base)
+        if delta:
+            for t in wires:
+                if t != v:
+                    effects.extend(tested_toggled(gadget.basis, t, v))
+                    effects.append(delta)
+    return tuple(effects)
 
 
 def effect_parity(m: ParityMap, cnot: Cnot, side: str, arch: Architecture) -> int:

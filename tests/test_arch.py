@@ -102,6 +102,11 @@ class TestShortestPath:
             with pytest.raises(ValueError, match=f"no path from {u} to {v}"):
                 arch.shortest_path(u, v, allowed=0b11110)
 
+    @pytest.mark.parametrize("u, v, bad", [(0, 7, 7), (4, 1, 4), (-1, 2, -1), (2, -3, -3)])
+    def test_vertex_out_of_range_rejected(self, u, v, bad):
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            zx.line(4).shortest_path(u, v)
+
 
 def _kruskal_tree(arch, terms, region):
     """The terminal tree as Kruskal builds it: the reference for the Prim
@@ -208,6 +213,62 @@ class TestTerminalTree:
             assert all(dist[t] >= 0 for t in terminals)
             exact = exact_steiner_weight(arch, terminals)
             assert exact <= weight <= 2 * max(exact, 1)
+
+
+WEIGHT_GRAPHS = {
+    "line:8": lambda: zx.line(8),
+    "circle:8": lambda: zx.circle(8),
+    "grid:2x4": lambda: zx.grid(2, 4),
+    "complete:6": lambda: zx.complete(6),
+    "star:6": lambda: star(6),
+    "grid:3x4": lambda: zx.grid(3, 4),
+}
+
+
+class TestTreeWeight:
+    @pytest.mark.parametrize("build", WEIGHT_GRAPHS.values(), ids=WEIGHT_GRAPHS.keys())
+    def test_matches_terminal_tree_on_every_mask(self, build):
+        reference, arch = build(), build()
+        masks = range(1, 1 << arch.num_qubits)
+        expected = [reference.terminal_tree(mask_to_legs(m))[1] for m in masks]
+        assert [arch.tree_weight(m) for m in masks] == expected  # fresh
+        assert not arch.memos["tree"]
+        for warm in (arch, reference):  # spans filled; trees filled
+            assert [warm.tree_weight(m) for m in masks] == expected, warm.name
+
+    @pytest.mark.parametrize("legs, message", [
+        (0, "terminal set must be non-empty"),
+        (-1, "negative mask -1"),
+        (-6, "negative mask -6"),
+        (1 << 4, "terminal 4 out of range"),
+        (0b100011, "terminal 5 out of range"),
+    ])
+    def test_bad_masks_rejected(self, legs, message):
+        with pytest.raises(ValueError, match=message):
+            zx.line(4).tree_weight(legs)
+
+
+class TestMaskChecks:
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="negative mask -1"):
+            mask_to_legs(-1)
+
+    @pytest.mark.parametrize("root", [0, 3])
+    def test_negative_terms_rejected(self, root):
+        arch = zx.line(4)
+        with pytest.raises(ValueError, match="negative mask -1"):
+            arch.gather(-1, root)
+        with pytest.raises(ValueError, match="negative mask -1"):
+            arch.rooted_terminal_tree(-1, root)
+
+    @pytest.mark.parametrize("root", [3, 2, 7, -1])
+    def test_root_outside_terms_rejected(self, root):
+        arch = zx.line(4)
+        with pytest.raises(ValueError, match=f"root {root} is not a terminal"):
+            arch.gather(0b011, root)
+        with pytest.raises(ValueError, match=f"root {root} is not a terminal"):
+            arch.rooted_terminal_tree(0b011, root)
+        assert not arch.memos["gather"] and not arch.memos["rooted"]
 
 
 def _star(q):

@@ -75,6 +75,22 @@ class TestZxTable:
     def test_empty_run_is_all_zero(self):
         assert synth._zx_table(zx.ZXPolynomial(3), zx.line(3)) == [[0] * 3 for _ in range(3)]
 
+    def test_warm_table_equals_cold_for_shared_legs(self):
+        # A Z and an X gadget on the same legs have transposed rows (line:4,
+        # legs {0, 2}), so the "zx" memo must tell the two bases apart.
+        z, x = (zx.PhaseGadget(basis, 0b0101, PH(1, 4)) for basis in "ZX")
+        polys = [zx.ZXPolynomial(4, gadgets) for gadgets in ((z,), (x,), (z, x), (x, z, x))]
+        cold = [synth._zx_table(poly, zx.line(4)) for poly in polys]
+        assert cold[0] != cold[1]
+        for poly, table in zip(polys, cold):
+            assert table == [[zx.effect_zx(poly, zx.Cnot(c, t), zx.line(4)) if c != t else 0
+                              for t in range(4)] for c in range(4)]
+        for order in (polys, polys[::-1]):
+            arch = zx.line(4)
+            warm = {poly: synth._zx_table(poly, arch) for poly in order}
+            assert [warm[poly] for poly in polys] == cold
+        assert len(arch.memos["zx"]) == 2
+
     def test_orientation_by_basis(self):
         # On line:3 a leg on wire 2 costs one more edge. A Z gadget on {0,1}
         # gains it from CNOT(2,1) (tests wire 1), an X gadget from CNOT(1,2).
@@ -493,6 +509,6 @@ class TestCostMemo:
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
         arch = zx.complete(6)
         assert gates(arch) == uncapped
-        assert len(arch.memos) == 7
+        assert len(arch.memos) == 9
         for name, memo in arch.memos.items():
             assert len(memo) <= 8, name
