@@ -7,14 +7,14 @@ package, the named tables of its `memos` dict, each filled lazily on first
 use (without a lock). A vertex set (a region) is an int mask, bit v for
 vertex v; -1 means "anywhere" and is normalized to the full mask
 (1 << num_qubits) - 1.
-With n = num_qubits, the tables and their keys are:
+With n = num_qubits, the eight tables and their keys are:
 
-  * "tree": `terminal_tree` results by terms << n | region (terms the
-    terminal mask),
   * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
     by u * n + v (u < v); `tree_weight` reads only these,
-  * "rooted": `rooted_terminal_tree`, those trees rooted at a terminal, by
-    (terms << n | region) * n + root,
+  * "rooted": `rooted_terminal_tree`, terminal trees rooted at a terminal,
+    by (terms << n | region) * n + root (terms the terminal mask); the
+    entry at the smallest terminal roots the edges `terminal_tree` builds
+    (it is not memoized), and other roots re-root that entry's edges,
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
@@ -94,8 +94,7 @@ class Architecture:
         self.adj = [sorted(ns) for ns in adj]
         self.memos: dict[str, dict] = {
             name: {} for name in (
-                "tree", "span", "rooted", "non_cut", "distances", "sequence", "round", "gather",
-                "zx",
+                "span", "rooted", "non_cut", "distances", "sequence", "round", "gather", "zx",
             )
         }
         self.dist = self.distances_within((1 << num_qubits) - 1)
@@ -117,6 +116,9 @@ class Architecture:
         return dist
 
     def distance(self, u: int, v: int) -> int:
+        for w in (u, v):
+            if not 0 <= w < self.num_qubits:
+                raise ValueError(f"vertex {w} out of range")
         return self.dist[u][v]
 
     def is_edge(self, u: int, v: int) -> bool:
@@ -151,24 +153,27 @@ class Architecture:
 
         Returns (tree edges over physical vertices, weight), where weight is
         the number of physical edges. A single terminal yields an empty tree
-        of weight 0.
+        of weight 0. Each call builds the tree (not memoized).
         """
         terms = sorted(set(terminals))
         if not terms:
             raise ValueError("terminal set must be non-empty")
         region = self._region(allowed)
-        term_mask = 0
         for t in terms:
             if not 0 <= t < self.num_qubits:
                 raise ValueError(f"terminal {t} out of range")
             if not region >> t & 1:
                 raise ValueError(f"terminal {t} not in the allowed vertex set")
-            term_mask |= 1 << t
-        key = term_mask << self.num_qubits | region
-        cached = self.memos["tree"].get(key)
-        if cached is None:
-            cached = memo_put(self.memos["tree"], key, self._terminal_tree_uncached(terms, region))
-        return cached
+        # Expand metric edges into concrete paths; the union may have cycles.
+        union_edges: set[tuple[int, int]] = set()
+        for u, v in self._prim(terms, self.distances_within(region)):
+            path = self.shortest_path(u, v, region)
+            for a, b in zip(path, path[1:]):
+                union_edges.add((min(a, b), max(a, b)))
+        # Prune the union back to a tree by BFS from the smallest terminal.
+        up, order = rooted_tree(union_edges, terms[0])
+        tree_edges = sorted((min(v, up[v]), max(v, up[v])) for v in order[1:])
+        return tuple(tree_edges), len(tree_edges)
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs`
@@ -205,16 +210,22 @@ class Architecture:
 
         Returns (parent, order): parent[v] is v's parent (the root's is
         itself, -1 off the tree) and order is the tree's BFS vertex order.
-        Raises ValueError when `root` is not in `terms`.
+        Raises ValueError when `root` is not in `terms`. The smallest-terminal
+        entry roots `terminal_tree`'s edges; other roots re-root its edges.
         """
         q = self.num_qubits
+        if not (0 <= root < q and terms >> root & 1):
+            raise ValueError(f"root {root} is not a terminal")
         allowed = self._region(allowed)
         key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
         cached = self.memos["rooted"].get(key)
         if cached is None:
-            if not (0 <= root < q and terms >> root & 1):
-                raise ValueError(f"root {root} is not a terminal")
-            edges, _ = self.terminal_tree(mask_to_legs(terms), allowed)
+            smallest = (terms & -terms).bit_length() - 1
+            if root == smallest:
+                edges, _ = self.terminal_tree(mask_to_legs(terms), allowed)
+            else:
+                parent, order = self.rooted_terminal_tree(terms, smallest, allowed)
+                edges = [(v, parent[v]) for v in order[1:]]
             up, order = rooted_tree(edges, root)
             parent = tuple(up.get(v, -1) for v in range(q))
             cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
@@ -233,6 +244,8 @@ class Architecture:
         restores every other row. Raises ValueError when `root` is not in
         `terms`.
         """
+        if not (0 <= root < self.num_qubits and terms >> root & 1):
+            raise ValueError(f"root {root} is not a terminal")
         key = terms * self.num_qubits + root
         cached = self.memos["gather"].get(key)
         if cached is not None:
@@ -297,18 +310,6 @@ class Architecture:
             for s in best:
                 best[s] = min(best[s], (dist[t][s], min(t, s), max(t, s)))
         return chosen
-
-    def _terminal_tree_uncached(self, terms: list[int], region: int) -> tuple[TreeEdges, int]:
-        # Expand metric edges into concrete paths; the union may have cycles.
-        union_edges: set[tuple[int, int]] = set()
-        for u, v in self._prim(terms, self.distances_within(region)):
-            path = self.shortest_path(u, v, region)
-            for a, b in zip(path, path[1:]):
-                union_edges.add((min(a, b), max(a, b)))
-        # Prune the union back to a tree by BFS from the smallest terminal.
-        up, order = rooted_tree(union_edges, terms[0])
-        tree_edges = sorted((min(v, up[v]), max(v, up[v])) for v in order[1:])
-        return tuple(tree_edges), len(tree_edges)
 
     def __repr__(self) -> str:
         return f"Architecture({self.name!r}, qubits={self.num_qubits}, edges={len(self.edges)})"

@@ -24,7 +24,7 @@ import csv
 import io
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import sim
 from .arch import Architecture, build_architecture
@@ -53,10 +53,8 @@ class BenchRecord:
     method: str = ""  # the sim.verify method, "" when not checked
     error: str = ""  # "Type: message" of the exception the instance raised
 
-CSV_HEADER = [
-    "n_qubits", "n_pgs", "max_legs", "architecture", "algorithm",
-    "seed", "cx_naive", "cx_out", "reduction_pct", "time_s", "verified", "method", "error",
-]
+
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def _arch_descriptor(name: str, num_qubits: int) -> str:
@@ -198,14 +196,11 @@ def _fixed(value: float | None, digits: int) -> str:
 
 def records_to_csv(records: list[BenchRecord]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writer = csv.DictWriter(buf, CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
     for r in records:
-        writer.writerow([
-            r.n_qubits, r.n_pgs, r.max_legs, r.architecture, r.algorithm,
-            r.seed, r.cx_naive, r.cx_out, _fixed(r.reduction_pct, 4), _fixed(r.time_s, 6),
-            r.verified, r.method, r.error,
-        ])
+        writer.writerow({**asdict(r), "reduction_pct": _fixed(r.reduction_pct, 4),
+                         "time_s": _fixed(r.time_s, 6)})
     return buf.getvalue()
 
 

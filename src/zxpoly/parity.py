@@ -10,7 +10,8 @@ onto the control column.
 `steiner_gauss` restricts every emitted CNOT to an architecture edge by
 organizing each pivot column's elimination along a Steiner tree. Both
 satisfy the replay contract: applying the returned gates in order to the
-identity map reproduces the input bit-for-bit.
+identity map reproduces the input bit-for-bit, so `steiner_gauss` gets a
+map's inverse by replaying its own direct synthesis backwards.
 
 `_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
 checks the map fits, gives () for the identity, else the map's entry in
@@ -350,12 +351,6 @@ def _gf2_transpose(m: ParityMap) -> ParityMap:
     )
 
 
-def _gf2_invert(m: ParityMap) -> ParityMap:
-    """Inverse over GF(2): gauss_cnots replayed backward, as CNOTs are
-    self-inverse; raises ValueError when singular."""
-    return from_cnots(m.size, reversed(gauss_cnots(m)))
-
-
 def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     """Architecture-aware resynthesis: every returned CNOT is a coupling edge.
 
@@ -404,10 +399,12 @@ def _check_size(m: ParityMap, arch: Architecture) -> None:
 
 def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
     """The shortest of the four variants' syntheses (the first on a tie),
-    converted back to a sequence for the map, as flat (control, target) wires."""
-    inverse = _gf2_invert(m)
+    converted back to a sequence for the map, as flat (control, target) wires;
+    the inverse is the direct synthesis replayed backwards (CNOTs self-invert)."""
+    direct = _synthesize_raw(m, arch)
+    inverse = from_cnots(m.size, (Cnot(c, t) for c, t in reversed(direct)))
     best = min(
-        _synthesize_raw(m, arch),
+        direct,
         _synthesize_raw(inverse, arch)[::-1],
         [(t, c) for c, t in reversed(_synthesize_raw(_gf2_transpose(m), arch))],
         [(t, c) for c, t in _synthesize_raw(_gf2_transpose(inverse), arch)],

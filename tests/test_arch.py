@@ -104,8 +104,10 @@ class TestShortestPath:
 
     @pytest.mark.parametrize("u, v, bad", [(0, 7, 7), (4, 1, 4), (-1, 2, -1), (2, -3, -3)])
     def test_vertex_out_of_range_rejected(self, u, v, bad):
-        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
-            zx.line(4).shortest_path(u, v)
+        arch = zx.line(4)
+        for query in (arch.shortest_path, arch.distance):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+                query(u, v)
 
 
 def _kruskal_tree(arch, terms, region):
@@ -186,11 +188,13 @@ class TestTerminalTree:
 
     def test_anywhere_is_one_region(self):
         arch = zx.build_architecture("grid:2x3")
-        terms = [0, 2, 5]
-        trees = [arch.terminal_tree(terms, allowed) for allowed in (None, -1, 0b111111)]
+        terms, anywhere = [0, 2, 5], (None, -1, 0b111111)
+        trees = [arch.terminal_tree(terms, allowed) for allowed in anywhere]
         assert trees[0] == trees[1] == trees[2]
         assert arch.tree_weight(0b100101) == trees[0][1]
-        assert len(arch.memos["tree"]) == 1
+        rooted = [arch.rooted_terminal_tree(0b100101, 0, allowed) for allowed in anywhere]
+        assert rooted[0] == rooted[1] == rooted[2]
+        assert len(arch.memos["rooted"]) == 1
         with pytest.raises(ValueError, match="not in the allowed vertex set"):
             arch.terminal_tree(terms, 0)
 
@@ -232,7 +236,7 @@ class TestTreeWeight:
         masks = range(1, 1 << arch.num_qubits)
         expected = [reference.terminal_tree(mask_to_legs(m))[1] for m in masks]
         assert [arch.tree_weight(m) for m in masks] == expected  # fresh
-        assert not arch.memos["tree"]
+        assert not arch.memos["rooted"]
         for warm in (arch, reference):  # spans filled; trees filled
             assert [warm.tree_weight(m) for m in masks] == expected, warm.name
 
@@ -269,6 +273,18 @@ class TestMaskChecks:
         with pytest.raises(ValueError, match=f"root {root} is not a terminal"):
             arch.rooted_terminal_tree(0b011, root)
         assert not arch.memos["gather"] and not arch.memos["rooted"]
+
+    def test_out_of_range_root_reads_no_gather_entry(self):
+        arch = zx.line(4)
+        arch.gather(0b0101, 0)  # key 0b0101 * 4 + 0, which root 4 of 0b0100 packs to
+        with pytest.raises(ValueError, match="root 4 is not a terminal"):
+            arch.gather(0b0100, 4)
+
+    def test_out_of_range_root_reads_no_rooted_entry(self):
+        arch = zx.line(4)
+        arch.rooted_terminal_tree(0b0011, 0, 0b0111)  # the key root 4 of region 0b0110 packs to
+        with pytest.raises(ValueError, match="root 4 is not a terminal"):
+            arch.rooted_terminal_tree(0b0011, 4, 0b0110)
 
 
 def _star(q):
@@ -336,6 +352,27 @@ class TestGraphMemos:
         arch.rooted_terminal_tree(0b11, 0)
         with pytest.raises(ValueError, match="not in the allowed vertex set"):
             arch.rooted_terminal_tree(0b11, 0, 0)
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_any_root_first_matches_cold_reference(self, arch):
+        # roots descending: each terminal set is first asked for at a root
+        # other than its smallest terminal, whose entry is not stored yet
+        q = arch.num_qubits
+        fresh = zx.Architecture(q, arch.edges, arch.name)
+        rng = random.Random(5)
+
+        def reference(terms, root, allowed):
+            edges, _ = arch.terminal_tree(mask_to_legs(terms), allowed)
+            up, order = rooted_tree(edges, root)
+            return tuple(up.get(v, -1) for v in range(q)), tuple(order)
+
+        for allowed in [-1] + [rng.randint(1, (1 << q) - 1) for _ in range(20)]:
+            for terms in range(1, 1 << q):
+                if allowed != -1 and terms & ~allowed:
+                    continue
+                for root in reversed(mask_to_legs(terms)):
+                    assert _tree_or_error(fresh.rooted_terminal_tree, terms, root, allowed) == \
+                        _tree_or_error(reference, terms, root, allowed), (bin(terms), root, allowed)
 
     @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
     def test_gather_xors_terminals_onto_root(self, arch):

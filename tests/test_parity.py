@@ -2,12 +2,15 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
-from conftest import exact_cnot_counts, gf2_matmul, random_invertible_map, row_column_bound, star
+from conftest import (
+    ARCH_FAMILIES, exact_cnot_counts, gf2_matmul, random_invertible_map, row_column_bound, star,
+)
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
 
@@ -269,6 +272,30 @@ class TestSequenceMemo:
         assert zx.steiner_gauss(zx.identity_map(4), arch) == []
         assert zx.cnot_cost(zx.identity_map(4), arch) == 0
         assert not arch.memos["sequence"]
+
+
+def _gf2_invert(m):
+    """Inverse over GF(2): gauss_cnots replayed backward, as CNOTs are self-inverse."""
+    return zx.from_cnots(m.size, reversed(zx.gauss_cnots(m)))
+
+
+_FAMILY_ARCHS = {  # shared by every example
+    (family, q): build(q) for family, build in ARCH_FAMILIES.items() for q in range(2, 9)
+}
+
+
+class TestInverseVariant:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(_FAMILY_ARCHS)), st.randoms(use_true_random=False))
+    def test_backward_replay_is_the_inverse(self, family_q, rng):
+        arch = _FAMILY_ARCHS[family_q]
+        m = random_invertible_map(rng, arch.num_qubits)
+        with mock.patch.object(parity, "_synthesize_raw", wraps=parity._synthesize_raw) as raw:
+            parity._shortest_variant(m, arch)
+        inverse = _gf2_invert(m)
+        assert [call.args[0] for call in raw.call_args_list] == [
+            m, inverse, parity._gf2_transpose(m), parity._gf2_transpose(inverse)
+        ]
 
 
 def _reference_greedy(m, arch):

@@ -509,6 +509,6 @@ class TestCostMemo:
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
         arch = zx.complete(6)
         assert gates(arch) == uncapped
-        assert len(arch.memos) == 9
+        assert len(arch.memos) == 8
         for name, memo in arch.memos.items():
             assert len(memo) <= 8, name
