@@ -47,9 +47,6 @@ from .rules import (
 )
 from .simplify import simplify
 from .synth import (
-    GadgetRegion,
-    ParityRegion,
-    Region,
     effect_parity,
     effect_zx,
     gadget_cost,
@@ -71,9 +68,8 @@ __all__ = [
     "ParityMap", "identity_map", "append_cnot", "prepend_cnot", "from_cnots",
     "gauss_cnots", "steiner_gauss", "cnot_cost", "cnot_lower_bound",
     "simplify",
-    "Region", "ParityRegion", "GadgetRegion", "gadget_cost", "effect_zx",
-    "effect_parity", "optimize_gauss", "optimize_fast", "score", "regroup",
-    "split", "synthesize",
+    "gadget_cost", "effect_zx", "effect_parity", "optimize_gauss",
+    "optimize_fast", "score", "regroup", "split", "synthesize",
     "Circuit", "Rz", "Rx", "naive_gadget_circuit", "steiner_gadget_circuit",
     "naive_poly_circuit", "lower_regions", "cnot_count", "reduction",
     "to_qasm", "from_qasm", "circuit_to_json", "circuit_from_json",

@@ -13,8 +13,9 @@ A sweep grid is a JSON object like
 "qubits"/"gadgets"/"max_legs"). Repetition r of a grid point uses seed
 base_seed + r, so runs are reproducible; the wall-time column is the only
 non-deterministic output. Every output is checked by `sim.verify`, and its
-`method` is recorded. A failure does not abort the sweep: an instance
-that raises, while it is generated or compiled, keeps its row, with the
+`method` is recorded; only a proven output passes, so a wrong or unproven
+one is a failure. A failure does not abort the sweep: an instance that
+raises, while it is generated or compiled, keeps its row, with the
 exception in the `error` column and the measurement columns left empty.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import sim
 from .arch import Architecture, build_architecture
-from .circuit import Circuit, cnot_count, lower_regions, naive_poly_circuit, reduction
+from .circuit import cnot_count, lower_regions, naive_poly_circuit, reduction
 from .generators import maxcut_qaoa, random_poly
 from .poly import ZXPolynomial
 from .simplify import simplify
@@ -49,8 +50,8 @@ class BenchRecord:
     cx_out: int | None = None
     reduction_pct: float | None = None
     time_s: float | None = None
-    verified: bool | None = None  # None when not checked, or checked but unproven
-    method: str = ""  # the sim.verify method, "" when not checked
+    verified: bool | None = None  # the sim.verify verdict, None only when the instance raised
+    method: str = ""  # the sim.verify method, "" only when the instance raised
     error: str = ""  # "Type: message" of the exception the instance raised
 
 
@@ -72,13 +73,10 @@ def _arch_descriptor(name: str, num_qubits: int) -> str:
 
 
 def run_instance(
-    poly: ZXPolynomial,
-    arch: Architecture,
-    algorithm: str,
-    verify: bool,
-) -> tuple[int, int, float, float, tuple[str, bool, object] | None, Circuit]:
-    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, check, circuit),
-    where check is the `sim.verify` triple, or None without `verify`.
+    poly: ZXPolynomial, arch: Architecture, algorithm: str
+) -> tuple[int, int, float, float, tuple[str, bool, object]]:
+    """Run one pipeline; returns (cx_naive, cx_out, reduction, time, check),
+    where check is the `sim.verify` triple of the output circuit.
 
     The time covers everything that produces the output circuit, simplify included.
     """
@@ -92,8 +90,7 @@ def run_instance(
     cx_out = cnot_count(circuit)
     cx_naive = cx_out if algorithm == "naive" else cnot_count(naive_poly_circuit(poly, arch))
     reduction_pct = reduction(cx_naive, cx_out) if cx_naive else 0.0
-    check = sim.verify(poly, circuit, arch) if verify else None
-    return cx_naive, cx_out, reduction_pct, elapsed, check, circuit
+    return cx_naive, cx_out, reduction_pct, elapsed, sim.verify(poly, circuit, arch)
 
 
 # (key, element type) of each grid kind's required sweep lists, then of the optional ones
@@ -151,10 +148,9 @@ def _instance(point: dict, seed: int) -> ZXPolynomial:
     return maxcut_qaoa(point["vertices"], point["p_edges"], point["layers"], seed)
 
 
-def run_bench(
-    grid: dict, reps: int, base_seed: int, verify: bool = True
-) -> tuple[list[BenchRecord], int]:
-    """Run the sweep; returns (records, number of failed instances). Raises
+def run_bench(grid: dict, reps: int, base_seed: int) -> tuple[list[BenchRecord], int]:
+    """Run the sweep; returns (records, number of failed instances): those
+    that raised, and those whose output `sim.verify` did not prove. Raises
     ValueError on a sweep that would measure nothing: `reps` below 1, or an
     empty sweep list in the grid."""
     if reps < 1:
@@ -178,13 +174,10 @@ def run_bench(
                     poly = _instance(point, seed)
                     record.n_pgs = len(poly.gadgets)
                     (record.cx_naive, record.cx_out, record.reduction_pct, record.time_s,
-                     check, _) = run_instance(poly, arch, algorithm, verify)
-                    if check is not None:
-                        record.method, ok, _ = check
-                        record.verified = None if record.method == "unproven" else ok
+                     (record.method, record.verified, _)) = run_instance(poly, arch, algorithm)
                 except Exception as exc:
                     record.error = f"{type(exc).__name__}: {exc}"
-                if record.error or record.verified is False:
+                if not record.verified:
                     failures += 1
                 records.append(record)
     return records, failures

@@ -23,10 +23,9 @@ from fractions import Fraction
 from math import pi
 
 from .arch import Architecture
-from .parity import steiner_gauss
+from .parity import ParityMap, steiner_gauss
 from .poly import Phase, PhaseGadget, ZXPolynomial, json_int, mask_to_legs
 from .rules import Cnot
-from .synth import GadgetRegion, ParityRegion, Region
 
 
 @dataclass(frozen=True)
@@ -183,19 +182,19 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     return circuit
 
 
-def lower_regions(regions: list[Region], arch: Architecture) -> Circuit:
-    """Lower an alternating region list: Steiner-Gauss for parity regions,
-    tree-placed gadget circuits for gadget regions, concatenated in order."""
+def lower_regions(regions: list[ParityMap | ZXPolynomial], arch: Architecture) -> Circuit:
+    """Lower an alternating region list: Steiner-Gauss for parity maps,
+    tree-placed gadget circuits for gadget runs, concatenated in order."""
     circuit = Circuit(arch.num_qubits)
     for region in regions:
-        if isinstance(region, ParityRegion):
-            circuit.extend(steiner_gauss(region.map, arch))
-        elif isinstance(region, GadgetRegion):
-            if region.poly.num_qubits != arch.num_qubits:
+        if isinstance(region, ParityMap):
+            circuit.extend(steiner_gauss(region, arch))
+        elif isinstance(region, ZXPolynomial):
+            if region.num_qubits != arch.num_qubits:
                 raise ValueError("gadget region size does not match architecture")
-            for gadget in region.poly.gadgets:
+            for gadget in region.gadgets:
                 circuit.extend(steiner_gadget_circuit(gadget, arch).gates)
-        else:  # pragma: no cover - exhaustive over the region union
+        else:
             raise TypeError(f"unknown region {region!r}")
     return circuit
 

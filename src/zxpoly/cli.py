@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, simplify, synth, verify, bench. Polynomials travel
-as JSON; circuits as QASM 2.0 or gate-list JSON. Exit code 0 on success,
+as JSON; circuits as QASM 2.0 or gate-list JSON. `synth` checks its output
+with `sim.verify` and writes only a proven circuit. Exit code 0 on success,
 nonzero on any verification failure or error.
 """
 
@@ -67,10 +68,13 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     poly = _load_poly(args.infile)
     arch = _load_arch(args.arch)
-    if args.simplify:
-        poly = simplify_poly(poly)
-    regions = synthesize(poly, arch, args.mode)
-    lowered = circ.lower_regions(regions, arch)
+    reduced = simplify_poly(poly) if args.simplify else poly
+    lowered = circ.lower_regions(synthesize(reduced, arch, args.mode), arch)
+    method, ok, _ = sim.verify(poly, lowered, arch)
+    if not ok:
+        print(f"error: the synthesized circuit is not proven to implement the polynomial "
+              f"(method={method})", file=sys.stderr)
+        return 1
     if args.format == "qasm":
         _write_text(args.out, circ.to_qasm(lowered))
     else:
@@ -96,8 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     grid = json.loads(_read_text(args.grid))
-    records, failures = run_bench(grid, reps=args.reps, base_seed=args.seed,
-                                  verify=not args.no_verify)
+    records, failures = run_bench(grid, reps=args.reps, base_seed=args.seed)
     _write_text(args.out, records_to_csv(records))
     print(f"{len(records)} records, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
@@ -152,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--reps", type=int, default=20)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", default="-")
-    ben.add_argument("--no-verify", action="store_true",
-                     help="skip per-instance output checks")
     ben.set_defaults(func=_cmd_bench)
     return parser
 

@@ -19,7 +19,6 @@ from .parity import ParityMap
 from .poly import PhaseGadget, ZXPolynomial
 from .rules import Cnot
 from .simplify import simplify
-from .synth import GadgetRegion, ParityRegion, Region
 
 MAX_QUBITS = 12
 _INV_SQRT2 = 2.0 ** -0.5
@@ -136,19 +135,21 @@ def parity_unitary(m: ParityMap) -> np.ndarray:
     return mat
 
 
-def regions_unitary(regions: list[Region]) -> np.ndarray:
-    """Unitary of an alternating parity/gadget region list, temporal order."""
+def regions_unitary(regions: list[ParityMap | ZXPolynomial]) -> np.ndarray:
+    """Unitary of an alternating parity-map/gadget-run list, temporal order."""
     if not regions:
         raise ValueError("empty region list")
-    size = regions[0].map.size if isinstance(regions[0], ParityRegion) else regions[0].poly.num_qubits
+    size = regions[0].size if isinstance(regions[0], ParityMap) else regions[0].num_qubits
     mat = identity_unitary(size)
     for region in regions:
-        if isinstance(region, ParityRegion):
-            mat = parity_unitary(region.map) @ mat
-        elif isinstance(region, GadgetRegion):
-            for gadget in region.poly.gadgets:
+        if isinstance(region, ParityMap):
+            mat = parity_unitary(region) @ mat
+        elif isinstance(region, ZXPolynomial):
+            if region.num_qubits != size:
+                raise ValueError(f"gadget run has {region.num_qubits} qubits, the list {size}")
+            for gadget in region.gadgets:
                 mat = _apply_gadget(mat, gadget, size)
-        else:  # pragma: no cover
+        else:
             raise TypeError(f"unknown region {region!r}")
     return mat
 

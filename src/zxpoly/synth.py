@@ -2,10 +2,10 @@
 and the recursive divide-and-conquer driver.
 
 A polynomial is optimized inside an alternating region list
-[P_0, G_1, P_1, ..., G_k, P_k] of parity maps and gadget runs. Extracting a
-CNOT conjugates every gadget of one run and absorbs the gate pair into the
-two flanking parity regions, preserving the total unitary while (ideally)
-shrinking the gadgets' leg trees.
+[P_0, G_1, P_1, ..., G_k, P_k] of parity maps (`ParityMap`) and gadget runs
+(`ZXPolynomial`). Extracting a CNOT conjugates every gadget of one run and
+absorbs the gate pair into the two flanking parity regions, preserving the
+total unitary while (ideally) shrinking the gadgets' leg trees.
 
 Cost conventions: `effect_zx` is the change (after minus before) in the
 gadget-tree CNOT estimate, so negative is an improvement. `effect_parity`
@@ -34,7 +34,6 @@ never changes the output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .arch import Architecture, memo_put
@@ -45,19 +44,6 @@ from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
     Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs, tested_toggled,
 )
-
-
-@dataclass(frozen=True)
-class ParityRegion:
-    map: ParityMap
-
-
-@dataclass(frozen=True)
-class GadgetRegion:
-    poly: ZXPolynomial
-
-
-Region = ParityRegion | GadgetRegion
 
 
 def gadget_cost(gadget: PhaseGadget, arch: Architecture) -> int:
@@ -266,18 +252,18 @@ _OPTIMIZERS = {"fast": optimize_fast, "gauss": optimize_gauss}
 
 def synthesize(
     poly: ZXPolynomial, arch: Architecture, mode: str = "fast"
-) -> list[Region]:
+) -> list[ParityMap | ZXPolynomial]:
     """Divide-and-conquer synthesis into an alternating region list.
 
     Starts from [I, poly, I]; every recursion step regroups its gadget run,
     runs one optimizer sweep against the run's two flanking parity maps,
-    and splits runs longer than two gadgets around a fresh identity map.
+    and splits runs longer than two gadgets around an identity map.
     A step returns its flanking maps as its sweeps left them: the head's
-    final right map is the map the tail starts from, and a map becomes a
-    ParityRegion once its last sweep is done. Returns a list alternating
-    parity and gadget regions that begins and ends with a parity region and
-    whose total unitary equals the polynomial's. The polynomial is checked
-    here, against the architecture and by `validate`.
+    final right map is the map the tail starts from, and a map joins the
+    list once its last sweep is done. Returns a list alternating parity maps
+    and gadget runs that begins and ends with a map and whose total unitary
+    equals the polynomial's. The polynomial is checked here, against the
+    architecture and by `validate`.
     """
     if mode not in _OPTIMIZERS:
         raise ValueError(f"mode must be one of {sorted(_OPTIMIZERS)}, got {mode!r}")
@@ -289,19 +275,19 @@ def synthesize(
         raise ValueError(f"invalid polynomial: {violation}")
     identity = identity_map(arch.num_qubits)
     if len(poly.gadgets) == 0:
-        return [ParityRegion(identity)]
+        return [identity]
     optimize = _OPTIMIZERS[mode]
 
     def descend(
         pl: ParityMap, run: ZXPolynomial, pr: ParityMap
-    ) -> tuple[ParityMap, list[Region], ParityMap]:
+    ) -> tuple[ParityMap, list[ParityMap | ZXPolynomial], ParityMap]:
         pl, run, pr = optimize(pl, regroup(run), pr, arch)
         if len(run.gadgets) <= 2:
-            return pl, [GadgetRegion(run)], pr
+            return pl, [run], pr
         head, tail = split(run)
         pl, left_part, middle = descend(pl, head, identity)
         middle, right_part, pr = descend(middle, tail, pr)
-        return pl, left_part + [ParityRegion(middle)] + right_part, pr
+        return pl, left_part + [middle] + right_part, pr
 
     pl, inner, pr = descend(identity, poly, identity)
-    return [ParityRegion(pl)] + inner + [ParityRegion(pr)]
+    return [pl] + inner + [pr]

@@ -263,7 +263,7 @@ def test_criterion_6_table1_trends():
         "architectures": ["complete", "line", "circle"],
         "algorithms": ["divide_fast", "divide_gauss"],
     }
-    records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED, verify=True)
+    records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED)
     assert failures == 0, f"{failures} instances failed oracle verification"
 
     fast_q4 = mean(r.reduction_pct for r in records
@@ -294,7 +294,7 @@ def test_criterion_7_table2_spot_check():
         "architectures": ["grid"],
         "algorithms": ["divide_fast"],
     }
-    records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED, verify=True)
+    records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED)
     assert failures == 0
     assert all(r.verified for r in records)
     reduction = mean(r.reduction_pct for r in records)
@@ -309,7 +309,7 @@ def test_criterion_8_scaling_smoke():
         for rep in range(3):
             arch = zx.line(6)  # fresh instance: cold caches each run
             poly = random_poly(6, n_gadgets, 4, seed=BENCH_SEED + rep)
-            _, _, _, elapsed, _, _ = run_instance(poly, arch, "divide_fast", verify=False)
+            _, _, _, elapsed, _ = run_instance(poly, arch, "divide_fast")
             times.append(elapsed)
         return statistics.median(times)
 

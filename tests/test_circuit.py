@@ -1,6 +1,8 @@
 """Gadget emitters, region lowering, CNOT metrics, QASM round-trips."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,15 +140,15 @@ class TestEmitterProperties:
 
 class TestLowerRegions:
     def test_single_identity_region(self):
-        regions = [zx.ParityRegion(zx.identity_map(2))]
+        regions = [zx.identity_map(2)]
         assert zx.lower_regions(regions, zx.line(2)).gates == []
 
     def test_identity_flanked_gadget(self):
         g = zx.PhaseGadget.z([0, 1], PH(1, 4))
         regions = [
-            zx.ParityRegion(zx.identity_map(2)),
-            zx.GadgetRegion(zx.ZXPolynomial(2, (g,))),
-            zx.ParityRegion(zx.identity_map(2)),
+            zx.identity_map(2),
+            zx.ZXPolynomial(2, (g,)),
+            zx.identity_map(2),
         ]
         lowered = zx.lower_regions(regions, zx.line(2))
         assert lowered.gates == zx.steiner_gadget_circuit(g, zx.line(2)).gates
@@ -168,13 +170,35 @@ class TestLowerRegions:
         rng = random.Random(34)
         arch = zx.grid(2, 2)
         m = random_invertible_map(rng, 4)
-        lowered = zx.lower_regions([zx.ParityRegion(m)], arch)
+        lowered = zx.lower_regions([m], arch)
         assert zx.from_cnots(4, lowered.gates) == m
 
     @pytest.mark.parametrize("rows", [(1, 2, 4), (1, 3, 4)])  # identity, one CNOT
     def test_parity_region_of_another_size_rejected(self, rows):
         with pytest.raises(ValueError, match="map size 3 does not match architecture line:2"):
-            zx.lower_regions([zx.ParityRegion(zx.ParityMap(3, rows))], zx.line(2))
+            zx.lower_regions([zx.ParityMap(3, rows)], zx.line(2))
+
+    def test_gadget_run_of_another_size_rejected(self):
+        run = zx.ZXPolynomial(3, (zx.PhaseGadget.z([0, 1], PH(1, 4)),))
+        with pytest.raises(ValueError, match="gadget region size does not match"):
+            zx.lower_regions([zx.identity_map(2), run, zx.identity_map(2)], zx.line(2))
+
+    def test_unknown_region_rejected(self):
+        with pytest.raises(TypeError, match="unknown region"):
+            zx.lower_regions([zx.identity_map(2), zx.Cnot(0, 1)], zx.line(2))
+
+
+@pytest.mark.parametrize("module", ["circuit", "sim"])
+def test_lowering_and_checking_sit_below_synth(module):
+    # the region list is plain maps and runs, so neither module needs the optimizer
+    path = Path(zx.__file__).with_name(f"{module}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if name in (".synth", "zxpoly.synth")}, imported
 
 
 class TestMetrics:

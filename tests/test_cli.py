@@ -91,6 +91,24 @@ class TestSynthAndVerify:
                        "--arch", "line:5") == 2
         assert "architecture line:5 has 5" in capsys.readouterr().err
 
+    def test_synth_writes_no_unproven_circuit(self, tmp_path, monkeypatch, capsys):
+        lower_regions = zx.circuit.lower_regions
+
+        def drop_last_cnot(regions, arch):
+            circuit = lower_regions(regions, arch)
+            last = max(i for i, g in enumerate(circuit.gates) if isinstance(g, zx.Cnot))
+            del circuit.gates[last]
+            return circuit
+
+        monkeypatch.setattr(zx.circuit, "lower_regions", drop_last_cnot)
+        poly_path = tmp_path / "poly.json"
+        circ_path = tmp_path / "circ.qasm"
+        poly_path.write_text(zx.random_poly(4, 8, 4, seed=3).to_json())
+        assert run_cli("synth", "--in", poly_path, "--arch", "line:4",
+                       "--out", circ_path) == 1
+        assert "(method=oracle)" in capsys.readouterr().err
+        assert not circ_path.exists()
+
     def test_verify_fails_on_wrong_circuit(self, tmp_path):
         poly_path = tmp_path / "poly.json"
         circ_path = tmp_path / "circ.qasm"
@@ -240,6 +258,20 @@ class TestBench:
             if record.algorithm == "naive":
                 assert record.cx_out == record.cx_naive
             assert record.verified is True
+
+    def test_unproven_row_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(bench.sim, "verify", lambda *args: ("unproven", False, None))
+        records, failures = run_bench(self.GRID, reps=1, base_seed=5)
+        assert failures == len(records) == 8
+        for record in records:
+            assert (record.verified, record.method, record.error) == (False, "unproven", "")
+
+    def test_verification_cannot_be_turned_off(self, tmp_path):
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(self.GRID))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "--grid", grid_path, "--reps", 1, "--no-verify")
+        assert exc.value.code == 2
 
     def test_csv_deterministic_apart_from_time(self):
         a, _ = run_bench(self.GRID, reps=2, base_seed=3)

@@ -89,6 +89,17 @@ class TestParityUnitary:
             assert np.linalg.norm(left - right) < 1e-12
 
 
+class TestRegionsUnitary:
+    def test_unknown_region_rejected(self):
+        with pytest.raises(TypeError, match="unknown region"):
+            sim.regions_unitary([zx.identity_map(2), zx.Cnot(0, 1)])
+
+    def test_gadget_run_of_another_size_rejected(self):
+        run = zx.ZXPolynomial(3, (zx.PhaseGadget.z([2], PH(1, 4)),))
+        with pytest.raises(ValueError, match="gadget run has 3 qubits, the list 2"):
+            sim.regions_unitary([zx.identity_map(2), run, zx.identity_map(2)])
+
+
 class TestGlobalPhaseComparison:
     def test_equal(self):
         u = sim.gadget_unitary(zx.PhaseGadget.z([0, 1], PH(1, 4)), 2)
