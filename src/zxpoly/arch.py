@@ -10,7 +10,8 @@ vertex v; -1 means "anywhere" and is normalized to the full mask
 With n = num_qubits, the eight tables and their keys are:
 
   * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
-    by u * n + v (u < v); `tree_weight` reads only these,
+    by u * n + v (u < v); `tree_weight` reads only these, and only for
+    three or more terminals,
   * "rooted": `rooted_terminal_tree`, terminal trees rooted at a terminal,
     by (terms << n | region) * n + root (terms the terminal mask); the
     entry at the smallest terminal roots the edges `terminal_tree` builds
@@ -187,6 +188,8 @@ class Architecture:
         has one edge per vertex but its root. So the weight is |V(U)| - 1, where V(U)
         is the terminals together with the vertices of those paths: the OR
         of `legs` and each edge's "span" mask.
+        One or two terminals: the tree is the one shortest path, so the
+        weight is their distance (no Prim, no "span" read).
         """
         terms = mask_to_legs(legs)
         n = self.num_qubits
@@ -194,6 +197,8 @@ class Architecture:
             raise ValueError("terminal set must be non-empty")
         if terms[-1] >= n:
             raise ValueError(f"terminal {terms[-1]} out of range")
+        if len(terms) <= 2:
+            return self.dist[terms[0]][terms[-1]]
         spans = self.memos["span"]
         covered = legs
         for u, v in self._prim(terms, self.dist):

@@ -20,10 +20,13 @@ the Architecture's "sequence" table (bounded by `memo_put`). On a miss
 lowering it later synthesize it once. Below that, each round of the
 greedy is decided once per elimination state, the remaining vertex mask
 and the rows, and kept in the "round" table; fresh and stored rounds are
-applied by one replay. The greedy works on (control, target) int pairs;
-`Cnot` objects are built only for the list `steiner_gauss` returns. Each
-row step gathers its sources onto the pivot with `Architecture.gather`,
-the tree walk the gadget ladders use too.
+applied by one replay. A round with a free pivot (a non-cut vertex whose
+row and column are already unit vectors) runs no trial elimination: such
+a pivot's trial is empty, so the free pivots are exactly the cheapest.
+The greedy works on (control, target) int pairs; `Cnot` objects are built
+only for the list `steiner_gauss` returns. Each row step gathers its
+sources onto the pivot with `Architecture.gather`, the tree walk the
+gadget ladders use too.
 """
 
 from __future__ import annotations
@@ -278,6 +281,7 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
     int packing both, as the flat tuple (pivot, src, dst, src, dst, ...)
     of the winning trial's row additions; fresh or stored, it is applied by
     replaying them as row XORs, which reproduces the trial's rows exactly.
+    A round with a free pivot runs no trial and adds no row operation.
     """
     q = m.size
     memo = arch.memos["round"]
@@ -303,36 +307,45 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
 
 
 def _decide_round(rows: list[int], remaining: int, arch: Architecture) -> tuple[int, ...]:
-    """One greedy round: a trial elimination of every non-cut pivot of the
-    remaining graph; returns the winner as (pivot, src, dst, src, dst, ...)."""
-    trials = []
-    for pivot in mask_to_legs(arch.non_cut_vertices(remaining)):
-        trial_ops = _eliminate_vertex(rows[:], pivot, remaining, arch)
-        trials.append((len(trial_ops), pivot, trial_ops))
-    cheapest = min(t[0] for t in trials)
-    tied = [t for t in trials if t[0] == cheapest]
+    """One greedy round; returns the winner as (pivot, src, dst, src, dst, ...).
+
+    A non-cut pivot is free when it is not structured: its row and column
+    are unit vectors among the remaining rows. Exactly the free pivots have
+    empty trials (no column ops, no residue), so if one exists the tied set
+    is the free pivots and the tie-break alone decides, with no trial
+    elimination. Otherwise every non-cut pivot runs a trial elimination."""
+    structured = _structured(remaining, rows)
+    non_cut = arch.non_cut_vertices(remaining)
+    if non_cut & ~structured:
+        tied = [(0, pivot, []) for pivot in mask_to_legs(non_cut & ~structured)]
+    else:
+        trials = []
+        for pivot in mask_to_legs(non_cut):
+            trial_ops = _eliminate_vertex(rows[:], pivot, remaining, arch)
+            trials.append((len(trial_ops), pivot, trial_ops))
+        cheapest = min(t[0] for t in trials)
+        tied = [t for t in trials if t[0] == cheapest]
     if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
-        structured = _structured(remaining, rows)
         tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
     _, pivot, trial_ops = tied[0]
     return (pivot, *(w for op in trial_ops for w in op))
 
 
-def _structured(remaining: int, rows: list[int]) -> list[int]:
-    """Remaining vertices still carrying matrix structure: an off-diagonal
-    bit in their row, or in their column among the remaining rows."""
-    off_diagonal = 0
+def _structured(remaining: int, rows: list[int]) -> int:
+    """Mask of the remaining vertices still carrying matrix structure: an
+    off-diagonal bit in their row, or in their column among the remaining rows."""
+    structured = 0
     for u in mask_to_legs(remaining):
-        off_diagonal |= rows[u] & ~(1 << u)
-    return [v for v in mask_to_legs(remaining) if rows[v] != 1 << v or off_diagonal >> v & 1]
+        structured |= rows[u] & ~(1 << u) | (rows[u] != 1 << u) << u
+    return structured
 
 
 def _stretch_penalty(
-    arch: Architecture, remaining: int, pivot: int, structured: list[int]
+    arch: Architecture, remaining: int, pivot: int, structured: int
 ) -> int:
     """Total growth of pairwise distances between the structured vertices
     (other than the pivot) if the pivot left the remaining subgraph."""
-    involved = [v for v in structured if v != pivot]
+    involved = mask_to_legs(structured & ~(1 << pivot))
     if len(involved) < 2:
         return 0
     before = arch.distances_within(remaining)

@@ -139,19 +139,26 @@ def regions_unitary(regions: list[ParityMap | ZXPolynomial]) -> np.ndarray:
     """Unitary of an alternating parity-map/gadget-run list, temporal order."""
     if not regions:
         raise ValueError("empty region list")
-    size = regions[0].size if isinstance(regions[0], ParityMap) else regions[0].num_qubits
+    size = _region_size(regions[0])
     mat = identity_unitary(size)
     for region in regions:
+        if _region_size(region) != size:
+            kind = "parity map" if isinstance(region, ParityMap) else "gadget run"
+            raise ValueError(f"{kind} has {_region_size(region)} qubits, the list {size}")
         if isinstance(region, ParityMap):
             mat = parity_unitary(region) @ mat
-        elif isinstance(region, ZXPolynomial):
-            if region.num_qubits != size:
-                raise ValueError(f"gadget run has {region.num_qubits} qubits, the list {size}")
+        else:
             for gadget in region.gadgets:
                 mat = _apply_gadget(mat, gadget, size)
-        else:
-            raise TypeError(f"unknown region {region!r}")
     return mat
+
+
+def _region_size(region: ParityMap | ZXPolynomial) -> int:
+    if isinstance(region, ParityMap):
+        return region.size
+    if isinstance(region, ZXPolynomial):
+        return region.num_qubits
+    raise TypeError(f"unknown region {region!r}")
 
 
 def global_phase_residual(a: np.ndarray, b: np.ndarray) -> float:

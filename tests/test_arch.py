@@ -7,7 +7,9 @@ import pytest
 import zxpoly as zx
 from zxpoly.arch import rooted_tree
 from zxpoly.poly import mask_to_legs
-from conftest import bfs_distances, exact_steiner_weight, random_connected_graph, star
+from conftest import (
+    ARCH_FAMILIES, bfs_distances, exact_steiner_weight, random_connected_graph, star,
+)
 
 
 class TestBuilders:
@@ -239,6 +241,15 @@ class TestTreeWeight:
         assert not arch.memos["rooted"]
         for warm in (arch, reference):  # spans filled; trees filled
             assert [warm.tree_weight(m) for m in masks] == expected, warm.name
+
+    @pytest.mark.parametrize("family", sorted(ARCH_FAMILIES))
+    def test_two_terminals_weigh_their_distance(self, family):
+        for q in range(2, 9):
+            arch = ARCH_FAMILIES[family](q)
+            masks = [1 << u | 1 << v for u in range(q) for v in range(u, q)]
+            expected = [arch.terminal_tree(mask_to_legs(m))[1] for m in masks]
+            assert [arch.tree_weight(m) for m in masks] == expected, arch.name
+            assert not arch.memos["span"], arch.name
 
     @pytest.mark.parametrize("legs, message", [
         (0, "terminal set must be non-empty"),

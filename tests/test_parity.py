@@ -364,3 +364,69 @@ class TestRoundMemo:
         assert len(calls) < cold_calls
         # only the first round runs its trials; every later state is stored
         assert calls == mask_to_legs(warm.non_cut_vertices(0b11111))
+
+
+_NEAR_FAMILIES = ("line", "circle", "grid")
+_NEAR_WARM = {  # shared by every example
+    (family, q): ARCH_FAMILIES[family](q) for family in _NEAR_FAMILIES for q in range(3, 13)
+}
+
+
+def _free_pivots(remaining, rows, arch):
+    """Non-cut pivots whose row and column are unit vectors among the
+    remaining rows, spelled out."""
+    return [
+        v for v in mask_to_legs(arch.non_cut_vertices(remaining))
+        if rows[v] == 1 << v
+        and not any(rows[u] >> v & 1 for u in mask_to_legs(remaining) if u != v)
+    ]
+
+
+class TestFreeRounds:
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(_NEAR_WARM)), st.integers(1, 4),
+           st.randoms(use_true_random=False))
+    def test_near_identity_matches_reference(self, family_q, count, rng):
+        # a few coupling-edge CNOTs away from one spare non-cut vertex, so at
+        # least the first round is free
+        family, q = family_q
+        warm = _NEAR_WARM[family_q]
+        spare = rng.choice(mask_to_legs(warm.non_cut_vertices((1 << q) - 1)))
+        edges = sorted(e for e in warm.edges if spare not in e)
+        cnots = [zx.Cnot(*rng.sample(rng.choice(edges), 2)) for _ in range(count)]
+        m = zx.from_cnots(q, cnots)
+        ops, states = _reference_greedy(m, warm)
+        remaining, rows = states[0]
+        assert spare in _free_pivots(remaining, rows, warm)
+        expected = parity._cancel_cnots(ops[::-1])
+        assert parity._synthesize_raw(m, ARCH_FAMILIES[family](q)) == expected  # cold
+        assert parity._synthesize_raw(m, warm) == expected
+        assert parity._synthesize_raw(m, warm) == expected  # every round a hit
+
+    def test_free_round_runs_no_trials(self, monkeypatch):
+        arch = zx.line(5)
+        m = zx.from_cnots(5, [zx.Cnot(1, 2), zx.Cnot(3, 2)])
+        assert _free_pivots(0b11111, list(m.rows), arch) == [0, 4]
+        calls = []
+        eliminate = parity._eliminate_vertex
+
+        def counting(*args):
+            calls.append(args[1])
+            return eliminate(*args)
+
+        monkeypatch.setattr(parity, "_eliminate_vertex", counting)
+        decided = parity._decide_round(list(m.rows), 0b11111, arch)
+        assert calls == []
+        ops, _ = _reference_greedy(m, zx.line(5))
+        assert decided == (0,)
+        assert parity._synthesize_raw(m, arch) == parity._cancel_cnots(ops[::-1])
+
+    @pytest.mark.parametrize("rows", [
+        (0b0001, 0b0110, 0b0110, 0b1000),  # rows 1 and 2 equal
+        (0b0001, 0b0100, 0b0100, 0b1000),  # column 1 zero
+    ])
+    def test_singular_map_with_free_pivots_rejected(self, rows):
+        m = zx.ParityMap(4, rows)
+        assert _free_pivots(0b1111, list(rows), zx.line(4)) == [0, 3]
+        with pytest.raises(ValueError, match="parity map is singular"):
+            zx.steiner_gauss(m, zx.line(4))

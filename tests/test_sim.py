@@ -94,6 +94,14 @@ class TestRegionsUnitary:
         with pytest.raises(TypeError, match="unknown region"):
             sim.regions_unitary([zx.identity_map(2), zx.Cnot(0, 1)])
 
+    def test_unknown_first_region_rejected(self):
+        with pytest.raises(TypeError, match="unknown region"):
+            sim.regions_unitary([zx.Cnot(0, 1), zx.identity_map(2)])
+
+    def test_parity_map_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="parity map has 3 qubits, the list 2"):
+            sim.regions_unitary([zx.identity_map(2), zx.identity_map(3)])
+
     def test_gadget_run_of_another_size_rejected(self):
         run = zx.ZXPolynomial(3, (zx.PhaseGadget.z([2], PH(1, 4)),))
         with pytest.raises(ValueError, match="gadget run has 3 qubits, the list 2"):
