@@ -92,7 +92,7 @@ class Architecture:
         for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = [sorted(ns) for ns in adj]
+        self.adj = tuple(tuple(sorted(ns)) for ns in adj)
         self.memos: dict[str, dict] = {
             name: {} for name in (
                 "span", "rooted", "non_cut", "distances", "sequence", "round", "gather", "zx",

@@ -195,8 +195,3 @@ def records_to_csv(records: list[BenchRecord]) -> str:
         writer.writerow({**asdict(r), "reduction_pct": _fixed(r.reduction_pct, 4),
                          "time_s": _fixed(r.time_s, 6)})
     return buf.getvalue()
-
-
-def mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

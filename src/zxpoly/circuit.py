@@ -1,6 +1,9 @@
 """Gate-level circuit IR, gadget emitters, region lowering, and QASM export.
 
-The gate set is CNOT / RZ / RX. Two gadget emitters are provided:
+The gate set is CNOT / RZ / RX. A `Circuit` is a frozen value: its gates
+are a tuple, checked against the wire count once, when it is built, so
+each emitter and reader first collects its gates and then builds the
+circuit in one call. Two gadget emitters are provided:
 
   * `naive_gadget_circuit` is the definitional ladder (parity cascade over
     ascending legs, one rotation, mirrored cascade) with every non-adjacent
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
 
@@ -43,34 +46,28 @@ class Rx:
 Gate = Cnot | Rz | Rx
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """A gate sequence on wires 0..num_qubits-1, applied in order.
+
+    A value like the polynomial it implements: `gates` is a tuple, made
+    from whatever sequence is given and checked once, here, so every gate
+    of every circuit is in range.
+    """
+
     num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
+        object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            self._check(gate)
-
-    def _check(self, gate: Gate) -> None:
-        if isinstance(gate, Cnot):
-            if gate.control >= self.num_qubits or gate.target >= self.num_qubits:
-                raise ValueError(f"{gate} out of range for {self.num_qubits} qubits")
-        elif not 0 <= gate.qubit < self.num_qubits:
-            raise ValueError(f"gate qubit {gate.qubit} out of range")
-
-    def append(self, gate: Gate) -> None:
-        self._check(gate)
-        self.gates.append(gate)
-
-    def extend(self, gates) -> None:
-        for gate in gates:
-            self.append(gate)
-
-    def __len__(self) -> int:
-        return len(self.gates)
+            if isinstance(gate, Cnot):
+                if gate.control >= self.num_qubits or gate.target >= self.num_qubits:
+                    raise ValueError(f"{gate} out of range for {self.num_qubits} qubits")
+            elif not 0 <= gate.qubit < self.num_qubits:
+                raise ValueError(f"gate qubit {gate.qubit} out of range")
 
 
 def cnot_count(circuit: Circuit) -> int:
@@ -119,22 +116,18 @@ def naive_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     legs = gadget.leg_list()
     if not legs or legs[-1] >= arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
-    circuit = Circuit(arch.num_qubits)
     up: list[Cnot] = []
     for a, b in zip(legs, legs[1:]):
         up.extend(_ladder_cnot(arch, a, b, gadget.basis))
-    circuit.extend(up)
-    circuit.append(_rotation(gadget.basis, gadget.phase, legs[-1]))
-    circuit.extend(reversed(up))
-    return circuit
+    rotation = _rotation(gadget.basis, gadget.phase, legs[-1])
+    return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
 
 
 def naive_poly_circuit(poly: ZXPolynomial, arch: Architecture) -> Circuit:
     """Concatenated naive ladders for every gadget; the metric baseline."""
-    circuit = Circuit(arch.num_qubits)
-    for gadget in poly.gadgets:
-        circuit.extend(naive_gadget_circuit(gadget, arch).gates)
-    return circuit
+    return Circuit(arch.num_qubits, [
+        gate for gadget in poly.gadgets for gate in naive_gadget_circuit(gadget, arch).gates
+    ])
 
 
 def _tree_root(arch: Architecture, legs: int) -> int:
@@ -168,35 +161,31 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     legs = gadget.leg_list()
     if not legs or legs[-1] >= arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
-    circuit = Circuit(arch.num_qubits)
     if len(legs) == 1:
-        circuit.append(_rotation(gadget.basis, gadget.phase, legs[0]))
-        return circuit
+        return Circuit(arch.num_qubits, (_rotation(gadget.basis, gadget.phase, legs[0]),))
     root = _tree_root(arch, gadget.legs)
     flip = gadget.basis == "X"
     up = [Cnot(parent, child) if flip else Cnot(child, parent)
           for child, parent in arch.gather(gadget.legs, root)]
-    circuit.extend(up)
-    circuit.append(_rotation(gadget.basis, gadget.phase, root))
-    circuit.extend(reversed(up))
-    return circuit
+    rotation = _rotation(gadget.basis, gadget.phase, root)
+    return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
 
 
 def lower_regions(regions: list[ParityMap | ZXPolynomial], arch: Architecture) -> Circuit:
     """Lower an alternating region list: Steiner-Gauss for parity maps,
     tree-placed gadget circuits for gadget runs, concatenated in order."""
-    circuit = Circuit(arch.num_qubits)
+    gates: list[Gate] = []
     for region in regions:
         if isinstance(region, ParityMap):
-            circuit.extend(steiner_gauss(region, arch))
+            gates += steiner_gauss(region, arch)
         elif isinstance(region, ZXPolynomial):
             if region.num_qubits != arch.num_qubits:
                 raise ValueError("gadget region size does not match architecture")
             for gadget in region.gadgets:
-                circuit.extend(steiner_gadget_circuit(gadget, arch).gates)
+                gates += steiner_gadget_circuit(gadget, arch).gates
         else:
             raise TypeError(f"unknown region {region!r}")
-    return circuit
+    return Circuit(arch.num_qubits, gates)
 
 
 # --- QASM 2.0 / JSON interchange ---------------------------------------------

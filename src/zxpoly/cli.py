@@ -68,8 +68,7 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     poly = _load_poly(args.infile)
     arch = _load_arch(args.arch)
-    reduced = simplify_poly(poly) if args.simplify else poly
-    lowered = circ.lower_regions(synthesize(reduced, arch, args.mode), arch)
+    lowered = circ.lower_regions(synthesize(simplify_poly(poly), arch, args.mode), arch)
     method, ok, _ = sim.verify(poly, lowered, arch)
     if not ok:
         print(f"error: the synthesized circuit is not proven to implement the polynomial "
@@ -138,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--arch", required=True, help=arch_help)
     syn.add_argument("--mode", choices=("fast", "gauss"), default="fast")
     syn.add_argument("--format", choices=("qasm", "json"), default="qasm")
-    syn.add_argument("--no-simplify", dest="simplify", action="store_false",
-                     help="skip the simplification pass before synthesis")
     syn.add_argument("--out", default="-")
     syn.set_defaults(func=_cmd_synth)
 

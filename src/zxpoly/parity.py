@@ -47,6 +47,8 @@ class ParityMap:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("parity map size must be positive")
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.size:
             raise ValueError("row count must equal size")
         full = (1 << self.size) - 1

@@ -15,7 +15,7 @@ import numpy as np
 
 import zxpoly as zx
 from zxpoly import sim
-from zxpoly.bench import mean, run_bench, run_instance
+from zxpoly.bench import run_bench, run_instance
 from zxpoly.generators import random_poly
 from conftest import exact_cnot_counts, random_gadget, random_invertible_map, random_zx_poly
 
@@ -266,14 +266,14 @@ def test_criterion_6_table1_trends():
     records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED)
     assert failures == 0, f"{failures} instances failed oracle verification"
 
-    fast_q4 = mean(r.reduction_pct for r in records
-                   if r.algorithm == "divide_fast" and r.n_qubits == 4)
-    fast_all = mean(r.reduction_pct for r in records if r.algorithm == "divide_fast")
-    gauss_all = mean(r.reduction_pct for r in records if r.algorithm == "divide_gauss")
-    fast_t6 = mean(r.time_s for r in records
-                   if r.algorithm == "divide_fast" and r.n_qubits == 6)
-    gauss_t6 = mean(r.time_s for r in records
-                    if r.algorithm == "divide_gauss" and r.n_qubits == 6)
+    fast_q4 = statistics.fmean(r.reduction_pct for r in records
+                               if r.algorithm == "divide_fast" and r.n_qubits == 4)
+    fast_all = statistics.fmean(r.reduction_pct for r in records if r.algorithm == "divide_fast")
+    gauss_all = statistics.fmean(r.reduction_pct for r in records if r.algorithm == "divide_gauss")
+    fast_t6 = statistics.fmean(r.time_s for r in records
+                               if r.algorithm == "divide_fast" and r.n_qubits == 6)
+    gauss_t6 = statistics.fmean(r.time_s for r in records
+                                if r.algorithm == "divide_gauss" and r.n_qubits == 6)
 
     band_ok = abs(fast_q4 - TABLE1_FAST_Q4) <= TABLE1_BAND_PP
     advantage_ok = gauss_all >= fast_all - GAUSS_ADVANTAGE_SLACK
@@ -297,7 +297,7 @@ def test_criterion_7_table2_spot_check():
     records, failures = run_bench(grid, reps=20, base_seed=BENCH_SEED)
     assert failures == 0
     assert all(r.verified for r in records)
-    reduction = mean(r.reduction_pct for r in records)
+    reduction = statistics.fmean(r.reduction_pct for r in records)
     ok = abs(reduction - TABLE2_FAST_Q9) <= TABLE1_BAND_PP
     _report(7, ok, f"fast@q9 grid {reduction:.2f}% (target {TABLE2_FAST_Q9}+-{TABLE1_BAND_PP})")
 

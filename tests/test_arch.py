@@ -62,6 +62,15 @@ class TestBuilders:
         with pytest.raises(ValueError):
             zx.build_architecture("torus:4")
 
+    @pytest.mark.parametrize("family", sorted(ARCH_FAMILIES))
+    def test_adjacency_is_a_frozen_view_of_the_edges(self, family):
+        arch = ARCH_FAMILIES[family](6)
+        assert arch.adj == tuple(
+            tuple(sorted(w for e in arch.edges if u in e for w in e if w != u)) for u in range(6)
+        )
+        with pytest.raises(AttributeError):
+            arch.adj[0].append(3)
+
 
 class TestDistances:
     def test_grid_2x3_full_table(self):

@@ -1,6 +1,7 @@
 """Gadget emitters, region lowering, CNOT metrics, QASM round-trips."""
 
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -26,13 +27,13 @@ def _edge_legal(circuit, arch):
 class TestNaiveEmitter:
     def test_single_leg_rotation_only(self):
         circ = zx.naive_gadget_circuit(zx.PhaseGadget.z([1], PH(1, 4)), zx.line(3))
-        assert circ.gates == [zx.Rz(PH(1, 4), 1)]
+        assert circ.gates == (zx.Rz(PH(1, 4), 1),)
         circ = zx.naive_gadget_circuit(zx.PhaseGadget.x([2], PH(1, 2)), zx.line(3))
-        assert circ.gates == [zx.Rx(PH(1, 2), 2)]
+        assert circ.gates == (zx.Rx(PH(1, 2), 2),)
 
     def test_adjacent_ladder(self):
         circ = zx.naive_gadget_circuit(zx.PhaseGadget.z([0, 1], PH(1, 4)), zx.line(2))
-        assert circ.gates == [zx.Cnot(0, 1), zx.Rz(PH(1, 4), 1), zx.Cnot(0, 1)]
+        assert circ.gates == (zx.Cnot(0, 1), zx.Rz(PH(1, 4), 1), zx.Cnot(0, 1))
         assert zx.cnot_count(circ) == 2
 
     def test_routed_gap_costs_eight(self):
@@ -48,11 +49,11 @@ class TestSteinerEmitter:
         # phase lands on x0 xor x2 via the middle wire, six CNOTs total
         g = zx.PhaseGadget.z([0, 2], PH(1, 4))
         circ = zx.steiner_gadget_circuit(g, zx.line(3))
-        assert circ.gates == [
+        assert circ.gates == (
             zx.Cnot(1, 2), zx.Cnot(0, 1), zx.Cnot(1, 2),
             zx.Rz(PH(1, 4), 2),
             zx.Cnot(1, 2), zx.Cnot(0, 1), zx.Cnot(1, 2),
-        ]
+        )
         assert np.linalg.norm(sim.circuit_unitary(circ) - sim.gadget_unitary(g, 3)) < 1e-12
 
     def test_adjacent_matches_naive(self):
@@ -62,7 +63,7 @@ class TestSteinerEmitter:
 
     def test_single_leg(self):
         circ = zx.steiner_gadget_circuit(zx.PhaseGadget.x([0], PH(1, 8)), zx.line(2))
-        assert circ.gates == [zx.Rx(PH(1, 8), 0)]
+        assert circ.gates == (zx.Rx(PH(1, 8), 0),)
 
 
 def _recursive_gadget_gates(gadget, arch):
@@ -108,8 +109,8 @@ class TestSteinerLadderReference:
         for legs in range(1, 1 << arch.num_qubits):
             for basis in "ZX":
                 g = zx.PhaseGadget(basis, legs, PH(1, 4))
-                assert zx.steiner_gadget_circuit(g, arch).gates == _recursive_gadget_gates(
-                    g, arch), (arch.name, basis, bin(legs))
+                assert zx.steiner_gadget_circuit(g, arch).gates == tuple(_recursive_gadget_gates(
+                    g, arch)), (arch.name, basis, bin(legs))
 
 
 class TestEmitterProperties:
@@ -141,7 +142,7 @@ class TestEmitterProperties:
 class TestLowerRegions:
     def test_single_identity_region(self):
         regions = [zx.identity_map(2)]
-        assert zx.lower_regions(regions, zx.line(2)).gates == []
+        assert zx.lower_regions(regions, zx.line(2)).gates == ()
 
     def test_identity_flanked_gadget(self):
         g = zx.PhaseGadget.z([0, 1], PH(1, 4))
@@ -201,6 +202,37 @@ def test_lowering_and_checking_sit_below_synth(module):
     assert not {name for name in imported if name in (".synth", "zxpoly.synth")}, imported
 
 
+class TestCircuitValue:
+    def test_out_of_range_cnot_rejected(self):
+        with pytest.raises(ValueError, match=r"^CNOT\(0,5\) out of range for 2 qubits$"):
+            zx.Circuit(2, [zx.Rz(PH(1, 4), 1), zx.Cnot(0, 5)])
+
+    @pytest.mark.parametrize("rotation", [zx.Rz, zx.Rx])
+    @pytest.mark.parametrize("qubit", [2, -1])
+    def test_out_of_range_rotation_rejected(self, rotation, qubit):
+        with pytest.raises(ValueError, match=f"^gate qubit {qubit} out of range$"):
+            zx.Circuit(2, [zx.Cnot(0, 1), rotation(PH(1, 4), qubit)])
+
+    def test_no_wires_rejected(self):
+        with pytest.raises(ValueError, match="^num_qubits must be positive$"):
+            zx.Circuit(0)
+
+    def test_generator_keeps_every_gate(self):
+        gates = [zx.Cnot(0, 1), zx.Rz(PH(1, 4), 1), zx.Cnot(1, 0)]
+        circ = zx.Circuit(2, (g for g in gates))
+        assert circ.gates == tuple(gates)
+        assert zx.cnot_count(circ) == 2
+
+    def test_frozen_tuple_value(self):
+        gates = [zx.Cnot(0, 1), zx.Rx(PH(1, 2), 0)]
+        circ = zx.Circuit(2, gates)
+        assert isinstance(circ.gates, tuple) and zx.Circuit(2).gates == ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circ.gates = []
+        twin = zx.Circuit(2, tuple(gates))
+        assert twin == circ and hash(twin) == hash(circ)
+
+
 class TestMetrics:
     def test_cnot_count(self):
         assert zx.cnot_count(zx.Circuit(2)) == 0
@@ -252,13 +284,13 @@ class TestQasm:
     def test_pi_form_angles(self):
         text = "OPENQASM 2.0;\nqreg q[2];\n{}\n"
         circ = zx.from_qasm(text.format("rz(pi/4) q[0];"))
-        assert circ.gates == [zx.Rz(PH(1, 4), 0)]
+        assert circ.gates == (zx.Rz(PH(1, 4), 0),)
         assert zx.from_qasm(zx.to_qasm(circ)) == circ
         for angle, phase in [("pi", PH(1)), ("-pi/2", PH(-1, 2)), ("3*pi/4", PH(3, 4)),
                              ("pi*0.25", PH(1, 4)), (" +pi / 8 ", PH(1, 8)),
                              ("0.785398163397", PH(1, 4))]:
             gates = zx.from_qasm(text.format(f"rx({angle}) q[1];")).gates
-            assert gates == [zx.Rx(phase, 1)], angle
+            assert gates == (zx.Rx(phase, 1),), angle
 
     @pytest.mark.parametrize("angle", ["tau", "pi*pi", "1/pi", "pi/0", "pi**2", "pi^2",
                                        "2-pi", "pi/", "", "-", "sin(pi)", "1e400"])

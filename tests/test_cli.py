@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestSynthAndVerify:
         assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path,
                        "--tol", 1e-9) == 0
 
+    def test_simplification_cannot_be_turned_off(self, tmp_path):
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(zx.random_poly(4, 8, 4, seed=3).to_json())
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--in", poly_path, "--arch", "line:4", "--no-simplify")
+        assert exc.value.code == 2
+
     def test_gauss_mode(self, tmp_path):
         poly_path = tmp_path / "poly.json"
         circ_path = tmp_path / "circ.qasm"
@@ -97,8 +105,7 @@ class TestSynthAndVerify:
         def drop_last_cnot(regions, arch):
             circuit = lower_regions(regions, arch)
             last = max(i for i, g in enumerate(circuit.gates) if isinstance(g, zx.Cnot))
-            del circuit.gates[last]
-            return circuit
+            return replace(circuit, gates=circuit.gates[:last] + circuit.gates[last + 1:])
 
         monkeypatch.setattr(zx.circuit, "lower_regions", drop_last_cnot)
         poly_path = tmp_path / "poly.json"

@@ -48,6 +48,14 @@ class TestBasics:
     def test_str_grid(self):
         assert str(zx.identity_map(2)) == "1 0\n0 1"
 
+    def test_list_rows_become_a_tuple(self):
+        m = zx.ParityMap(2, [1, 3])
+        assert m == zx.ParityMap(2, (1, 3)) and m.rows == (1, 3)
+        arch = zx.line(2)
+        assert zx.cnot_cost(m, arch) == 1
+        assert zx.steiner_gauss(m, arch) == [zx.Cnot(0, 1)]
+        assert zx.lower_regions([m], arch).gates == (zx.Cnot(0, 1),)
+
 
 class TestGauss:
     def test_identity_empty(self):

@@ -139,12 +139,12 @@ def _mutants(circuit, rng):
     if rotations:
         i = rng.choice(rotations)
         changed = replace(gates[i], phase=gates[i].phase + PH(1, 4))
-        out.append(zx.Circuit(circuit.num_qubits, gates[:i] + [changed] + gates[i + 1:]))
+        out.append(zx.Circuit(circuit.num_qubits, gates[:i] + (changed,) + gates[i + 1:]))
     if cnots:
         i = rng.choice(cnots)
         out.append(zx.Circuit(circuit.num_qubits, gates[:i] + gates[i + 1:]))
         flipped = zx.Cnot(gates[i].target, gates[i].control)
-        out.append(zx.Circuit(circuit.num_qubits, gates[:i] + [flipped] + gates[i + 1:]))
+        out.append(zx.Circuit(circuit.num_qubits, gates[:i] + (flipped,) + gates[i + 1:]))
     return out
 
 
@@ -211,7 +211,8 @@ class TestVerify:
         assert capsys.readouterr().out == "PASS method=certificate\n"
         circuit = zx.from_qasm(circ_path.read_text())
         i = next(i for i, g in enumerate(circuit.gates) if isinstance(g, zx.Rz))
-        circuit.gates[i] = replace(circuit.gates[i], phase=circuit.gates[i].phase + PH(1, 4))
+        changed = replace(circuit.gates[i], phase=circuit.gates[i].phase + PH(1, 4))
+        circuit = replace(circuit, gates=circuit.gates[:i] + (changed,) + circuit.gates[i + 1:])
         circ_path.write_text(zx.to_qasm(circuit))
         assert main(["verify", "--poly", str(poly_path), "--circuit", str(circ_path)]) == 1
         assert capsys.readouterr().out.startswith("UNPROVEN")
