@@ -31,7 +31,6 @@ from .parity import (
     cnot_cost,
     cnot_lower_bound,
     from_cnots,
-    gauss_cnots,
     identity_map,
     prepend_cnot,
     steiner_gauss,
@@ -47,9 +46,7 @@ from .rules import (
 )
 from .simplify import simplify
 from .synth import (
-    effect_parity,
     effect_zx,
-    gadget_cost,
     optimize_fast,
     optimize_gauss,
     regroup,
@@ -66,10 +63,10 @@ __all__ = [
     "Cnot", "propagate_cnot_gadget", "propagate_cnot_poly", "commutes",
     "pi_commute_swap", "try_merge",
     "ParityMap", "identity_map", "append_cnot", "prepend_cnot", "from_cnots",
-    "gauss_cnots", "steiner_gauss", "cnot_cost", "cnot_lower_bound",
+    "steiner_gauss", "cnot_cost", "cnot_lower_bound",
     "simplify",
-    "gadget_cost", "effect_zx", "effect_parity", "optimize_gauss",
-    "optimize_fast", "score", "regroup", "split", "synthesize",
+    "effect_zx", "optimize_gauss", "optimize_fast", "score", "regroup", "split",
+    "synthesize",
     "Circuit", "Rz", "Rx", "naive_gadget_circuit", "steiner_gadget_circuit",
     "naive_poly_circuit", "lower_regions", "cnot_count", "reduction",
     "to_qasm", "from_qasm", "circuit_to_json", "circuit_from_json",

@@ -116,12 +116,6 @@ class Architecture:
                     queue.append(v)
         return dist
 
-    def distance(self, u: int, v: int) -> int:
-        for w in (u, v):
-            if not 0 <= w < self.num_qubits:
-                raise ValueError(f"vertex {w} out of range")
-        return self.dist[u][v]
-
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -148,13 +142,13 @@ class Architecture:
 
     def terminal_tree(
         self, terminals: Iterable[int], allowed: int | None = -1
-    ) -> tuple[TreeEdges, int]:
+    ) -> TreeEdges:
         """Approximate Steiner tree connecting the terminals inside the
         `allowed` vertex mask (-1 or None: anywhere).
 
-        Returns (tree edges over physical vertices, weight), where weight is
-        the number of physical edges. A single terminal yields an empty tree
-        of weight 0. Each call builds the tree (not memoized).
+        Returns the tree's edges over physical vertices; its weight is their
+        number. A single terminal yields the empty tree. Each call builds
+        the tree (not memoized).
         """
         terms = sorted(set(terminals))
         if not terms:
@@ -173,12 +167,11 @@ class Architecture:
                 union_edges.add((min(a, b), max(a, b)))
         # Prune the union back to a tree by BFS from the smallest terminal.
         up, order = rooted_tree(union_edges, terms[0])
-        tree_edges = sorted((min(v, up[v]), max(v, up[v])) for v in order[1:])
-        return tuple(tree_edges), len(tree_edges)
+        return tuple(sorted((min(v, up[v]), max(v, up[v])) for v in order[1:]))
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs`
-        bitmask: `terminal_tree(mask_to_legs(legs))[1]`, without building
+        bitmask: `len(terminal_tree(mask_to_legs(legs)))`, without building
         the tree's edges.
 
         That tree is the union U of the shortest paths along the metric
@@ -227,7 +220,7 @@ class Architecture:
         if cached is None:
             smallest = (terms & -terms).bit_length() - 1
             if root == smallest:
-                edges, _ = self.terminal_tree(mask_to_legs(terms), allowed)
+                edges = self.terminal_tree(mask_to_legs(terms), allowed)
             else:
                 parent, order = self.rooted_terminal_tree(terms, smallest, allowed)
                 edges = [(v, parent[v]) for v in order[1:]]

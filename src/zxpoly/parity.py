@@ -6,11 +6,10 @@ input x_j. Appending a CNOT (gate after the map) adds the control row onto
 the target row; prepending (gate before the map) adds the target column
 onto the control column.
 
-`gauss_cnots` resynthesizes a map with unrestricted row additions;
-`steiner_gauss` restricts every emitted CNOT to an architecture edge by
-organizing each pivot column's elimination along a Steiner tree. Both
-satisfy the replay contract: applying the returned gates in order to the
-identity map reproduces the input bit-for-bit, so `steiner_gauss` gets a
+`steiner_gauss` resynthesizes a map with every emitted CNOT on an
+architecture edge by organizing each pivot column's elimination along a
+Steiner tree. It satisfies the replay contract: applying the returned gates
+in order to the identity map reproduces the input bit-for-bit, so it gets a
 map's inverse by replaying its own direct synthesis backwards.
 
 `_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
@@ -32,7 +31,7 @@ gadget ladders use too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arch import Architecture, memo_put
 from .poly import mask_to_legs
@@ -54,16 +53,6 @@ class ParityMap:
         full = (1 << self.size) - 1
         if any(row & ~full for row in self.rows):
             raise ValueError("row has bits outside the map size")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "ParityMap":
-        masks = tuple(
-            sum((1 if bit else 0) << j for j, bit in enumerate(row)) for row in rows
-        )
-        return ParityMap(len(masks), masks)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[self.rows[i] >> j & 1 for j in range(self.size)] for i in range(self.size)]
 
     def is_identity(self) -> bool:
         return all(row == 1 << i for i, row in enumerate(self.rows))
@@ -100,31 +89,6 @@ def from_cnots(num_qubits: int, cnots: Iterable[Cnot]) -> ParityMap:
     for cnot in cnots:
         rows[cnot.target] ^= rows[cnot.control]
     return ParityMap(num_qubits, tuple(rows))
-
-
-def gauss_cnots(m: ParityMap) -> list[Cnot]:
-    """Architecture-unaware Gauss-Jordan resynthesis over GF(2).
-
-    Uses row additions only (no permutations); the pivot fix picks the
-    smallest row below the diagonal carrying a 1. Raises ValueError on a
-    singular map.
-    """
-    q = m.size
-    rows = list(m.rows)
-    ops: list[tuple[int, int]] = []  # (src, dst): rows[dst] ^= rows[src]
-    for col in range(q):
-        bit = 1 << col
-        if not rows[col] & bit:
-            pivot = next((r for r in range(col + 1, q) if rows[r] & bit), None)
-            if pivot is None:
-                raise ValueError("parity map is singular")
-            rows[col] ^= rows[pivot]
-            ops.append((pivot, col))
-        for r in range(q):
-            if r != col and rows[r] & bit:
-                rows[r] ^= rows[col]
-                ops.append((col, r))
-    return [Cnot(src, dst) for src, dst in reversed(ops)]
 
 
 def _column_step(

@@ -34,14 +34,6 @@ class Phase:
         object.__setattr__(self, "denominator", frac.denominator)
 
     @staticmethod
-    def zero() -> "Phase":
-        return Phase(0)
-
-    @staticmethod
-    def pi() -> "Phase":
-        return Phase(1)
-
-    @staticmethod
     def from_fraction(frac: Fraction) -> "Phase":
         return Phase(frac.numerator, frac.denominator)
 
@@ -142,12 +134,6 @@ class PhaseGadget:
     def leg_list(self) -> list[int]:
         return mask_to_legs(self.legs)
 
-    def num_legs(self) -> int:
-        return self.legs.bit_count()
-
-    def has_leg(self, wire: int) -> bool:
-        return bool(self.legs >> wire & 1)
-
     def with_legs(self, mask: int) -> "PhaseGadget":
         return PhaseGadget(self.basis, mask, self.phase)
 
@@ -195,6 +181,12 @@ class ZXPolynomial:
                 return f"gadget {i}: leg {bad} out of range for {self.num_qubits} qubits"
         return None
 
+    def require_valid(self) -> None:
+        """Raise ValueError naming the first `validate` violation, if any."""
+        violation = self.validate()
+        if violation is not None:
+            raise ValueError(f"invalid polynomial: {violation}")
+
     def to_json_dict(self) -> dict:
         return {
             "qubits": self.num_qubits,
@@ -219,9 +211,7 @@ class ZXPolynomial:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
         poly = ZXPolynomial(qubits, gadgets)
-        violation = poly.validate()
-        if violation is not None:
-            raise ValueError(f"invalid polynomial: {violation}")
+        poly.require_valid()
         return poly
 
     def to_json(self, indent: int | None = None) -> str:

@@ -1,10 +1,11 @@
 """Output verification: an exact certificate first, a dense-unitary oracle after.
 
 `verify` is the one check that a circuit implements a polynomial. The oracle
-builds exact 2^q x 2^q unitaries for gadgets, polynomials, circuits, parity
-maps and region lists, so rewrite rules can be checked numerically too. Qubit
-j is the j-th least significant bit of the basis-state index. It is capped at
-12 qubits: above that, an output without a certificate is unproven.
+builds exact 2^q x 2^q unitaries for polynomials and circuits, so rewrite
+rules can be checked numerically too. Qubit j is the j-th least significant
+bit of the basis-state index. It is capped at 12 qubits: above that, an
+output without a certificate is unproven. `verify` and `poly_unitary` raise
+ValueError on a polynomial that `ZXPolynomial.validate` rejects.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .arch import Architecture
 from .circuit import Circuit, Rx, Rz
-from .parity import ParityMap
 from .poly import PhaseGadget, ZXPolynomial
 from .rules import Cnot
 from .simplify import simplify
@@ -92,15 +92,9 @@ def identity_unitary(num_qubits: int) -> np.ndarray:
     return np.eye(1 << num_qubits, dtype=complex)
 
 
-def gadget_unitary(gadget: PhaseGadget, num_qubits: int) -> np.ndarray:
-    """Unitary of one gadget: diagonal parity phases, Hadamard-conjugated on X."""
-    _check_size(num_qubits)
-    if gadget.legs >> num_qubits:
-        raise ValueError("gadget legs out of range")
-    return _apply_gadget(identity_unitary(num_qubits), gadget, num_qubits)
-
-
 def poly_unitary(poly: ZXPolynomial) -> np.ndarray:
+    """Unitary of a valid polynomial; temporal order left to right."""
+    poly.require_valid()
     mat = identity_unitary(poly.num_qubits)
     for gadget in poly.gadgets:
         mat = _apply_gadget(mat, gadget, poly.num_qubits)
@@ -120,45 +114,6 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         else:  # pragma: no cover - exhaustive over the gate union
             raise TypeError(f"unknown gate {gate!r}")
     return mat
-
-
-def parity_unitary(m: ParityMap) -> np.ndarray:
-    """Permutation unitary sending basis state x to M x over GF(2)."""
-    _check_size(m.size)
-    dim = 1 << m.size
-    mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        y = 0
-        for i, row in enumerate(m.rows):
-            y |= ((row & x).bit_count() & 1) << i
-        mat[y, x] = 1.0
-    return mat
-
-
-def regions_unitary(regions: list[ParityMap | ZXPolynomial]) -> np.ndarray:
-    """Unitary of an alternating parity-map/gadget-run list, temporal order."""
-    if not regions:
-        raise ValueError("empty region list")
-    size = _region_size(regions[0])
-    mat = identity_unitary(size)
-    for region in regions:
-        if _region_size(region) != size:
-            kind = "parity map" if isinstance(region, ParityMap) else "gadget run"
-            raise ValueError(f"{kind} has {_region_size(region)} qubits, the list {size}")
-        if isinstance(region, ParityMap):
-            mat = parity_unitary(region) @ mat
-        else:
-            for gadget in region.gadgets:
-                mat = _apply_gadget(mat, gadget, size)
-    return mat
-
-
-def _region_size(region: ParityMap | ZXPolynomial) -> int:
-    if isinstance(region, ParityMap):
-        return region.size
-    if isinstance(region, ZXPolynomial):
-        return region.num_qubits
-    raise TypeError(f"unknown region {region!r}")
 
 
 def global_phase_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -192,6 +147,7 @@ def verify(
     gadgets' inverse (Amy, arXiv:1805.06908). "oracle" up to MAX_QUBITS: ok iff
     the residual, the detail, is below tol. Else "unproven", never ok.
     """
+    poly.require_valid()
     q = poly.num_qubits
     if circuit.num_qubits != q:
         raise ValueError(f"polynomial has {q} qubits, circuit has {circuit.num_qubits}")

@@ -7,12 +7,13 @@ A polynomial is optimized inside an alternating region list
 absorbs the gate pair into the two flanking parity regions, preserving the
 total unitary while (ideally) shrinking the gadgets' leg trees.
 
-Cost conventions: `effect_zx` is the change (after minus before) in the
-gadget-tree CNOT estimate, so negative is an improvement. `effect_parity`
-follows the opposite orientation (cost before minus cost after, i.e. the
-CNOTs saved on that parity region); the greedy test therefore accepts a
-candidate when effect_zx - effect_parity(left) - effect_parity(right) < 0,
-which is exactly "the total emitted-CNOT estimate strictly decreases".
+Cost conventions: a gadget is priced at twice its tree weight, and
+`effect_zx` is the change (after minus before) in that gadget-tree CNOT
+estimate, so negative is an improvement. The ceiling is what the two
+flanking parity regions cost now (`cnot_cost`), `absorbed` what they cost
+with the CNOT pair absorbed; `optimize_gauss` accepts a candidate when
+effect_zx + absorbed - ceiling < 0, which is exactly "the total
+emitted-CNOT estimate strictly decreases".
 
 Both sweeps read every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
@@ -44,11 +45,6 @@ from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
     Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs, tested_toggled,
 )
-
-
-def gadget_cost(gadget: PhaseGadget, arch: Architecture) -> int:
-    """Heuristic CNOT count for emitting one gadget: twice its tree weight."""
-    return 2 * arch.tree_weight(gadget.legs)
 
 
 def effect_zx(poly: ZXPolynomial, cnot: Cnot, arch: Architecture) -> int:
@@ -110,27 +106,6 @@ def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
                     effects.extend(tested_toggled(gadget.basis, t, v))
                     effects.append(delta)
     return tuple(effects)
-
-
-def effect_parity(m: ParityMap, cnot: Cnot, side: str, arch: Architecture) -> int:
-    """CNOTs saved on a parity region by absorbing the propagated CNOT.
-
-    The left region absorbs by append, the right by prepend, matching the
-    conjugation direction of the polynomial propagation. Positive means the
-    region synthesizes cheaper afterwards.
-
-    Absorbing the CNOT changes the optimal cost of the region by at most its
-    routed cost r: 1 on a coupling edge, 4(d-1) at hop distance d >= 2 (so
-    d itself is no bound). The greedy cnot_cost can go past r by as much as
-    its synthesis of m is longer than the optimum.
-    """
-    if side == "left":
-        absorbed = append_cnot(m, cnot)
-    elif side == "right":
-        absorbed = prepend_cnot(m, cnot)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return cnot_cost(m, arch) - cnot_cost(absorbed, arch)
 
 
 def optimize_gauss(
@@ -270,9 +245,7 @@ def synthesize(
     if poly.num_qubits != arch.num_qubits:
         raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
                          f"qubits, architecture {arch.name} has {arch.num_qubits}")
-    violation = poly.validate()
-    if violation is not None:
-        raise ValueError(f"invalid polynomial: {violation}")
+    poly.require_valid()
     identity = identity_map(arch.num_qubits)
     if len(poly.gadgets) == 0:
         return [identity]

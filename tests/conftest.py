@@ -2,6 +2,10 @@
 
 The oracles here are deliberately naive (BFS, exhaustive search, explicit
 matrix algebra) so they stay independent of the library code they check.
+The references at the end are definitions the library itself does not
+need: plain Gauss-Jordan synthesis, a gadget's cost, a parity region's
+absorption effect, and the unitaries of gadgets, parity maps and region
+lists.
 """
 
 from __future__ import annotations
@@ -10,7 +14,10 @@ import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 import zxpoly as zx
+from zxpoly import sim
 
 
 def star(q: int) -> zx.Architecture:
@@ -142,3 +149,107 @@ def random_connected_graph(rng: random.Random, q: int) -> list[tuple[int, int]]:
             if rng.random() < 0.2:
                 edges.add((u, v))
     return sorted(edges)
+
+
+def map_from_lists(rows: list[list[int]]) -> zx.ParityMap:
+    """Parity map of a 0/1 matrix, row i bit j at rows[i][j]."""
+    return zx.ParityMap(len(rows), [sum(bit << j for j, bit in enumerate(row)) for row in rows])
+
+
+def map_to_lists(m: zx.ParityMap) -> list[list[int]]:
+    return [[m.rows[i] >> j & 1 for j in range(m.size)] for i in range(m.size)]
+
+
+def gauss_cnots(m: zx.ParityMap) -> list[zx.Cnot]:
+    """Architecture-unaware Gauss-Jordan resynthesis over GF(2).
+
+    Uses row additions only (no permutations); the pivot fix picks the
+    smallest row below the diagonal carrying a 1. Raises ValueError on a
+    singular map.
+    """
+    q = m.size
+    rows = list(m.rows)
+    ops: list[tuple[int, int]] = []  # (src, dst): rows[dst] ^= rows[src]
+    for col in range(q):
+        bit = 1 << col
+        if not rows[col] & bit:
+            pivot = next((r for r in range(col + 1, q) if rows[r] & bit), None)
+            if pivot is None:
+                raise ValueError("parity map is singular")
+            rows[col] ^= rows[pivot]
+            ops.append((pivot, col))
+        for r in range(q):
+            if r != col and rows[r] & bit:
+                rows[r] ^= rows[col]
+                ops.append((col, r))
+    return [zx.Cnot(src, dst) for src, dst in reversed(ops)]
+
+
+def gf2_invert(m: zx.ParityMap) -> zx.ParityMap:
+    """Inverse over GF(2): gauss_cnots replayed backward, as CNOTs are self-inverse."""
+    return zx.from_cnots(m.size, reversed(gauss_cnots(m)))
+
+
+def gadget_cost(gadget: zx.PhaseGadget, arch: zx.Architecture) -> int:
+    """The CNOTs the cost model prices a gadget at: twice its tree weight."""
+    return 2 * arch.tree_weight(gadget.legs)
+
+
+def effect_parity(m: zx.ParityMap, cnot: zx.Cnot, side: str, arch: zx.Architecture) -> int:
+    """CNOTs saved on a parity region by absorbing the propagated CNOT.
+
+    The left region absorbs by append, the right by prepend, matching the
+    conjugation direction of the polynomial propagation. Positive means the
+    region synthesizes cheaper afterwards.
+
+    Absorbing the CNOT changes the optimal cost of the region by at most its
+    routed cost r: 1 on a coupling edge, 4(d-1) at hop distance d >= 2 (so
+    d itself is no bound). The greedy cnot_cost can go past r by as much as
+    its synthesis of m is longer than the optimum.
+    """
+    if side == "left":
+        absorbed = zx.append_cnot(m, cnot)
+    elif side == "right":
+        absorbed = zx.prepend_cnot(m, cnot)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return zx.cnot_cost(m, arch) - zx.cnot_cost(absorbed, arch)
+
+
+def gadget_unitary(gadget: zx.PhaseGadget, num_qubits: int) -> np.ndarray:
+    """Unitary of one gadget: the one-gadget polynomial's."""
+    return sim.poly_unitary(zx.ZXPolynomial(num_qubits, (gadget,)))
+
+
+def parity_unitary(m: zx.ParityMap) -> np.ndarray:
+    """Permutation unitary sending basis state x to M x over GF(2)."""
+    dim = 1 << m.size
+    mat = np.zeros((dim, dim), dtype=complex)
+    for x in range(dim):
+        y = 0
+        for i, row in enumerate(m.rows):
+            y |= ((row & x).bit_count() & 1) << i
+        mat[y, x] = 1.0
+    return mat
+
+
+def regions_unitary(regions: list) -> np.ndarray:
+    """Unitary of an alternating parity-map/gadget-run list, temporal order."""
+    def size(region) -> int:
+        if isinstance(region, zx.ParityMap):
+            return region.size
+        if isinstance(region, zx.ZXPolynomial):
+            return region.num_qubits
+        raise TypeError(f"unknown region {region!r}")
+
+    if not regions:
+        raise ValueError("empty region list")
+    q = size(regions[0])
+    mat = np.eye(1 << q, dtype=complex)
+    for region in regions:
+        is_map = isinstance(region, zx.ParityMap)
+        if size(region) != q:
+            kind = "parity map" if is_map else "gadget run"
+            raise ValueError(f"{kind} has {size(region)} qubits, the list {q}")
+        mat = (parity_unitary(region) if is_map else sim.poly_unitary(region)) @ mat
+    return mat

@@ -17,7 +17,10 @@ import zxpoly as zx
 from zxpoly import sim
 from zxpoly.bench import run_bench, run_instance
 from zxpoly.generators import random_poly
-from conftest import exact_cnot_counts, random_gadget, random_invertible_map, random_zx_poly
+from conftest import (
+    effect_parity, exact_cnot_counts, gadget_unitary, random_gadget, random_invertible_map,
+    random_zx_poly,
+)
 
 PH = zx.Phase
 
@@ -59,13 +62,13 @@ def test_criterion_1_rewrite_rule_soundness():
         g = random_gadget(rng, q)
         cnot = zx.Cnot(*rng.sample(range(q), 2))
         conj = sim.circuit_unitary(zx.Circuit(q, [cnot]))
-        u_prop = sim.gadget_unitary(zx.propagate_cnot_gadget(g, cnot), q)
-        assert np.linalg.norm(conj @ u_prop @ conj - sim.gadget_unitary(g, q)) < RULE_TOL
+        u_prop = gadget_unitary(zx.propagate_cnot_gadget(g, cnot), q)
+        assert np.linalg.norm(conj @ u_prop @ conj - gadget_unitary(g, q)) < RULE_TOL
 
     for _ in range(500):
         q = rng.randint(1, 4)
         a, b = random_gadget(rng, q), random_gadget(rng, q)
-        ua, ub = sim.gadget_unitary(a, q), sim.gadget_unitary(b, q)
+        ua, ub = gadget_unitary(a, q), gadget_unitary(b, q)
         assert zx.commutes(a, b) == (np.linalg.norm(ua @ ub - ub @ ua) < RULE_TOL)
 
     swaps = 0
@@ -81,8 +84,8 @@ def test_criterion_1_rewrite_rule_soundness():
             continue
         swaps += 1
         first, second = swapped
-        before = sim.gadget_unitary(b, q) @ sim.gadget_unitary(a, q)
-        after = sim.gadget_unitary(second, q) @ sim.gadget_unitary(first, q)
+        before = gadget_unitary(b, q) @ gadget_unitary(a, q)
+        after = gadget_unitary(second, q) @ gadget_unitary(first, q)
         assert sim.equal_up_to_global_phase(before, after, RULE_TOL)
 
     for _ in range(500):
@@ -90,8 +93,8 @@ def test_criterion_1_rewrite_rule_soundness():
         a = random_gadget(rng, q)
         b = zx.PhaseGadget(a.basis, a.legs, PH(rng.randint(1, 7), 4))
         merged = zx.try_merge(a, b)
-        product = sim.gadget_unitary(b, q) @ sim.gadget_unitary(a, q)
-        assert sim.equal_up_to_global_phase(product, sim.gadget_unitary(merged, q), RULE_TOL)
+        product = gadget_unitary(b, q) @ gadget_unitary(a, q)
+        assert sim.equal_up_to_global_phase(product, gadget_unitary(merged, q), RULE_TOL)
 
     _report(1, True, "500 instances per rule within 1e-12")
 
@@ -207,7 +210,7 @@ def test_criterion_5_heuristic_bound():
                 for t in range(q):
                     if c == t:
                         continue
-                    r = _routed_cost(arch.distance(c, t))
+                    r = _routed_cost(arch.dist[c][t])
                     lone = _absorb(tuple(1 << i for i in range(q)), c, t, "left")
                     assert opt[lone] == r == zx.cnot_cost(zx.ParityMap(q, lone), arch), \
                         (arch.name, (c, t), opt[lone], r)
@@ -227,8 +230,8 @@ def test_criterion_5_heuristic_bound():
         c, t = rng.sample(range(q), 2)
         side = "left" if rng.random() < 0.5 else "right"
         cnot = zx.Cnot(c, t)
-        effect = zx.effect_parity(m, cnot, side, arch)
-        d = arch.distance(c, t)
+        effect = effect_parity(m, cnot, side, arch)
+        d = arch.dist[c][t]
         r = _routed_cost(d)
         instance = (arch.name, (c, t), side, effect, d, r)
         route = zx.steiner_gauss(zx.from_cnots(q, [cnot]), arch)

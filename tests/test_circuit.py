@@ -11,7 +11,7 @@ import pytest
 import zxpoly as zx
 from zxpoly import sim
 from zxpoly.arch import rooted_tree
-from conftest import random_gadget, random_invertible_map, random_zx_poly
+from conftest import gadget_unitary, random_gadget, random_invertible_map, random_zx_poly
 
 PH = zx.Phase
 
@@ -41,7 +41,7 @@ class TestNaiveEmitter:
         circ = zx.naive_gadget_circuit(g, zx.line(3))
         assert zx.cnot_count(circ) == 8
         assert _edge_legal(circ, zx.line(3))
-        assert np.linalg.norm(sim.circuit_unitary(circ) - sim.gadget_unitary(g, 3)) < 1e-12
+        assert np.linalg.norm(sim.circuit_unitary(circ) - gadget_unitary(g, 3)) < 1e-12
 
 
 class TestSteinerEmitter:
@@ -54,7 +54,7 @@ class TestSteinerEmitter:
             zx.Rz(PH(1, 4), 2),
             zx.Cnot(1, 2), zx.Cnot(0, 1), zx.Cnot(1, 2),
         )
-        assert np.linalg.norm(sim.circuit_unitary(circ) - sim.gadget_unitary(g, 3)) < 1e-12
+        assert np.linalg.norm(sim.circuit_unitary(circ) - gadget_unitary(g, 3)) < 1e-12
 
     def test_adjacent_matches_naive(self):
         g = zx.PhaseGadget.z([1, 2], PH(3, 4))
@@ -73,7 +73,7 @@ def _recursive_gadget_gates(gadget, arch):
     legs = gadget.leg_list()
     root, up = legs[0], []
     if len(legs) > 1:
-        tree_edges, _ = arch.terminal_tree(legs)
+        tree_edges = arch.terminal_tree(legs)
         best = None
         for leg in legs:
             parent, order = rooted_tree(tree_edges, leg)
@@ -92,7 +92,7 @@ def _recursive_gadget_gates(gadget, arch):
             return zx.Cnot(parent[v], v) if gadget.basis == "X" else zx.Cnot(v, parent[v])
 
         def emit(v):
-            gates = [] if gadget.has_leg(v) else [edge_cnot(v)]
+            gates = [] if gadget.legs >> v & 1 else [edge_cnot(v)]
             for child in sorted(children[v]):
                 gates.extend(emit(child))
             return gates + [edge_cnot(v)]
@@ -125,7 +125,7 @@ class TestEmitterProperties:
             for emit in (zx.naive_gadget_circuit, zx.steiner_gadget_circuit):
                 circ = emit(g, arch)
                 assert _edge_legal(circ, arch)
-                assert np.linalg.norm(sim.circuit_unitary(circ) - sim.gadget_unitary(g, q)) < 1e-12
+                assert np.linalg.norm(sim.circuit_unitary(circ) - gadget_unitary(g, q)) < 1e-12
 
     def test_steiner_beats_naive_on_line(self):
         rng = random.Random(32)

@@ -1,4 +1,4 @@
-"""CLI subcommands and the benchmark harness contract."""
+"""CLI subcommands, the package exports and the benchmark harness contract."""
 
 import csv
 import io
@@ -391,3 +391,11 @@ class TestBench:
         assert failures == 0
         assert len(records) == 4
         assert all(r.verified for r in records)
+
+
+class TestPackage:
+    def test_every_export_exists(self):
+        namespace: dict = {}
+        exec("from zxpoly import *", namespace)  # AttributeError on a dangling name
+        assert set(zx.__all__) <= set(namespace)
+        assert not {"gauss_cnots", "gadget_cost", "effect_parity"} & set(zx.__all__)

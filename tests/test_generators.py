@@ -19,7 +19,7 @@ class TestRandomPoly:
     def test_leg_count_bounds(self):
         poly = zx.random_poly(6, 1000, 3, seed=1)
         assert len(poly) == 1000
-        counts = {g.num_legs() for g in poly}
+        counts = {g.legs.bit_count() for g in poly}
         assert counts == {1, 2, 3}
         assert poly.validate() is None
 
@@ -40,8 +40,8 @@ class TestMaxcut:
         z = [g for g in poly if g.basis == "Z"]
         x = [g for g in poly if g.basis == "X"]
         assert len(z) == 3 and len(x) == 3
-        assert all(g.num_legs() == 2 for g in z)
-        assert all(g.num_legs() == 1 for g in x)
+        assert all(g.legs.bit_count() == 2 for g in z)
+        assert all(g.legs.bit_count() == 1 for g in x)
         # cost gadgets come before the mixer within the layer
         assert [g.basis for g in poly] == ["Z"] * 3 + ["X"] * 3
 

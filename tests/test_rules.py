@@ -7,7 +7,7 @@ import pytest
 
 import zxpoly as zx
 from zxpoly import sim
-from conftest import random_gadget
+from conftest import gadget_unitary, random_gadget
 
 PH = zx.Phase
 
@@ -39,8 +39,8 @@ class TestPropagation:
             g = random_gadget(rng, q)
             cnot = zx.Cnot(*rng.sample(range(q), 2))
             conj = sim.circuit_unitary(zx.Circuit(q, [cnot]))
-            u_prop = sim.gadget_unitary(zx.propagate_cnot_gadget(g, cnot), q)
-            u_orig = sim.gadget_unitary(g, q)
+            u_prop = gadget_unitary(zx.propagate_cnot_gadget(g, cnot), q)
+            u_orig = gadget_unitary(g, q)
             assert np.linalg.norm(conj @ u_prop @ conj - u_orig) < 1e-12
 
     def test_poly_propagation(self):
@@ -76,7 +76,7 @@ class TestCommutes:
         for _ in range(500):
             q = rng.randint(1, 4)
             a, b = random_gadget(rng, q), random_gadget(rng, q)
-            ua, ub = sim.gadget_unitary(a, q), sim.gadget_unitary(b, q)
+            ua, ub = gadget_unitary(a, q), gadget_unitary(b, q)
             numerically = np.linalg.norm(ua @ ub - ub @ ua) < 1e-12
             assert zx.commutes(a, b) == numerically
 
@@ -117,8 +117,8 @@ class TestPiCommuteSwap:
                 continue
             applicable += 1
             first, second = swapped
-            before = sim.gadget_unitary(b, q) @ sim.gadget_unitary(a, q)
-            after = sim.gadget_unitary(second, q) @ sim.gadget_unitary(first, q)
+            before = gadget_unitary(b, q) @ gadget_unitary(a, q)
+            after = gadget_unitary(second, q) @ gadget_unitary(first, q)
             # phases are normalized into [0, 2pi), so the product is fixed
             # only up to the half-angle's global sign
             assert sim.equal_up_to_global_phase(before, after, 1e-12)
@@ -148,5 +148,5 @@ class TestMerge:
             b = zx.PhaseGadget(a.basis, a.legs, PH(rng.randint(1, 7), 4))
             merged = zx.try_merge(a, b)
             assert merged is not None
-            product = sim.gadget_unitary(b, q) @ sim.gadget_unitary(a, q)
-            assert sim.equal_up_to_global_phase(product, sim.gadget_unitary(merged, q), 1e-12)
+            product = gadget_unitary(b, q) @ gadget_unitary(a, q)
+            assert sim.equal_up_to_global_phase(product, gadget_unitary(merged, q), 1e-12)

@@ -12,21 +12,24 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from zxpoly import sim
 from zxpoly.cli import main
-from conftest import ARCH_FAMILIES, random_gadget, random_invertible_map
+from conftest import (
+    ARCH_FAMILIES, gadget_unitary, map_from_lists, parity_unitary, random_gadget,
+    random_invertible_map, regions_unitary,
+)
 
 PH = zx.Phase
 
 
 class TestGadgetUnitary:
     def test_single_z_pi(self):
-        u = sim.gadget_unitary(zx.PhaseGadget.z([0], PH(1, 1)), 1)
+        u = gadget_unitary(zx.PhaseGadget.z([0], PH(1, 1)), 1)
         expected = np.diag([np.exp(-0.5j * pi), np.exp(0.5j * pi)])
         np.testing.assert_allclose(u, expected, atol=1e-15)
 
     def test_zero_phase_is_identity(self):
         for basis in ("Z", "X"):
             g = zx.PhaseGadget(basis, 0b101, PH(0))
-            np.testing.assert_allclose(sim.gadget_unitary(g, 3), np.eye(8), atol=1e-15)
+            np.testing.assert_allclose(gadget_unitary(g, 3), np.eye(8), atol=1e-15)
 
     def test_diagonal_matches_ladder(self):
         # two independent constructions of the same unitary
@@ -36,18 +39,18 @@ class TestGadgetUnitary:
             g = random_gadget(rng, q)
             arch = zx.complete(q) if q > 1 else zx.line(1)
             u_ladder = sim.circuit_unitary(zx.naive_gadget_circuit(g, arch))
-            assert np.linalg.norm(sim.gadget_unitary(g, q) - u_ladder) < 1e-12
+            assert np.linalg.norm(gadget_unitary(g, q) - u_ladder) < 1e-12
 
     def test_unitarity(self):
         rng = random.Random(2)
         for _ in range(50):
             q = rng.randint(1, 4)
-            u = sim.gadget_unitary(random_gadget(rng, q), q)
+            u = gadget_unitary(random_gadget(rng, q), q)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(1 << q), atol=1e-10)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            sim.gadget_unitary(zx.PhaseGadget.z([0], PH(1, 4)), 13)
+            gadget_unitary(zx.PhaseGadget.z([0], PH(1, 4)), 13)
 
 
 class TestCircuitUnitary:
@@ -73,8 +76,8 @@ class TestCircuitUnitary:
 
 class TestParityUnitary:
     def test_matches_circuit(self):
-        m = zx.ParityMap.from_rows([[1, 0], [1, 1]])
-        u_map = sim.parity_unitary(m)
+        m = map_from_lists([[1, 0], [1, 1]])
+        u_map = parity_unitary(m)
         u_circ = sim.circuit_unitary(zx.Circuit(2, [zx.Cnot(0, 1)]))
         np.testing.assert_allclose(u_map, u_circ, atol=1e-15)
 
@@ -84,37 +87,37 @@ class TestParityUnitary:
             q = rng.randint(2, 4)
             m = random_invertible_map(rng, q)
             cn = zx.Cnot(*rng.sample(range(q), 2))
-            left = sim.parity_unitary(zx.append_cnot(m, cn))
-            right = sim.circuit_unitary(zx.Circuit(q, [cn])) @ sim.parity_unitary(m)
+            left = parity_unitary(zx.append_cnot(m, cn))
+            right = sim.circuit_unitary(zx.Circuit(q, [cn])) @ parity_unitary(m)
             assert np.linalg.norm(left - right) < 1e-12
 
 
 class TestRegionsUnitary:
     def test_unknown_region_rejected(self):
         with pytest.raises(TypeError, match="unknown region"):
-            sim.regions_unitary([zx.identity_map(2), zx.Cnot(0, 1)])
+            regions_unitary([zx.identity_map(2), zx.Cnot(0, 1)])
 
     def test_unknown_first_region_rejected(self):
         with pytest.raises(TypeError, match="unknown region"):
-            sim.regions_unitary([zx.Cnot(0, 1), zx.identity_map(2)])
+            regions_unitary([zx.Cnot(0, 1), zx.identity_map(2)])
 
     def test_parity_map_of_another_size_rejected(self):
         with pytest.raises(ValueError, match="parity map has 3 qubits, the list 2"):
-            sim.regions_unitary([zx.identity_map(2), zx.identity_map(3)])
+            regions_unitary([zx.identity_map(2), zx.identity_map(3)])
 
     def test_gadget_run_of_another_size_rejected(self):
         run = zx.ZXPolynomial(3, (zx.PhaseGadget.z([2], PH(1, 4)),))
         with pytest.raises(ValueError, match="gadget run has 3 qubits, the list 2"):
-            sim.regions_unitary([zx.identity_map(2), run, zx.identity_map(2)])
+            regions_unitary([zx.identity_map(2), run, zx.identity_map(2)])
 
 
 class TestGlobalPhaseComparison:
     def test_equal(self):
-        u = sim.gadget_unitary(zx.PhaseGadget.z([0, 1], PH(1, 4)), 2)
+        u = gadget_unitary(zx.PhaseGadget.z([0, 1], PH(1, 4)), 2)
         assert sim.equal_up_to_global_phase(u, u, 1e-12)
 
     def test_pure_phase(self):
-        u = sim.gadget_unitary(zx.PhaseGadget.x([0], PH(3, 4)), 1)
+        u = gadget_unitary(zx.PhaseGadget.x([0], PH(3, 4)), 1)
         assert sim.equal_up_to_global_phase(u, np.exp(1j * pi / 7) * u, 1e-12)
 
     def test_different(self):
@@ -154,6 +157,24 @@ def _cnot_as_gadgets(q):
     hadamard = (z([1], quarter), x([1], quarter), z([1], quarter))
     cz = (z([0], quarter), z([1], quarter), z([0, 1], -quarter))
     return zx.ZXPolynomial(q, hadamard + cz + hadamard)
+
+
+class TestInvalidPolynomial:
+    """Both checks refuse a polynomial `validate` rejects, as `synthesize` does,
+    rather than drop its out-of-range legs or fail on them."""
+
+    @pytest.mark.parametrize("gadget, circuit, violation", [
+        (zx.PhaseGadget("Z", 0b100001, PH(1, 4)), zx.Circuit(2, [zx.Rz(PH(1, 4), 0)]),
+         "gadget 0: leg 5 out of range for 2 qubits"),
+        (zx.PhaseGadget("Z", 0, PH(1, 4)), zx.Circuit(2), "gadget 0: empty leg set"),
+        (zx.PhaseGadget("X", 0b100, PH(1, 4)), zx.Circuit(2),
+         "gadget 0: leg 2 out of range for 2 qubits"),
+    ], ids=["leg-out-of-range", "no-legs", "x-leg-out-of-range"])
+    def test_rejected(self, gadget, circuit, violation):
+        poly = zx.ZXPolynomial(2, (gadget,))
+        for check in (lambda: sim.verify(poly, circuit), lambda: sim.poly_unitary(poly)):
+            with pytest.raises(ValueError, match=f"^invalid polynomial: {violation}$"):
+                check()
 
 
 class TestVerify:

@@ -12,7 +12,8 @@ import zxpoly as zx
 from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
 from conftest import (
-    ARCH_FAMILIES, exact_cnot_counts, random_invertible_map, random_zx_poly, row_column_bound, star,
+    ARCH_FAMILIES, effect_parity, exact_cnot_counts, gadget_cost, parity_unitary,
+    random_invertible_map, random_zx_poly, regions_unitary, row_column_bound, star,
 )
 
 PH = zx.Phase
@@ -20,13 +21,13 @@ PH = zx.Phase
 
 class TestGadgetCost:
     def test_single_leg_free(self):
-        assert zx.gadget_cost(zx.PhaseGadget.z([1], PH(1, 4)), zx.line(3)) == 0
+        assert gadget_cost(zx.PhaseGadget.z([1], PH(1, 4)), zx.line(3)) == 0
 
     def test_adjacent_pair(self):
-        assert zx.gadget_cost(zx.PhaseGadget.z([0, 1], PH(1, 4)), zx.line(2)) == 2
+        assert gadget_cost(zx.PhaseGadget.z([0, 1], PH(1, 4)), zx.line(2)) == 2
 
     def test_gap_pair(self):
-        assert zx.gadget_cost(zx.PhaseGadget.z([0, 2], PH(1, 4)), zx.line(3)) == 4
+        assert gadget_cost(zx.PhaseGadget.z([0, 2], PH(1, 4)), zx.line(3)) == 4
 
 
 class TestEffectZx:
@@ -103,12 +104,12 @@ class TestZxTable:
 
 class TestEffectParity:
     def test_identity_absorbs_edge(self):
-        assert zx.effect_parity(identity_map(3), zx.Cnot(0, 1), "left", zx.line(3)) == -1
-        assert zx.effect_parity(identity_map(3), zx.Cnot(0, 1), "right", zx.line(3)) == -1
+        assert effect_parity(identity_map(3), zx.Cnot(0, 1), "left", zx.line(3)) == -1
+        assert effect_parity(identity_map(3), zx.Cnot(0, 1), "right", zx.line(3)) == -1
 
     def test_cancellation_gains(self):
         m = zx.append_cnot(identity_map(3), zx.Cnot(0, 1))
-        assert zx.effect_parity(m, zx.Cnot(0, 1), "left", zx.line(3)) == 1
+        assert effect_parity(m, zx.Cnot(0, 1), "left", zx.line(3)) == 1
 
     def test_distance_two_absorption_exceeds_hop_distance(self):
         # the map of a lone CNOT(0, 2) on line:3 needs 4 edge CNOTs, which
@@ -117,13 +118,13 @@ class TestEffectParity:
         cnot = zx.Cnot(0, 2)
         m = zx.from_cnots(3, [cnot])
         assert zx.cnot_cost(m, arch) == 4 == exact_cnot_counts(3, sorted(arch.edges))[m.rows]
-        assert arch.distance(0, 2) == 2
+        assert arch.dist[0][2] == 2
         for side in ("left", "right"):
-            assert zx.effect_parity(m, cnot, side, arch) == 4
+            assert effect_parity(m, cnot, side, arch) == 4
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
-            zx.effect_parity(identity_map(2), zx.Cnot(0, 1), "middle", zx.line(2))
+            effect_parity(identity_map(2), zx.Cnot(0, 1), "middle", zx.line(2))
 
 
 class TestOptimizeGauss:
@@ -142,14 +143,14 @@ class TestOptimizeGauss:
         )
         poly = zx.ZXPolynomial(3, gadgets)
         pl, out, pr = zx.optimize_gauss(identity_map(3), poly, identity_map(3), arch)
-        before = sum(zx.gadget_cost(g, arch) for g in poly.gadgets)
+        before = sum(gadget_cost(g, arch) for g in poly.gadgets)
         after = (
-            sum(zx.gadget_cost(g, arch) for g in out.gadgets)
+            sum(gadget_cost(g, arch) for g in out.gadgets)
             + zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
         )
         assert after < before
         u_before = sim.poly_unitary(poly)
-        u_after = sim.parity_unitary(pr) @ sim.poly_unitary(out) @ sim.parity_unitary(pl)
+        u_after = parity_unitary(pr) @ sim.poly_unitary(out) @ parity_unitary(pl)
         assert sim.equal_up_to_global_phase(u_before, u_after, 1e-9)
 
     def test_never_increases_total_estimate(self):
@@ -158,10 +159,10 @@ class TestOptimizeGauss:
             q = rng.randint(2, 5)
             arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
             poly = random_zx_poly(rng, q, rng.randint(0, 10))
-            before = sum(zx.gadget_cost(g, arch) for g in poly.gadgets)
+            before = sum(gadget_cost(g, arch) for g in poly.gadgets)
             pl, out, pr = zx.optimize_gauss(identity_map(q), poly, identity_map(q), arch)
             after = (
-                sum(zx.gadget_cost(g, arch) for g in out.gadgets)
+                sum(gadget_cost(g, arch) for g in out.gadgets)
                 + zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
             )
             assert after <= before
@@ -174,8 +175,8 @@ class TestOptimizeGauss:
             poly = random_zx_poly(rng, q, rng.randint(1, 8))
             pl0, pr0 = random_invertible_map(rng, q), random_invertible_map(rng, q)
             pl, out, pr = zx.optimize_gauss(pl0, poly, pr0, arch)
-            u_before = sim.parity_unitary(pr0) @ sim.poly_unitary(poly) @ sim.parity_unitary(pl0)
-            u_after = sim.parity_unitary(pr) @ sim.poly_unitary(out) @ sim.parity_unitary(pl)
+            u_before = parity_unitary(pr0) @ sim.poly_unitary(poly) @ parity_unitary(pl0)
+            u_after = parity_unitary(pr) @ sim.poly_unitary(out) @ parity_unitary(pl)
             assert sim.equal_up_to_global_phase(u_before, u_after, 1e-9)
 
     @staticmethod
@@ -187,8 +188,8 @@ class TestOptimizeGauss:
                     cnot = zx.Cnot(control, target)
                     net = (
                         zx.effect_zx(poly, cnot, arch)
-                        - zx.effect_parity(pl, cnot, "left", arch)
-                        - zx.effect_parity(pr, cnot, "right", arch)
+                        - effect_parity(pl, cnot, "left", arch)
+                        - effect_parity(pr, cnot, "right", arch)
                     )
                     if net < 0:
                         pl = zx.append_cnot(pl, cnot)
@@ -273,7 +274,7 @@ class TestOptimizeFast:
         pl, out, pr = zx.optimize_fast(identity_map(3), poly, identity_map(3), arch)
         assert not pl.is_identity()
         u_before = sim.poly_unitary(poly)
-        u_after = sim.parity_unitary(pr) @ sim.poly_unitary(out) @ sim.parity_unitary(pl)
+        u_after = parity_unitary(pr) @ sim.poly_unitary(out) @ parity_unitary(pl)
         assert sim.equal_up_to_global_phase(u_before, u_after, 1e-9)
 
     def test_at_threshold_does_not_propagate(self):
@@ -287,7 +288,7 @@ class TestOptimizeFast:
     def test_table_sweep_matches_per_candidate_sweep(self):
         def per_candidate(pl, poly, pr, arch):
             def worthwhile(cnot):
-                return zx.effect_zx(poly, cnot, arch) < -2 * arch.distance(cnot.control, cnot.target)
+                return zx.effect_zx(poly, cnot, arch) < -2 * arch.dist[cnot.control][cnot.target]
 
             def accept(cnot):
                 return (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
@@ -469,7 +470,7 @@ class TestSynthesize:
                         if isinstance(region, zx.ZXPolynomial):
                             assert 1 <= len(region.gadgets) <= 2
                     assert sim.equal_up_to_global_phase(
-                        sim.regions_unitary(regions), sim.poly_unitary(poly), 1e-9
+                        regions_unitary(regions), sim.poly_unitary(poly), 1e-9
                     )
 
 
