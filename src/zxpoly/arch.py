@@ -51,6 +51,7 @@ concrete shortest paths and pruned to a tree over physical vertices.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from typing import Iterable
 
@@ -372,11 +373,20 @@ def complete(num_qubits: int) -> Architecture:
     return Architecture(num_qubits, edges, name=f"complete:{num_qubits}")
 
 
+def _decimal(text: str) -> int:
+    """A count in ASCII digits (a minus sign left for `line`, `grid`, ... to reject);
+    int() alone reads "3_0" as 30, turning a typo into another machine."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"count {text!r} is not written in ASCII digits")
+    return int(text)
+
+
 def build_architecture(spec: str | dict) -> Architecture:
     """Build an architecture from a descriptor.
 
-    Accepts "line:Q", "circle:Q", "grid:RxC", "complete:Q", or an explicit
-    graph as {"qubits": Q, "edges": [[u, v], ...]} (as a dict or JSON text).
+    Accepts "line:Q", "circle:Q", "grid:RxC", "complete:Q", with Q, R and C
+    in ASCII digits, or an explicit graph as {"qubits": Q, "edges": [[u, v],
+    ...]} (as a dict or JSON text).
     """
     if isinstance(spec, dict):
         try:
@@ -394,14 +404,14 @@ def build_architecture(spec: str | dict) -> Architecture:
     kind = kind.lower()
     try:
         if kind == "line":
-            return line(int(arg))
+            return line(_decimal(arg))
         if kind == "circle":
-            return circle(int(arg))
+            return circle(_decimal(arg))
         if kind == "complete":
-            return complete(int(arg))
+            return complete(_decimal(arg))
         if kind == "grid":
             rows, _, cols = arg.lower().partition("x")
-            return grid(int(rows), int(cols))
+            return grid(_decimal(rows), _decimal(cols))
     except ValueError as exc:
         raise ValueError(f"bad architecture descriptor {spec!r}: {exc}") from exc
     raise ValueError(f"unknown architecture descriptor {spec!r}")

@@ -64,10 +64,10 @@ def _arch_descriptor(name: str, num_qubits: int) -> str:
         return name
     if name in ("line", "circle", "complete"):
         return f"{name}:{num_qubits}"
-    if name in ("grid", "square"):
+    if name == "grid":
         side = round(num_qubits ** 0.5)
         if side * side != num_qubits:
-            raise ValueError(f"square architecture needs a square qubit count, got {num_qubits}")
+            raise ValueError(f"grid architecture needs a square qubit count, got {num_qubits}")
         return f"grid:{side}x{side}"
     raise ValueError(f"unknown architecture name {name!r}")
 

@@ -113,9 +113,9 @@ def _rotation(basis: str, phase: Phase, qubit: int) -> Gate:
 
 def naive_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     """Definitional ladder circuit for one gadget, made edge-legal by routing."""
-    legs = gadget.leg_list()
-    if not legs or legs[-1] >= arch.num_qubits:
+    if gadget.legs >> arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
+    legs = gadget.leg_list()
     up: list[Cnot] = []
     for a, b in zip(legs, legs[1:]):
         up.extend(_ladder_cnot(arch, a, b, gadget.basis))
@@ -158,9 +158,9 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     gadgets use the same structure with every CNOT direction reversed and
     an RX rotation.
     """
-    legs = gadget.leg_list()
-    if not legs or legs[-1] >= arch.num_qubits:
+    if gadget.legs >> arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
+    legs = gadget.leg_list()
     if len(legs) == 1:
         return Circuit(arch.num_qubits, (_rotation(gadget.basis, gadget.phase, legs[0]),))
     root = _tree_root(arch, gadget.legs)

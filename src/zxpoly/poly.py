@@ -4,6 +4,9 @@ Phases are exact rational multiples of pi so that gadget merging, the
 zero-phase removal test and the pi-commutation test are exact predicates
 rather than float comparisons. Gadget legs are stored as int bitmasks
 (bit j set = the gadget has a leg on wire j).
+
+Both are checked once, when built: a gadget has at least one leg and a
+polynomial no leg at or past its qubit count, so no later stage checks them.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ def mask_to_legs(mask: int) -> list[int]:
 class PhaseGadget:
     """A single Z- or X-basis many-qubit rotation.
 
-    `legs` is a bitmask of the wires the rotation acts on; `phase` is the
-    rotation angle. A Z gadget applies exp(-i*phase/2) to basis states with
-    even leg parity and exp(+i*phase/2) to odd ones; an X gadget is the same
-    conjugated by Hadamards on its legs.
+    `legs` is a nonzero bitmask of the wires the rotation acts on; `phase`
+    is the rotation angle. A Z gadget applies exp(-i*phase/2) to basis
+    states with even leg parity and exp(+i*phase/2) to odd ones; an X gadget
+    is the same conjugated by Hadamards on its legs.
     """
 
     basis: str
@@ -120,8 +123,8 @@ class PhaseGadget:
     def __post_init__(self) -> None:
         if self.basis not in ("Z", "X"):
             raise ValueError(f"basis must be 'Z' or 'X', got {self.basis!r}")
-        if self.legs < 0:
-            raise ValueError("legs mask must be non-negative")
+        if self.legs <= 0:
+            raise ValueError(f"a phase gadget needs at least one leg, got legs mask {self.legs}")
 
     @staticmethod
     def z(legs: Iterable[int], phase: Phase) -> "PhaseGadget":
@@ -149,7 +152,8 @@ class ZXPolynomial:
     """An ordered sequence of phase gadgets over a fixed number of wires.
 
     Sequence order is circuit temporal order: the leftmost gadget is applied
-    first.
+    first. A gadget with a leg at or past `num_qubits` raises ValueError
+    naming the first such gadget and its smallest such leg.
     """
 
     num_qubits: int
@@ -158,34 +162,20 @@ class ZXPolynomial:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
-        object.__setattr__(self, "gadgets", tuple(self.gadgets))
+        gadgets = tuple(self.gadgets)
+        object.__setattr__(self, "gadgets", gadgets)
+        q = self.num_qubits
+        for g in gadgets:  # a plain loop is the fastest test for the few gadgets most hold
+            if g.legs >> q:
+                leg = min(w for w in mask_to_legs(g.legs) if w >= q)
+                raise ValueError(f"invalid polynomial: gadget {gadgets.index(g)}: leg {leg} "
+                                 f"out of range for {q} qubits")
 
     def __len__(self) -> int:
         return len(self.gadgets)
 
     def __iter__(self) -> Iterator[PhaseGadget]:
         return iter(self.gadgets)
-
-    def validate(self) -> str | None:
-        """Check structural invariants; return the first violation or None.
-
-        Reported violations: a gadget with an empty leg set, or a leg index
-        outside [0, num_qubits).
-        """
-        full = (1 << self.num_qubits) - 1
-        for i, g in enumerate(self.gadgets):
-            if g.legs == 0:
-                return f"gadget {i}: empty leg set"
-            if g.legs & ~full:
-                bad = min(w for w in mask_to_legs(g.legs) if w >= self.num_qubits)
-                return f"gadget {i}: leg {bad} out of range for {self.num_qubits} qubits"
-        return None
-
-    def require_valid(self) -> None:
-        """Raise ValueError naming the first `validate` violation, if any."""
-        violation = self.validate()
-        if violation is not None:
-            raise ValueError(f"invalid polynomial: {violation}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,9 +200,7 @@ class ZXPolynomial:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        poly = ZXPolynomial(qubits, gadgets)
-        poly.require_valid()
-        return poly
+        return ZXPolynomial(qubits, gadgets)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

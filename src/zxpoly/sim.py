@@ -4,8 +4,8 @@
 builds exact 2^q x 2^q unitaries for polynomials and circuits, so rewrite
 rules can be checked numerically too. Qubit j is the j-th least significant
 bit of the basis-state index. It is capped at 12 qubits: above that, an
-output without a certificate is unproven. `verify` and `poly_unitary` raise
-ValueError on a polynomial that `ZXPolynomial.validate` rejects.
+output without a certificate is unproven. Neither checks the polynomial:
+`ZXPolynomial` admits no leg-less gadget and no out-of-range leg.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def identity_unitary(num_qubits: int) -> np.ndarray:
 
 
 def poly_unitary(poly: ZXPolynomial) -> np.ndarray:
-    """Unitary of a valid polynomial; temporal order left to right."""
-    poly.require_valid()
+    """Unitary of a polynomial; temporal order left to right."""
     mat = identity_unitary(poly.num_qubits)
     for gadget in poly.gadgets:
         mat = _apply_gadget(mat, gadget, poly.num_qubits)
@@ -147,7 +146,6 @@ def verify(
     gadgets' inverse (Amy, arXiv:1805.06908). "oracle" up to MAX_QUBITS: ok iff
     the residual, the detail, is below tol. Else "unproven", never ok.
     """
-    poly.require_valid()
     q = poly.num_qubits
     if circuit.num_qubits != q:
         raise ValueError(f"polynomial has {q} qubits, circuit has {circuit.num_qubits}")

@@ -237,15 +237,14 @@ def synthesize(
     final right map is the map the tail starts from, and a map joins the
     list once its last sweep is done. Returns a list alternating parity maps
     and gadget runs that begins and ends with a map and whose total unitary
-    equals the polynomial's. The polynomial is checked here, against the
-    architecture and by `validate`.
+    equals the polynomial's. Here the polynomial is checked only against
+    the architecture's qubit count; it was checked itself when it was built.
     """
     if mode not in _OPTIMIZERS:
         raise ValueError(f"mode must be one of {sorted(_OPTIMIZERS)}, got {mode!r}")
     if poly.num_qubits != arch.num_qubits:
         raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
                          f"qubits, architecture {arch.name} has {arch.num_qubits}")
-    poly.require_valid()
     identity = identity_map(arch.num_qubits)
     if len(poly.gadgets) == 0:
         return [identity]

@@ -1,6 +1,7 @@
 """Coupling graphs: topology builders, distances, Steiner trees."""
 
 import random
+import re
 
 import pytest
 
@@ -56,6 +57,14 @@ class TestBuilders:
     @pytest.mark.parametrize("spec", ["grid:-1x-1", "grid:-2x-2", "grid:0x3", "grid:2x-1"])
     def test_non_positive_grid_rejected(self, spec):
         with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            zx.build_architecture(spec)
+
+    @pytest.mark.parametrize("spec, count", [
+        ("line:3_0", "3_0"), ("grid:2x1_0", "1_0"), ("line:\u0663", "\u0663"), ("circle:+4", "+4"),
+    ], ids=["underscore", "grid-underscore", "arabic-indic-digit", "plus-sign"])
+    def test_count_must_be_ascii_decimal(self, spec, count):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad architecture descriptor {spec!r}: count {count!r} is not written in ASCII digits")):
             zx.build_architecture(spec)
 
     def test_unknown_descriptor(self):

@@ -378,6 +378,11 @@ class TestBench:
         with pytest.raises(ValueError):
             run_bench(grid, reps=1, base_seed=0)
 
+    def test_square_is_not_an_architecture_name(self):
+        grid = dict(self.GRID, qubits=[4], architectures=["square"])
+        with pytest.raises(ValueError, match="^unknown architecture name 'square'$"):
+            run_bench(grid, reps=1, base_seed=0)
+
     def test_maxcut_kind(self):
         grid = {
             "kind": "maxcut",

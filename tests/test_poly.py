@@ -1,5 +1,6 @@
 """Phase arithmetic, gadget and polynomial invariants, JSON round-trips."""
 
+import dataclasses
 import json
 import random
 
@@ -75,18 +76,49 @@ class TestPhaseGadget:
 
 
 class TestValidate:
+    """A polynomial is checked when it is built, whichever way it is built."""
+
+    LEGLESS = "^a phase gadget needs at least one leg, got legs mask 0$"
+
     def test_empty_polynomial_ok(self):
-        assert ZXPolynomial(3).validate() is None
+        assert ZXPolynomial(3).gadgets == ()
 
     def test_empty_legs_reported_with_index(self):
-        poly = ZXPolynomial(3, (PhaseGadget.z([0], Phase(1, 4)), PhaseGadget("Z", 0, Phase(1, 4))))
-        report = poly.validate()
-        assert report is not None and "1" in report and "empty leg set" in report
+        # a leg-less gadget is refused before any polynomial could hold it
+        with pytest.raises(ValueError, match=self.LEGLESS):
+            ZXPolynomial(3, (PhaseGadget.z([0], Phase(1, 4)), PhaseGadget("Z", 0, Phase(1, 4))))
 
     def test_leg_out_of_range(self):
-        poly = ZXPolynomial(3, (PhaseGadget.z([3], Phase(1, 4)),))
-        report = poly.validate()
-        assert report is not None and "out of range" in report
+        with pytest.raises(ValueError,
+                           match="^invalid polynomial: gadget 0: leg 3 out of range for 3 qubits$"):
+            ZXPolynomial(3, (PhaseGadget.z([3], Phase(1, 4)),))
+
+    def test_first_gadget_and_smallest_leg_named(self):
+        ok, bad = PhaseGadget.z([0, 2], Phase(1, 4)), PhaseGadget.x([1, 5, 3], Phase(1, 4))
+        with pytest.raises(ValueError,
+                           match="^invalid polynomial: gadget 1: leg 3 out of range for 3 qubits$"):
+            ZXPolynomial(3, (ok, bad, bad))
+
+    @pytest.mark.parametrize("build", [
+        lambda: PhaseGadget("Z", 0, Phase(1, 4)),
+        lambda: PhaseGadget.z([], Phase(1, 4)),
+        lambda: PhaseGadget.x([], Phase(1, 4)),
+        lambda: PhaseGadget.z([1], Phase(1, 4)).with_legs(0),
+        lambda: dataclasses.replace(PhaseGadget.x([1], Phase(1, 4)), legs=0),
+    ], ids=["direct", "z", "x", "with_legs", "replace"])
+    def test_legless_gadget_rejected_every_way(self, build):
+        with pytest.raises(ValueError, match=self.LEGLESS):
+            build()
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="^a phase gadget needs at least one leg, got legs mask -1$"):
+            PhaseGadget("Z", -1, Phase(1, 4))
+
+    def test_replace_rechecks_the_range(self):
+        poly = ZXPolynomial(3, (PhaseGadget.z([0], Phase(1, 4)), PhaseGadget.z([1, 2], Phase(1, 4))))
+        with pytest.raises(ValueError,
+                           match="^invalid polynomial: gadget 1: leg 2 out of range for 2 qubits$"):
+            dataclasses.replace(poly, num_qubits=2)
 
     def test_nonpositive_qubits_rejected(self):
         with pytest.raises(ValueError):
@@ -118,6 +150,15 @@ class TestJson:
             ZXPolynomial.from_json('{"qubits": 2, "gadgets": [{"basis": "Z", "legs": [5], "phase": "1/2"}]}')
         with pytest.raises(ValueError):
             ZXPolynomial.from_json('{"qubits": 2, "gadgets": [{"basis": "Z", "legs": [], "phase": "1/2"}]}')
+
+    @pytest.mark.parametrize("legs, message", [
+        ([], "^malformed polynomial JSON: a phase gadget needs at least one leg, got legs mask 0$"),
+        ([1, 5], "^invalid polynomial: gadget 0: leg 5 out of range for 2 qubits$"),
+    ], ids=["no-legs", "leg-out-of-range"])
+    def test_invalid_json_names_the_problem(self, legs, message):
+        text = json.dumps({"qubits": 2, "gadgets": [{"basis": "X", "legs": legs, "phase": "1/2"}]})
+        with pytest.raises(ValueError, match=message):
+            ZXPolynomial.from_json(text)
 
     @pytest.mark.parametrize("legs", [[0, 0], [1.7], [True], [1.0], ["1"], [None], "01"])
     def test_legs_never_rewritten(self, legs):
