@@ -51,11 +51,10 @@ concrete shortest paths and pruned to a tree over physical vertices.
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from typing import Iterable
 
-from .poly import json_int, legs_to_mask, mask_to_legs
+from .poly import ascii_number, json_int, legs_to_mask, mask_to_legs
 
 TreeEdges = tuple[tuple[int, int], ...]
 # (parent of each vertex, -1 off the tree; the tree's vertices in BFS order)
@@ -373,12 +372,12 @@ def complete(num_qubits: int) -> Architecture:
     return Architecture(num_qubits, edges, name=f"complete:{num_qubits}")
 
 
-def _decimal(text: str) -> int:
-    """A count in ASCII digits (a minus sign left for `line`, `grid`, ... to reject);
-    int() alone reads "3_0" as 30, turning a typo into another machine."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+def _count(text: str) -> int:
+    """A count by `ascii_number`, in digits with at most a leading minus (left
+    for `line`, `grid`, ... to reject): int() would also take "+4" or " 4"."""
+    if not text.lstrip("-").isdigit():
         raise ValueError(f"count {text!r} is not written in ASCII digits")
-    return int(text)
+    return ascii_number(text, int, "count")
 
 
 def build_architecture(spec: str | dict) -> Architecture:
@@ -404,14 +403,14 @@ def build_architecture(spec: str | dict) -> Architecture:
     kind = kind.lower()
     try:
         if kind == "line":
-            return line(_decimal(arg))
+            return line(_count(arg))
         if kind == "circle":
-            return circle(_decimal(arg))
+            return circle(_count(arg))
         if kind == "complete":
-            return complete(_decimal(arg))
+            return complete(_count(arg))
         if kind == "grid":
             rows, _, cols = arg.lower().partition("x")
-            return grid(_decimal(rows), _decimal(cols))
+            return grid(_count(rows), _count(cols))
     except ValueError as exc:
         raise ValueError(f"bad architecture descriptor {spec!r}: {exc}") from exc
     raise ValueError(f"unknown architecture descriptor {spec!r}")

@@ -1,6 +1,9 @@
 """Gate-level circuit IR, gadget emitters, region lowering, and QASM export.
 
-The gate set is CNOT / RZ / RX. A `Circuit` is a frozen value: its gates
+The gate set is CNOT / RZ / RX. A rotation is the one-leg phase gadget on its
+qubit: `Rz` and `Rx` say which by their class-level `basis`, which the
+QASM/JSON writers and `sim` read in place of asking for the class, and one
+name table serves both readers. A `Circuit` is a frozen value: its gates
 are a tuple, checked against the wire count once, when it is built, so
 each emitter and reader first collects its gates and then builds the
 circuit in one call. Two gadget emitters are provided:
@@ -24,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
+from typing import ClassVar
 
 from .arch import Architecture
 from .parity import ParityMap, steiner_gauss
@@ -33,14 +37,20 @@ from .rules import Cnot
 
 @dataclass(frozen=True)
 class Rz:
+    """The Z gadget with the one leg `qubit`."""
+
     phase: Phase
     qubit: int
+    basis: ClassVar[str] = "Z"
 
 
 @dataclass(frozen=True)
 class Rx:
+    """The X gadget with the one leg `qubit`."""
+
     phase: Phase
     qubit: int
+    basis: ClassVar[str] = "X"
 
 
 Gate = Cnot | Rz | Rx
@@ -190,10 +200,12 @@ def lower_regions(regions: list[ParityMap | ZXPolynomial], arch: Architecture) -
 
 # --- QASM 2.0 / JSON interchange ---------------------------------------------
 
-_QASM_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$")
-_QASM_ROT = re.compile(r"^(rz|rx)\(([^()]*)\)\s+q\[(\d+)\]\s*;$")
-_QASM_FACTOR = re.compile(r"\s*(pi|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*")
-_QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
+# re.ASCII: \d would otherwise match every Unicode digit, "\u0663" as well as "3"
+_QASM_CX = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;$", re.ASCII)
+_QASM_ROT = re.compile(r"^(rz|rx)\(([^()]*)\)\s+q\[(\d+)\]\s*;$", re.ASCII)
+_QASM_FACTOR = re.compile(r"\s*(pi|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*", re.ASCII)
+_QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$", re.ASCII)
+_ROTATIONS = {"rz": Rz, "rx": Rx}  # the gate name of each rotation, in QASM and JSON
 
 
 def to_qasm(circuit: Circuit) -> str:
@@ -202,15 +214,8 @@ def to_qasm(circuit: Circuit) -> str:
         if isinstance(gate, Cnot):
             lines.append(f"cx q[{gate.control}],q[{gate.target}];")
         else:
-            name = "rz" if isinstance(gate, Rz) else "rx"
-            theta = gate.phase.radians()
-            lines.append(f"{name}({theta:.12g}) q[{gate.qubit}];")
+            lines.append(f"r{gate.basis.lower()}({gate.phase.radians():.12g}) q[{gate.qubit}];")
     return "\n".join(lines) + "\n"
-
-
-def _phase_from_radians(theta: float) -> Phase:
-    frac = Fraction(theta / pi).limit_denominator(10**6)
-    return Phase(frac.numerator, frac.denominator)
 
 
 def _qasm_phase(text: str) -> Phase | None:
@@ -219,8 +224,9 @@ def _qasm_phase(text: str) -> Phase | None:
     Takes an optional sign, then numeric literals and `pi` joined by `*`
     and `/`, whose `pi` factors come to pi^1 or pi^0: `pi/4`, `-pi/2`,
     `3*pi/4`, `pi*0.25`, `0.785398163397`. A multiple of pi is read
-    exactly; any other value is radians, rounded as `_phase_from_radians`
-    does, and must convert to a finite float.
+    exactly; any other value is radians, rounded to the nearest multiple
+    of pi with a denominator of at most 10^6, and must convert to a finite
+    float.
     """
     text = text.strip()
     coefficient = Fraction(-1 if text.startswith("-") else 1)
@@ -249,7 +255,7 @@ def _qasm_phase(text: str) -> Phase | None:
     if pis != 0:
         return None
     try:
-        return _phase_from_radians(float(coefficient))
+        return Phase.from_fraction(Fraction(float(coefficient) / pi).limit_denominator(10**6))
     except OverflowError:  # beyond the largest finite float
         return None
 
@@ -274,8 +280,7 @@ def from_qasm(text: str) -> Circuit:
         m = _QASM_ROT.match(line)
         phase = _qasm_phase(m.group(2)) if m else None
         if phase is not None:
-            qubit = int(m.group(3))
-            gates.append(Rz(phase, qubit) if m.group(1) == "rz" else Rx(phase, qubit))
+            gates.append(_ROTATIONS[m.group(1)](phase, int(m.group(3))))
             continue
         raise ValueError(f"unsupported QASM line: {line!r}")
     if num_qubits is None:
@@ -283,18 +288,16 @@ def from_qasm(text: str) -> Circuit:
     return Circuit(num_qubits, gates)
 
 
-def to_json_dict(circuit: Circuit) -> dict:
-    gates = []
-    for gate in circuit.gates:
-        if isinstance(gate, Cnot):
-            gates.append({"gate": "cx", "control": gate.control, "target": gate.target})
-        else:
-            name = "rz" if isinstance(gate, Rz) else "rx"
-            gates.append({"gate": name, "phase": str(gate.phase), "qubit": gate.qubit})
-    return {"qubits": circuit.num_qubits, "gates": gates}
+def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
+    gates = [{"gate": "cx", "control": gate.control, "target": gate.target}
+             if isinstance(gate, Cnot) else
+             {"gate": "r" + gate.basis.lower(), "phase": str(gate.phase), "qubit": gate.qubit}
+             for gate in circuit.gates]
+    return json.dumps({"qubits": circuit.num_qubits, "gates": gates}, indent=indent)
 
 
-def from_json_dict(data: dict) -> Circuit:
+def circuit_from_json(text: str) -> Circuit:
+    data = json.loads(text)
     gates: list[Gate] = []
     try:
         for entry in data.get("gates", ()):
@@ -302,21 +305,12 @@ def from_json_dict(data: dict) -> Circuit:
             if kind == "cx":
                 gates.append(Cnot(json_int(entry["control"], "control"),
                                  json_int(entry["target"], "target")))
-            elif kind in ("rz", "rx"):
-                phase = Phase.parse(str(entry["phase"]))
-                cls = Rz if kind == "rz" else Rx
-                gates.append(cls(phase, json_int(entry["qubit"], "qubit")))
+            elif kind in _ROTATIONS:
+                gates.append(_ROTATIONS[kind](Phase.parse(str(entry["phase"])),
+                                              json_int(entry["qubit"], "qubit")))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         qubits = json_int(data["qubits"], "qubit count")
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc}") from exc
     return Circuit(qubits, gates)
-
-
-def circuit_to_json(circuit: Circuit, indent: int | None = None) -> str:
-    return json.dumps(to_json_dict(circuit), indent=indent)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    return from_json_dict(json.loads(text))

@@ -19,9 +19,13 @@ from . import sim
 from .arch import Architecture, build_architecture
 from .bench import records_to_csv, run_bench
 from .generators import maxcut_qaoa, random_poly
-from .poly import ZXPolynomial
+from .poly import ZXPolynomial, ascii_number
 from .simplify import simplify as simplify_poly
 from .synth import synthesize
+
+
+def ascii_float(text: str) -> float:
+    return ascii_number(text, float)
 
 
 def _read_text(path: str) -> str:
@@ -114,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a random or MaxCut polynomial")
-    gen.add_argument("--qubits", type=int, default=4)
-    gen.add_argument("--gadgets", type=int, default=10)
-    gen.add_argument("--max-legs", type=int, default=4)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--qubits", type=ascii_number, default=4)
+    gen.add_argument("--gadgets", type=ascii_number, default=10)
+    gen.add_argument("--max-legs", type=ascii_number, default=4)
+    gen.add_argument("--seed", type=ascii_number, default=0)
     gen.add_argument("--maxcut", action="store_true",
                      help="generate a MaxCut ansatz instead of a random polynomial")
-    gen.add_argument("--vertices", type=int, default=4)
-    gen.add_argument("--p-edge", type=float, default=0.5)
-    gen.add_argument("--layers", type=int, default=1)
+    gen.add_argument("--vertices", type=ascii_number, default=4)
+    gen.add_argument("--p-edge", type=ascii_float, default=0.5)
+    gen.add_argument("--layers", type=ascii_number, default=1)
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=_cmd_generate)
 
@@ -143,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="compare a polynomial against a circuit")
     ver.add_argument("--poly", required=True)
     ver.add_argument("--circuit", required=True)
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--tol", type=ascii_float, default=1e-9)
     ver.add_argument("--arch", help=arch_help + "; every CNOT must be one of its coupling edges")
     ver.set_defaults(func=_cmd_verify)
 
     ben = sub.add_parser("bench", help="run a benchmark sweep to CSV")
     ben.add_argument("--grid", required=True, help="JSON sweep description")
-    ben.add_argument("--reps", type=int, default=20)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--reps", type=ascii_number, default=20)
+    ben.add_argument("--seed", type=ascii_number, default=0)
     ben.add_argument("--out", default="-")
     ben.set_defaults(func=_cmd_bench)
     return parser

@@ -15,7 +15,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -42,10 +44,11 @@ class Phase:
 
     @staticmethod
     def parse(text: str) -> "Phase":
-        """Parse a phase in pi-units from a fraction string, e.g. "1/2" or "-3/4";
-        raises ValueError on anything else, a zero denominator included."""
+        """Parse a phase in pi-units from a fraction string in ASCII, e.g. "1/2"
+        or "-3/4"; raises ValueError on anything else, a zero denominator
+        included."""
         try:
-            return Phase.from_fraction(Fraction(text.strip()))
+            return Phase.from_fraction(ascii_number(text.strip(), Fraction, "phase"))
         except ZeroDivisionError:
             raise ValueError(f"phase {text!r} has a zero denominator") from None
 
@@ -91,6 +94,18 @@ def json_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
+
+
+def ascii_number(text: str, parse: Callable[[str], T] = int, what: str = "number") -> T:
+    """`parse(text)` for text in ASCII without underscores, else ValueError.
+
+    int(), float() and Fraction() also read digit-group underscores and any
+    Unicode digit ("1_0" as 10, "\u0663" as 3), so a typo would become another
+    number; every number the readers take from text comes through here.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{what} {text!r} is not written in ASCII digits")
+    return parse(text)
 
 
 def mask_to_legs(mask: int) -> list[int]:

@@ -2,9 +2,12 @@
 
 `verify` is the one check that a circuit implements a polynomial. The oracle
 builds exact 2^q x 2^q unitaries for polynomials and circuits, so rewrite
-rules can be checked numerically too. Qubit j is the j-th least significant
-bit of the basis-state index. It is capped at 12 qubits: above that, an
-output without a certificate is unproven. Neither checks the polynomial:
+rules can be checked numerically too. It applies every gadget, and every
+rotation as the one-leg gadget it is, by one rule: a gadget is the Pauli
+exponential exp(-i*theta/2*P), P being Z or X on each of its legs. Qubit j
+is the j-th least significant bit of the basis-state index. The oracle is
+capped at 12 qubits: above that, an output without a certificate is
+unproven. Neither checks the polynomial:
 `ZXPolynomial` admits no leg-less gadget and no out-of-range leg.
 """
 
@@ -15,13 +18,12 @@ from math import cos, sin
 import numpy as np
 
 from .arch import Architecture
-from .circuit import Circuit, Rx, Rz
+from .circuit import Circuit
 from .poly import PhaseGadget, ZXPolynomial
 from .rules import Cnot
 from .simplify import simplify
 
 MAX_QUBITS = 12
-_INV_SQRT2 = 2.0 ** -0.5
 
 
 def _check_size(num_qubits: int) -> None:
@@ -31,60 +33,30 @@ def _check_size(num_qubits: int) -> None:
         raise ValueError("need at least one qubit")
 
 
-def _leg_parities(legs: int, num_qubits: int) -> np.ndarray:
-    """Parity of (basis index & legs) for every basis index, as +-1 signs."""
-    masked = np.arange(1 << num_qubits, dtype=np.int64) & legs
-    parity = np.zeros(1 << num_qubits, dtype=np.int64)
-    for b in range(num_qubits):
-        parity ^= (masked >> b) & 1
-    return 1 - 2 * parity  # parity 0 -> +1, parity 1 -> -1
-
-
 def _apply_cnot(mat: np.ndarray, cnot: Cnot, num_qubits: int) -> np.ndarray:
     idx = np.arange(1 << num_qubits)
     perm = np.where((idx >> cnot.control) & 1 == 1, idx ^ (1 << cnot.target), idx)
     return mat[perm]
 
 
-def _apply_rz(mat: np.ndarray, theta: float, qubit: int, num_qubits: int) -> np.ndarray:
-    bits = (np.arange(1 << num_qubits) >> qubit) & 1
-    factors = np.exp(-0.5j * theta * (1 - 2 * bits))
-    return factors[:, None] * mat
+def _apply_exp_pauli(mat: np.ndarray, gadget: PhaseGadget, num_qubits: int) -> np.ndarray:
+    """exp(-i*theta/2*P) @ mat = cos(theta/2)*mat - i*sin(theta/2)*P @ mat, as P^2 = I.
 
-
-def _apply_rx(mat: np.ndarray, theta: float, qubit: int, num_qubits: int) -> np.ndarray:
+    P @ mat flips the sign of each row whose index has odd parity on the legs
+    for Z, and takes row `idx ^ legs` into row `idx` for X.
+    """
     idx = np.arange(1 << num_qubits)
-    lo = idx[(idx >> qubit) & 1 == 0]
-    hi = lo ^ (1 << qubit)
-    c, s = cos(theta / 2), sin(theta / 2)
-    out = np.empty_like(mat)
-    out[lo] = c * mat[lo] - 1j * s * mat[hi]
-    out[hi] = -1j * s * mat[lo] + c * mat[hi]
-    return out
-
-
-def _apply_h(mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    lo = idx[(idx >> qubit) & 1 == 0]
-    hi = lo ^ (1 << qubit)
-    out = np.empty_like(mat)
-    out[lo] = (mat[lo] + mat[hi]) * _INV_SQRT2
-    out[hi] = (mat[lo] - mat[hi]) * _INV_SQRT2
-    return out
-
-
-def _apply_gadget(mat: np.ndarray, gadget: PhaseGadget, num_qubits: int) -> np.ndarray:
-    legs = gadget.leg_list()
-    if gadget.basis == "X":
-        for leg in legs:
-            mat = _apply_h(mat, leg, num_qubits)
-    signs = _leg_parities(gadget.legs, num_qubits)
-    factors = np.exp(-0.5j * gadget.phase.radians() * signs)
-    mat = factors[:, None] * mat
-    if gadget.basis == "X":
-        for leg in legs:
-            mat = _apply_h(mat, leg, num_qubits)
-    return mat
+    if gadget.basis == "Z":
+        parity = np.zeros_like(idx)
+        for leg in gadget.leg_list():
+            parity ^= (idx >> leg) & 1
+        flipped = (1 - 2 * parity)[:, None] * mat
+    else:
+        flipped = mat[idx ^ gadget.legs]
+    theta = gadget.phase.radians()
+    flipped *= -1j * sin(theta / 2)  # in place: fewer 2^q x 2^q matrices alive at once
+    flipped += cos(theta / 2) * mat
+    return flipped
 
 
 def identity_unitary(num_qubits: int) -> np.ndarray:
@@ -96,7 +68,7 @@ def poly_unitary(poly: ZXPolynomial) -> np.ndarray:
     """Unitary of a polynomial; temporal order left to right."""
     mat = identity_unitary(poly.num_qubits)
     for gadget in poly.gadgets:
-        mat = _apply_gadget(mat, gadget, poly.num_qubits)
+        mat = _apply_exp_pauli(mat, gadget, poly.num_qubits)
     return mat
 
 
@@ -106,12 +78,9 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         if isinstance(gate, Cnot):
             mat = _apply_cnot(mat, gate, circuit.num_qubits)
-        elif isinstance(gate, Rz):
-            mat = _apply_rz(mat, gate.phase.radians(), gate.qubit, circuit.num_qubits)
-        elif isinstance(gate, Rx):
-            mat = _apply_rx(mat, gate.phase.radians(), gate.qubit, circuit.num_qubits)
-        else:  # pragma: no cover - exhaustive over the gate union
-            raise TypeError(f"unknown gate {gate!r}")
+        else:
+            rotation = PhaseGadget(gate.basis, 1 << gate.qubit, gate.phase)
+            mat = _apply_exp_pauli(mat, rotation, circuit.num_qubits)
     return mat
 
 
@@ -160,10 +129,9 @@ def verify(
                 return "edges", False, gate
             rows[gate.target] ^= rows[gate.control]
             cols[gate.control] ^= cols[gate.target]
-        elif isinstance(gate, Rz):
-            undo.append(PhaseGadget("Z", rows[gate.qubit], -gate.phase))
         else:
-            undo.append(PhaseGadget("X", cols[gate.qubit], -gate.phase))
+            legs = (rows if gate.basis == "Z" else cols)[gate.qubit]
+            undo.append(PhaseGadget(gate.basis, legs, -gate.phase))
     undone = ZXPolynomial(q, poly.gadgets + tuple(reversed(undo)))
     if rows == identity and not simplify(undone).gadgets:
         return "certificate", True, None

@@ -232,6 +232,14 @@ class TestCircuitValue:
         twin = zx.Circuit(2, tuple(gates))
         assert twin == circ and hash(twin) == hash(circ)
 
+    @pytest.mark.parametrize("rotation, basis", [(zx.Rz, "Z"), (zx.Rx, "X")])
+    def test_basis_is_no_field(self, rotation, basis):
+        # the basis belongs to the class: equality, hash and repr read only the fields
+        assert [f.name for f in dataclasses.fields(rotation)] == ["phase", "qubit"]
+        gate = rotation(PH(1, 4), 1)
+        assert gate.basis == basis and "basis" not in repr(gate)
+        assert gate == rotation(PH(1, 4), 1) and gate != rotation(PH(1, 4), 0)
+
 
 class TestMetrics:
     def test_cnot_count(self):

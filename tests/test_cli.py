@@ -237,6 +237,52 @@ class TestSynthAndVerify:
             assert "error:" in capsys.readouterr().err, tol
 
 
+class TestAsciiNumbers:
+    """Every number read from text is ASCII without underscores: int(), float()
+    and Fraction() alone read "1_0" as 10 and "\u0663" (Arabic-Indic 3) as 3."""
+
+    @pytest.mark.parametrize("args", [
+        ("generate", "--qubits", "1_0"), ("generate", "--seed", "\u0663"),
+        ("verify", "--poly", "p.json", "--circuit", "c.qasm", "--tol", "1_0e-9"),
+    ], ids=["qubits-underscore", "seed-arabic-indic", "tol-underscore"])
+    def test_option_exits_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
+        assert f" value: {args[-1]!r}" in capsys.readouterr().err
+
+    def test_ascii_options_still_read(self, tmp_path):
+        out = tmp_path / "poly.json"
+        assert run_cli("generate", "--qubits", "+3", "--gadgets", "2", "--max-legs", "2",
+                       "--seed", "-1", "--out", out) == 0
+        assert zx.ZXPolynomial.from_json(out.read_text()) == zx.random_poly(3, 2, 2, seed=-1)
+
+    @pytest.mark.parametrize("phase", ["1_0/4", "1/4_0", "\u0663/4"])
+    def test_phase_exits_2(self, tmp_path, capsys, phase):
+        poly_path, circ_path = tmp_path / "p.json", tmp_path / "c.json"
+        gadget = {"basis": "Z", "legs": [0], "phase": phase}
+        poly_path.write_text(json.dumps({"qubits": 2, "gadgets": [gadget]}))
+        assert run_cli("simplify", "--in", poly_path) == 2
+        assert capsys.readouterr().err == (f"error: malformed polynomial JSON: phase {phase!r} "
+                                           "is not written in ASCII digits\n")
+        poly_path.write_text(zx.ZXPolynomial(2, ()).to_json())
+        circ_path.write_text(json.dumps(
+            {"qubits": 2, "gates": [{"gate": "rz", "phase": phase, "qubit": 0}]}))
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2
+        assert f"phase {phase!r} is not written in ASCII digits\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["qreg q[\u0663];", "cx q[\u0660],q[1];",
+                                      "rz(pi/\u0664) q[0];", "rx(pi) q[\u0661];"],
+                             ids=["qreg", "cx", "angle", "rotation-qubit"])
+    def test_qasm_exits_2(self, tmp_path, capsys, line):
+        poly_path, circ_path = tmp_path / "p.json", tmp_path / "c.qasm"
+        poly_path.write_text(zx.ZXPolynomial(2, ()).to_json())
+        qreg = "" if line.startswith("qreg") else "qreg q[2];\n"
+        circ_path.write_text(f"OPENQASM 2.0;\n{qreg}{line}\n", encoding="utf-8")
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2
+        assert capsys.readouterr().err == f"error: unsupported QASM line: {line!r}\n"
+
+
 class TestBench:
     GRID = {
         "kind": "random",

@@ -41,6 +41,18 @@ class TestPhase:
         assert str(Phase(1, 1)) == "1/1"
         assert str(Phase(0)) == "0/1"
 
+    @pytest.mark.parametrize("text", ["1_0/4", "1/4_0", "\u0663/4", "1/\u0664"])
+    def test_parse_reads_ascii_digits_only(self, text):
+        # Fraction() alone reads "1_0/4" as 10/4 and "\u0663/4" (Arabic-Indic 3) as 3/4
+        with pytest.raises(ValueError, match=f"^phase {text!r} is not written in ASCII digits$"):
+            Phase.parse(text)
+
+    @pytest.mark.parametrize("text, phase", [(" 1/4 ", Phase(1, 4)), ("+1/2", Phase(1, 2)),
+                                             ("0.25", Phase(1, 4)), ("5e-1", Phase(1, 2)),
+                                             ("-3", Phase(1))])
+    def test_parse_keeps_every_ascii_form(self, text, phase):
+        assert Phase.parse(text) == phase
+
     def test_sum_order_independent(self):
         # Abelian group: any summation order normalizes identically.
         rng = random.Random(42)

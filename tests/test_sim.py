@@ -3,7 +3,7 @@
 
 import random
 from dataclasses import replace
-from math import pi
+from math import cos, pi, sin
 
 import numpy as np
 import pytest
@@ -51,6 +51,32 @@ class TestGadgetUnitary:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             gadget_unitary(zx.PhaseGadget.z([0], PH(1, 4)), 13)
+
+
+class TestOracleDefinitions:
+    """The oracle against matrices written out by hand from exp(-i*theta/2*P)."""
+
+    def test_rx_half_pi(self):
+        c = s = 2.0 ** -0.5  # cos and sin of pi/4
+        expected = np.array([[c, -1j * s], [-1j * s, c]])
+        u = sim.circuit_unitary(zx.Circuit(1, [zx.Rx(PH(1, 2), 0)]))
+        np.testing.assert_allclose(u, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("phase", [PH(1, 3), PH(5, 4), PH(1)])
+    def test_two_leg_z_is_diagonal_in_the_leg_parity(self, phase):
+        t = phase.radians()
+        # basis states 0b00, 0b01, 0b10, 0b11: leg parity 0, 1, 1, 0
+        expected = np.diag(np.exp([-0.5j * t, 0.5j * t, 0.5j * t, -0.5j * t]))
+        np.testing.assert_allclose(gadget_unitary(zx.PhaseGadget.z([0, 1], phase), 2),
+                                   expected, atol=1e-15)
+
+    @pytest.mark.parametrize("phase", [PH(1, 3), PH(5, 4), PH(1)])
+    def test_two_leg_x_is_cos_minus_i_sin_xx(self, phase):
+        t = phase.radians()
+        xx = np.fliplr(np.eye(4))  # X on both wires maps basis state i to i ^ 0b11
+        expected = cos(t / 2) * np.eye(4) - 1j * sin(t / 2) * xx
+        np.testing.assert_allclose(gadget_unitary(zx.PhaseGadget.x([0, 1], phase), 2),
+                                   expected, atol=1e-15)
 
 
 class TestCircuitUnitary:
@@ -219,6 +245,19 @@ class TestVerify:
         assert (method, ok) == ("oracle", True) and residual < 1e-9
         assert sim.verify(_cnot_as_gadgets(13), zx.Circuit(13, [zx.Cnot(0, 1)])) == (
             "unproven", False, None)
+
+    @pytest.mark.parametrize("last, code, verdict", [("pi/2", 0, "PASS"), ("pi/4", 1, "FAIL")])
+    def test_euler_angles_only_the_oracle_proves(self, tmp_path, capsys, last, code, verdict):
+        # Z X Z and X Z X at pi/2 are both the Hadamard up to a global phase;
+        # no CNOT-map certificate relates them, so the oracle decides
+        z, x = zx.PhaseGadget.z, zx.PhaseGadget.x
+        poly_path, circ_path = tmp_path / "p.json", tmp_path / "c.qasm"
+        poly_path.write_text(zx.ZXPolynomial(1, (z([0], PH(1, 2)), x([0], PH(1, 2)),
+                                                 z([0], PH(1, 2)))).to_json())
+        circ_path.write_text("OPENQASM 2.0;\nqreg q[1];\nrx(pi/2) q[0];\nrz(pi/2) q[0];\n"
+                             f"rx({last}) q[0];\n")
+        assert main(["verify", "--poly", str(poly_path), "--circuit", str(circ_path)]) == code
+        assert capsys.readouterr().out.startswith(f"{verdict} method=oracle residual=")
 
     def test_cli_certifies_above_the_oracle_limit(self, tmp_path, capsys):
         poly_path, circ_path = tmp_path / "p.json", tmp_path / "c.qasm"
