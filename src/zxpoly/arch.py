@@ -7,7 +7,7 @@ package, the named tables of its `memos` dict, each filled lazily on first
 use (without a lock). A vertex set (a region) is an int mask, bit v for
 vertex v; -1 means "anywhere" and is normalized to the full mask
 (1 << num_qubits) - 1.
-With n = num_qubits, the eight tables and their keys are:
+With n = num_qubits, the nine tables and their keys are:
 
   * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
     by u * n + v (u < v); `tree_weight` reads only these, and only for
@@ -20,17 +20,19 @@ With n = num_qubits, the eight tables and their keys are:
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
     the full mask's entry, built first, is `dist`,
+  * "exact": for n <= 4, `parity._exact_table`, a bytearray over every map
+    packed into n * n bits, built whole on first use (empty until then),
   * "sequence": `parity.steiner_gauss` results by the map's rows tuple,
-    read only through `parity._stored`,
+    read only through `parity._stored`; empty for n <= 4,
   * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
     additions) by elimination state, the remaining mask and the rows
-    packed into one int,
+    packed into one int; empty for n <= 4,
   * "gather": `gather` op tuples by terms * n + root,
   * "zx": `synth._zx_table`'s (control, target, delta) triples of one
     gadget, flattened, by legs << 1 | (basis == "X").
 
-Every table is filled through `memo_put`, which holds at most MEMO_CAP
-entries and evicts the oldest first.
+Every table but "exact" is filled through `memo_put`, which holds at most
+MEMO_CAP entries and evicts the oldest first.
 
 `gather` is the one tree walk that XORs a set of terminal wires onto a root
 along a rooted terminal tree; the Steiner-Gauss row step and the gadget
@@ -93,11 +95,12 @@ class Architecture:
             adj[u].append(v)
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
-        self.memos: dict[str, dict] = {
+        self.memos: dict[str, dict | bytearray] = {
             name: {} for name in (
                 "span", "rooted", "non_cut", "distances", "sequence", "round", "gather", "zx",
             )
         }
+        self.memos["exact"] = bytearray()
         self.dist = self.distances_within((1 << num_qubits) - 1)
         if -1 in self.dist[0]:
             raise ValueError("architecture graph must be connected")

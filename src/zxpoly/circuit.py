@@ -311,6 +311,6 @@ def circuit_from_json(text: str) -> Circuit:
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         qubits = json_int(data["qubits"], "qubit count")
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed circuit JSON: {exc}") from exc
     return Circuit(qubits, gates)

@@ -15,6 +15,8 @@ from .poly import Phase, PhaseGadget, ZXPolynomial, legs_to_mask
 def random_poly(num_qubits: int, n_gadgets: int, max_legs: int, seed: int) -> ZXPolynomial:
     """Random polynomial: uniform basis, leg count uniform in [1, max_legs],
     legs a uniform subset, phase uniform over {k*pi/4 : k = 1..7}."""
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be at least 1, got {num_qubits}")
     if not 1 <= max_legs <= num_qubits:
         raise ValueError(f"max_legs must be in [1, {num_qubits}], got {max_legs}")
     if n_gadgets < 0:

@@ -7,21 +7,27 @@ the target row; prepending (gate before the map) adds the target column
 onto the control column.
 
 `steiner_gauss` resynthesizes a map with every emitted CNOT on an
-architecture edge by organizing each pivot column's elimination along a
-Steiner tree. It satisfies the replay contract: applying the returned gates
-in order to the identity map reproduces the input bit-for-bit, so it gets a
-map's inverse by replaying its own direct synthesis backwards.
+architecture edge. It satisfies the replay contract: applying the returned
+gates in order to the identity map reproduces the input bit-for-bit. Up to
+EXACT_QUBITS qubits it is exact: GL(q, 2) has at most 20,160 maps there
+(9,999,360 at q = 5), so one BFS over them from the identity, run the first
+time such a map is asked for, leaves each map's depth and the last gate of
+a shortest sequence in the Architecture's "exact" table. Larger maps get a
+greedy that organizes each pivot column's elimination along a Steiner tree,
+and gets a map's inverse by replaying its own direct synthesis backwards.
 
 `_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
-checks the map fits, gives () for the identity, else the map's entry in
-the Architecture's "sequence" table (bounded by `memo_put`). On a miss
-`steiner_gauss` synthesizes the map and stores it, so costing a map and
-lowering it later synthesize it once. Below that, each round of the
-greedy is decided once per elimination state, the remaining vertex mask
-and the rows, and kept in the "round" table; fresh and stored rounds are
-applied by one replay. A round with a free pivot (a non-cut vertex whose
-row and column are already unit vectors) runs no trial elimination: such
-a pivot's trial is empty, so the free pivots are exactly the cheapest.
+checks the map fits, walks a q <= 4 map back through the "exact" table
+(`cnot_cost` reads its depth there), and otherwise gives () for the
+identity, else the map's entry in the Architecture's "sequence" table
+(bounded by `memo_put`). On a miss `steiner_gauss` synthesizes the map and
+stores it, so costing a map and lowering it later synthesize it once.
+Below that, each round of the greedy is decided once per elimination
+state, the remaining vertex mask and the rows, and kept in the "round"
+table; fresh and stored rounds are applied by one replay. A round with a
+free pivot (a non-cut vertex whose row and column are already unit
+vectors) runs no trial elimination: such a pivot's trial is empty, so the
+free pivots are exactly the cheapest.
 The greedy works on (control, target) int pairs; `Cnot` objects are built
 only for the list `steiner_gauss` returns. Each row step gathers its
 sources onto the pivot with `Architecture.gather`, the tree walk the
@@ -36,6 +42,8 @@ from typing import Iterable
 from .arch import Architecture, memo_put
 from .poly import mask_to_legs
 from .rules import Cnot
+
+EXACT_QUBITS = 4  # the largest q whose GL(q, 2) is searched whole
 
 
 @dataclass(frozen=True)
@@ -333,17 +341,20 @@ def _gf2_transpose(m: ParityMap) -> ParityMap:
 def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     """Architecture-aware resynthesis: every returned CNOT is a coupling edge.
 
-    The core pass eliminates one vertex at a time: the pivot's column is
-    purified along a Steiner tree (fill ones downward so every tree row
-    carries the pivot bit, then eliminate upward so only the pivot row
-    keeps it), then the pivot's row (the unique subset of remaining rows
-    summing to the residue is gathered in along a second tree). Finished
-    vertices are never touched again, so replaying the returned gates from
-    the identity reproduces the map bit-for-bit. Pivots are chosen
-    greedily: among vertices whose removal keeps the remaining coupling
-    graph connected, the cheapest elimination wins, with ties preferring
-    the vertex that least stretches distances between vertices still
-    carrying matrix structure, then the smallest index.
+    Up to EXACT_QUBITS qubits the result is the map's shortest sequence,
+    walked back through the Architecture's "exact" table.
+
+    From 5 qubits on, the core pass eliminates one vertex at a time: the
+    pivot's column is purified along a Steiner tree (fill ones downward so
+    every tree row carries the pivot bit, then eliminate upward so only the
+    pivot row keeps it), then the pivot's row (the unique subset of
+    remaining rows summing to the residue is gathered in along a second
+    tree). Finished vertices are never touched again, so replaying the
+    returned gates from the identity reproduces the map bit-for-bit. Pivots
+    are chosen greedily: among vertices whose removal keeps the remaining
+    coupling graph connected, the cheapest elimination wins, with ties
+    preferring the vertex that least stretches distances between vertices
+    still carrying matrix structure, then the smallest index.
 
     The pass runs on the map, its inverse, its transpose, and its
     inverse-transpose, whose gate lists convert into one another by
@@ -360,10 +371,13 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
 
 
 def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
-    """The map's known sequence as flat (control, target) wires: its entry in
-    the architecture's "sequence" memo, () for the identity (never stored),
-    None on a miss. Raises ValueError when the map does not fit the
-    architecture."""
+    """The map's known sequence as flat (control, target) wires: for q <=
+    EXACT_QUBITS its walk back through the "exact" table, otherwise () for
+    the identity (never stored), its entry in the "sequence" memo, or None
+    on a miss. Raises ValueError when the map does not fit the
+    architecture, or is a singular map of q <= EXACT_QUBITS."""
+    if m.size <= EXACT_QUBITS:
+        return _walk_back(*_exact_entry(m, arch), m.size)
     _check_size(m, arch)
     wires = arch.memos["sequence"].get(m.rows)
     if wires is None and m.is_identity():
@@ -374,6 +388,62 @@ def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
 def _check_size(m: ParityMap, arch: Architecture) -> None:
     if m.size != arch.num_qubits:
         raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
+
+
+def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
+    """The Architecture's "exact" table, built on first use, and the map's
+    index in it, sum(rows[i] << q * i). Raises ValueError when the map does
+    not fit the architecture or is singular."""
+    _check_size(m, arch)
+    table = arch.memos["exact"]
+    if not table:
+        table = arch.memos["exact"] = _exact_table(arch)
+    index = 0
+    for row in reversed(m.rows):
+        index = index << m.size | row
+    if not table[2 * index]:
+        raise ValueError("parity map is singular")
+    return table, index
+
+
+def _exact_table(arch: Architecture) -> bytearray:
+    """BFS from the identity over GL(q, 2), q <= EXACT_QUBITS, appending
+    coupling-edge CNOTs (the sorted edges, each as (u, v) then (v, u)). For
+    the map at index i, byte 2i is 1 + its depth, its fewest such CNOTs (0:
+    singular), and byte 2i + 1 the last gate, c << 2 | t, of the first
+    shortest sequence found."""
+    q = arch.num_qubits
+    full = (1 << q) - 1
+    moves = [(q * c, q * t, c << 2 | t)
+             for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
+    table = bytearray(2 << q * q)
+    frontier = [sum(1 << (q + 1) * i for i in range(q))]  # the identity
+    depth = table[2 * frontier[0]] = 1
+    while frontier:
+        depth += 1
+        reached = []
+        for index in frontier:
+            for control, target, gate in moves:
+                nxt = index ^ (index >> control & full) << target
+                if not table[2 * nxt]:
+                    table[2 * nxt] = depth
+                    table[2 * nxt + 1] = gate
+                    reached.append(nxt)
+        frontier = reached
+    return table
+
+
+def _walk_back(table: bytearray, index: int, q: int) -> tuple[int, ...]:
+    """The map's shortest sequence as flat (control, target) wires: undo
+    each last gate (a CNOT is its own inverse) back to the identity."""
+    full = (1 << q) - 1
+    wires: list[int] = []
+    for _ in range(table[2 * index] - 1):
+        gate = table[2 * index + 1]
+        control, target = gate >> 2, gate & 3
+        index ^= (index >> q * control & full) << q * target
+        wires += (target, control)
+    return tuple(wires[::-1])
 
 
 def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
@@ -437,8 +507,13 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map: the length of its
-    known sequence, synthesized by steiner_gauss on a miss."""
+    """Number of CNOTs steiner_gauss emits for the map: up to EXACT_QUBITS
+    the map's depth in the "exact" table, the optimum, read without the
+    walk; otherwise the length of its known sequence, synthesized by
+    steiner_gauss on a miss."""
+    if m.size <= EXACT_QUBITS:
+        table, index = _exact_entry(m, arch)
+        return table[2 * index] - 1
     wires = _stored(m, arch)
     if wires is None:
         return len(steiner_gauss(m, arch))

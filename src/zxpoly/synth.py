@@ -24,13 +24,14 @@ on the gadget's legs and basis, so it is computed once per Architecture
 (its "zx" memo) and reused at every recursion level, in every QAOA layer
 and after every accept.
 
-`optimize_gauss` prices a candidate's parity regions exactly (Steiner-Gauss
-through `cnot_cost`) only when `cnot_lower_bound` leaves room for a strict
-decrease. That bound, max(r, c, 2D - min(r, c)) over the non-unit rows r,
-the non-unit columns c and the farthest hop D from a wire to an input its
-parity holds, is one no coupling-edge CNOT sequence for the map can beat; a
-skipped candidate has net >= 0 and would have been rejected, so the skip
-never changes the output.
+`optimize_gauss` prices a candidate's parity regions with `cnot_cost` (the
+optimum up to 4 qubits, read from the Architecture's exact table; the
+Steiner-Gauss greedy's length above) only when `cnot_lower_bound` leaves
+room for a strict decrease. That bound, max(r, c, 2D - min(r, c)) over the
+non-unit rows r, the non-unit columns c and the farthest hop D from a wire
+to an input its parity holds, is one no coupling-edge CNOT sequence for the
+map can beat; a skipped candidate has net >= 0 and would have been
+rejected, so the skip never changes the output.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def optimize_gauss(
     relays a parity needs to cross the coupling graph, is at most what any
     synthesis of a map on `arch` costs, so a candidate whose effect_zx plus
     the bounds of its absorbed regions reaches the ceiling has net >= 0 and
-    is skipped before the exact Steiner-Gauss costing. The skip cannot
+    is skipped before it is priced by `cnot_cost`. The skip cannot
     change the output only because acceptance is strict (net < 0); a rule
     that accepted net == 0 would need the strict skip (>) instead."""
     q = arch.num_qubits

@@ -35,6 +35,11 @@ class TestGenerate:
         poly = zx.ZXPolynomial.from_json(out.read_text())
         assert poly == zx.maxcut_qaoa(4, 0.8, 2, seed=1)
 
+    @pytest.mark.parametrize("qubits", [0, -1])
+    def test_no_qubits_names_the_qubit_count(self, capsys, qubits):
+        assert run_cli("generate", "--qubits", qubits) == 2
+        assert capsys.readouterr().err == f"error: num_qubits must be at least 1, got {qubits}\n"
+
 
 class TestSimplify:
     def test_round_trip(self, tmp_path):
@@ -270,6 +275,17 @@ class TestAsciiNumbers:
             {"qubits": 2, "gates": [{"gate": "rz", "phase": phase, "qubit": 0}]}))
         assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2
         assert f"phase {phase!r} is not written in ASCII digits\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate, message", [
+        ({"gate": "rz", "phase": "1_0/4", "qubit": 0}, "phase '1_0/4' is not written in ASCII digits"),
+        ({"gate": "ccx", "qubit": 0}, "unknown gate kind 'ccx'"),
+    ], ids=["phase", "gate-kind"])
+    def test_circuit_json_error_names_the_reader(self, tmp_path, capsys, gate, message):
+        poly_path, circ_path = tmp_path / "p.json", tmp_path / "c.json"
+        poly_path.write_text(zx.ZXPolynomial(2, ()).to_json())
+        circ_path.write_text(json.dumps({"qubits": 2, "gates": [gate]}))
+        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 2
+        assert capsys.readouterr().err == f"error: malformed circuit JSON: {message}\n"
 
     @pytest.mark.parametrize("line", ["qreg q[\u0663];", "cx q[\u0660],q[1];",
                                       "rz(pi/\u0664) q[0];", "rx(pi) q[\u0661];"],

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from conftest import (
     ARCH_FAMILIES, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul, map_from_lists,
-    map_to_lists, random_invertible_map, row_column_bound, star,
+    map_to_lists, random_invertible_map, random_zx_poly, row_column_bound, star,
 )
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
@@ -282,6 +282,83 @@ class TestSequenceMemo:
         assert zx.steiner_gauss(zx.identity_map(4), arch) == []
         assert zx.cnot_cost(zx.identity_map(4), arch) == 0
         assert not arch.memos["sequence"]
+
+
+_EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(4),
+                zx.complete(4), zx.grid(2, 2), star(4)]
+
+
+class TestExactTable:
+    @pytest.mark.parametrize("arch", _EXACT_ARCHS, ids=lambda arch: arch.name)
+    def test_every_map_at_the_optimum(self, arch):
+        q = arch.num_qubits
+        optimum = exact_cnot_counts(q, sorted(arch.edges))
+        assert len(optimum) == {3: 168, 4: 20160}[q]
+        for rows, count in optimum.items():
+            m = zx.ParityMap(q, rows)
+            assert zx.cnot_cost(m, arch) == count, rows
+            seq = zx.steiner_gauss(m, arch)
+            assert len(seq) == count, rows
+            assert zx.from_cnots(q, seq) == m, rows
+            assert all(arch.is_edge(g.control, g.target) for g in seq), rows
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_every_singular_map_rejected(self, q):
+        arch = zx.line(q)
+        invertible = exact_cnot_counts(q, sorted(arch.edges))
+        singular = [rows for rows in itertools.product(range(1 << q), repeat=q)
+                    if rows not in invertible]
+        assert len(singular) == (1 << q * q) - len(invertible)
+        for rows in singular:
+            m = zx.ParityMap(q, rows)
+            for fn in (zx.cnot_cost, zx.steiner_gauss):
+                with pytest.raises(ValueError, match="parity map is singular"):
+                    fn(m, arch)
+
+    def test_built_once_per_architecture_and_not_at_construction(self, monkeypatch):
+        calls = []
+        build = parity._exact_table
+
+        def counting(arch):
+            calls.append(arch)
+            return build(arch)
+
+        monkeypatch.setattr(parity, "_exact_table", counting)
+        rng = random.Random(28)
+        archs = [zx.line(4), zx.line(4)]
+        assert calls == []
+        assert all(not arch.memos["exact"] for arch in archs)
+        for arch in archs:
+            for _ in range(20):
+                m = random_invertible_map(rng, 4)
+                zx.cnot_cost(m, arch)
+                zx.steiner_gauss(m, arch)
+            zx.synthesize(random_zx_poly(rng, 4, 12, 3), arch, "gauss")
+        assert calls == archs
+        for arch in archs:
+            assert len(arch.memos["exact"]) == 2 << 16
+            assert not arch.memos["sequence"] and not arch.memos["round"]
+
+    def test_not_built_above_four_qubits(self):
+        arch = zx.line(5)
+        m = random_invertible_map(random.Random(29), 5)
+        zx.cnot_cost(m, arch)
+        zx.steiner_gauss(m, arch)
+        assert not arch.memos["exact"]
+        assert arch.memos["sequence"]
+
+    @pytest.mark.parametrize("build", [zx.line, zx.circle, zx.complete], ids=lambda b: b.__name__)
+    def test_warm_output_equals_cold(self, build):
+        polys = [zx.simplify(zx.random_poly(4, 20, 4, seed=s)) for s in range(4)]
+        warm = build(4)
+
+        def gates(poly, arch):
+            return zx.lower_regions(zx.synthesize(poly, arch, "gauss"), arch).gates
+
+        for poly in polys:
+            gates(poly, warm)
+        for poly in polys:
+            assert gates(poly, warm) == gates(poly, build(4))
 
 
 _FAMILY_ARCHS = {  # shared by every example
