@@ -22,10 +22,10 @@ With n = num_qubits, the nine tables and their keys are:
     the full mask's entry, built first, is `dist`,
   * "exact": for n <= 4, `parity._exact_table`, a bytearray over every map
     packed into n * n bits, built whole on first use (empty until then),
-  * "sequence": `parity.steiner_gauss` results by the map's rows tuple,
-    read only through `parity._stored`; empty for n <= 4,
-  * "round": the Steiner-Gauss greedy's decided rounds (pivot and row
-    additions) by elimination state, the remaining mask and the rows
+  * "sequence": `parity.steiner_gauss` results by the map's rows tuple, the
+    identity's () too, read only through `parity._stored`; empty for n <= 4,
+  * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
+    additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,
   * "gather": `gather` op tuples by terms * n + root,
   * "zx": `synth._zx_table`'s (control, target, delta) triples of one

@@ -18,16 +18,14 @@ and gets a map's inverse by replaying its own direct synthesis backwards.
 
 `_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
 checks the map fits, walks a q <= 4 map back through the "exact" table
-(`cnot_cost` reads its depth there), and otherwise gives () for the
-identity, else the map's entry in the Architecture's "sequence" table
-(bounded by `memo_put`). On a miss `steiner_gauss` synthesizes the map and
+(`cnot_cost` reads its depth there), and otherwise gives the map's entry
+in the Architecture's "sequence" table (bounded by `memo_put`), the
+identity's () included. On a miss `steiner_gauss` synthesizes the map and
 stores it, so costing a map and lowering it later synthesize it once.
-Below that, each round of the greedy is decided once per elimination
-state, the remaining vertex mask and the rows, and kept in the "round"
-table; fresh and stored rounds are applied by one replay. A round with a
-free pivot (a non-cut vertex whose row and column are already unit
-vectors) runs no trial elimination: such a pivot's trial is empty, so the
-free pivots are exactly the cheapest.
+The greedy runs while a remaining vertex is structured (its row or column
+is not a unit vector), so the identity takes no round. Each round is
+decided once per elimination state and kept in the "round" table as
+(pivot, row additions); fresh and stored rounds are applied by one replay.
 The greedy works on (control, target) int pairs; `Cnot` objects are built
 only for the list `steiner_gauss` returns. Each row step gathers its
 sources onto the pivot with `Architecture.gather`, the tree walk the
@@ -79,7 +77,10 @@ def identity_map(num_qubits: int) -> ParityMap:
 def append_cnot(m: ParityMap, cnot: Cnot) -> ParityMap:
     """Map followed by the gate: target row gains the control row."""
     rows = list(m.rows)
-    rows[cnot.target] ^= rows[cnot.control]
+    try:  # Cnot wires are non-negative, so only a wire past the map misses
+        rows[cnot.target] ^= rows[cnot.control]
+    except IndexError:
+        raise ValueError(f"{cnot} out of range for {m.size} qubits") from None
     return ParityMap(m.size, tuple(rows))
 
 
@@ -87,6 +88,8 @@ def prepend_cnot(m: ParityMap, cnot: Cnot) -> ParityMap:
     """Gate followed by the map: control column gains the target column."""
     tbit = 1 << cnot.target
     cbit = 1 << cnot.control
+    if (tbit | cbit) >> m.size:
+        raise ValueError(f"{cnot} out of range for {m.size} qubits")
     rows = tuple(row ^ cbit if row & tbit else row for row in m.rows)
     return ParityMap(m.size, rows)
 
@@ -95,7 +98,10 @@ def from_cnots(num_qubits: int, cnots: Iterable[Cnot]) -> ParityMap:
     """Replay a CNOT sequence from the identity map, appending each gate."""
     rows = [1 << i for i in range(num_qubits)]
     for cnot in cnots:
-        rows[cnot.target] ^= rows[cnot.control]
+        try:  # as in append_cnot
+            rows[cnot.target] ^= rows[cnot.control]
+        except IndexError:
+            raise ValueError(f"{cnot} out of range for {num_qubits} qubits") from None
     return ParityMap(num_qubits, tuple(rows))
 
 
@@ -246,63 +252,59 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
     Each round eliminates the cheapest vertex among those whose removal
     keeps the remaining graph connected; ties prefer the vertex that least
     stretches the distances between vertices still carrying matrix
-    structure, then the smallest index.
+    structure, then the smallest index. It stops when no remaining vertex
+    is structured, i.e. every row is its unit vector (the identity takes no
+    round); on a singular map a column or row step raises first.
 
     A round's choice depends only on its state, the `remaining` mask and
     the rows: eliminated rows and columns are unit vectors and every
     remaining row has bits only in remaining columns. So each round is
     decided once, memoized in the Architecture's "round" table under one
-    int packing both, as the flat tuple (pivot, src, dst, src, dst, ...)
-    of the winning trial's row additions; fresh or stored, it is applied by
-    replaying them as row XORs, which reproduces the trial's rows exactly.
-    A round with a free pivot runs no trial and adds no row operation.
+    int packing both, as (pivot, row additions) of the winning trial; fresh
+    or stored, replaying the additions reproduces the trial's rows exactly.
     """
     q = m.size
     memo = arch.memos["round"]
     rows = list(m.rows)
     ops: list[tuple[int, int]] = []
     remaining = (1 << q) - 1
-    while remaining:
+    while structured := _structured(remaining, rows):
         key = remaining
         for row in rows:
             key = key << q | row
         decided = memo.get(key)
         if decided is None:
-            decided = memo_put(memo, key, _decide_round(rows, remaining, arch))
-        wires = iter(decided)
-        pivot = next(wires)
-        for src, dst in zip(wires, wires):
+            decided = memo_put(memo, key, _decide_round(rows, remaining, structured, arch))
+        pivot, additions = decided
+        for src, dst in additions:
             rows[dst] ^= rows[src]
-            ops.append((src, dst))
+        ops += additions
         remaining &= ~(1 << pivot)
-    if any(row != 1 << i for i, row in enumerate(rows)):
-        raise ValueError("parity map is singular")
     return _cancel_cnots(ops[::-1])
 
 
-def _decide_round(rows: list[int], remaining: int, arch: Architecture) -> tuple[int, ...]:
-    """One greedy round; returns the winner as (pivot, src, dst, src, dst, ...).
+def _decide_round(
+    rows: list[int], remaining: int, structured: int, arch: Architecture
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """One greedy round (`structured` is nonzero); returns (pivot, row additions).
 
     A non-cut pivot is free when it is not structured: its row and column
     are unit vectors among the remaining rows. Exactly the free pivots have
-    empty trials (no column ops, no residue), so if one exists the tied set
-    is the free pivots and the tie-break alone decides, with no trial
-    elimination. Otherwise every non-cut pivot runs a trial elimination."""
-    structured = _structured(remaining, rows)
+    empty trials (no column ops, no residue), so if one exists they are the
+    tied set, with no trial elimination; otherwise every non-cut pivot runs one."""
     non_cut = arch.non_cut_vertices(remaining)
     if non_cut & ~structured:
-        tied = [(0, pivot, []) for pivot in mask_to_legs(non_cut & ~structured)]
+        tied = [(pivot, ()) for pivot in mask_to_legs(non_cut & ~structured)]
     else:
-        trials = []
-        for pivot in mask_to_legs(non_cut):
-            trial_ops = _eliminate_vertex(rows[:], pivot, remaining, arch)
-            trials.append((len(trial_ops), pivot, trial_ops))
-        cheapest = min(t[0] for t in trials)
-        tied = [t for t in trials if t[0] == cheapest]
+        trials = [(pivot, _eliminate_vertex(rows[:], pivot, remaining, arch))
+                  for pivot in mask_to_legs(non_cut)]
+        cheapest = min(len(trial_ops) for _, trial_ops in trials)
+        tied = [trial for trial in trials if len(trial[1]) == cheapest]
     if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
-        tied.sort(key=lambda t: (_stretch_penalty(arch, remaining, t[1], structured), t[1]))
-    _, pivot, trial_ops = tied[0]
-    return (pivot, *(w for op in trial_ops for w in op))
+        tied = [min(tied, key=lambda trial: (
+            _stretch_penalty(arch, remaining, trial[0], structured), trial[0]))]
+    pivot, additions = tied[0]
+    return pivot, tuple(additions)
 
 
 def _structured(remaining: int, rows: list[int]) -> int:
@@ -354,15 +356,16 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     are chosen greedily: among vertices whose removal keeps the remaining
     coupling graph connected, the cheapest elimination wins, with ties
     preferring the vertex that least stretches distances between vertices
-    still carrying matrix structure, then the smallest index.
+    still carrying matrix structure, then the smallest index; it stops once
+    no remaining vertex carries structure, so the identity takes no round.
 
     The pass runs on the map, its inverse, its transpose, and its
     inverse-transpose, whose gate lists convert into one another by
     reversal and/or control-target exchange; the shortest synthesis wins.
 
-    The identity map gives [] at once. Every other result is memoized per
-    Architecture by the map's rows, so a map is synthesized once however
-    often it is costed or lowered; each call returns a fresh list.
+    Every result, the identity's [] too, is memoized per Architecture by
+    the map's rows, so a map is synthesized once however often it is costed
+    or lowered; each call returns a fresh list.
     """
     wires = _stored(m, arch)
     if wires is None:
@@ -372,17 +375,13 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
 
 def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
     """The map's known sequence as flat (control, target) wires: for q <=
-    EXACT_QUBITS its walk back through the "exact" table, otherwise () for
-    the identity (never stored), its entry in the "sequence" memo, or None
-    on a miss. Raises ValueError when the map does not fit the
-    architecture, or is a singular map of q <= EXACT_QUBITS."""
+    EXACT_QUBITS its walk back through the "exact" table, otherwise its
+    "sequence" entry (the identity's is ()), or None on a miss. Raises
+    ValueError when the map does not fit or is singular with q <= EXACT_QUBITS."""
     if m.size <= EXACT_QUBITS:
         return _walk_back(*_exact_entry(m, arch), m.size)
     _check_size(m, arch)
-    wires = arch.memos["sequence"].get(m.rows)
-    if wires is None and m.is_identity():
-        return ()
-    return wires
+    return arch.memos["sequence"].get(m.rows)
 
 
 def _check_size(m: ParityMap, arch: Architecture) -> None:

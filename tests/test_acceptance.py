@@ -308,14 +308,16 @@ def test_criterion_7_table2_spot_check():
 
 
 def test_criterion_8_scaling_smoke():
-    """Doubling the gadget count at q=6 costs at most a 3x slowdown."""
+    """Doubling the gadget count at q=6 costs at most a 3x slowdown.
+
+    Each seed's time is the best of 3 compiles, each on a fresh Architecture
+    (cold caches), and the median over the 3 seeds is compared, so one slow
+    spell of a shared machine does not decide the ratio."""
     def median_time(n_gadgets: int) -> float:
         times = []
         for rep in range(3):
-            arch = zx.line(6)  # fresh instance: cold caches each run
             poly = random_poly(6, n_gadgets, 4, seed=BENCH_SEED + rep)
-            _, _, _, elapsed, _ = run_instance(poly, arch, "divide_fast")
-            times.append(elapsed)
+            times.append(min(run_instance(poly, zx.line(6), "divide_fast")[3] for _ in range(3)))
         return statistics.median(times)
 
     t64 = median_time(64)

@@ -42,6 +42,11 @@ CASES = [
     ("rand4-s2", _random(4, 30, 4, 2), "line:4", "gauss", "10c4de2ab94010fc", 49),
     ("rand4-s2", _random(4, 30, 4, 2), "circle:4", "gauss", "3af0d84bc9fd18b2", 37),
     ("rand4-s2", _random(4, 30, 4, 2), "complete:4", "gauss", "85da9c277ed45aa6", 29),
+    # gauss above four qubits: cnot_cost synthesizes with the Steiner-Gauss greedy
+    ("rand6-s4", _random(6, 20, 4, 4), "grid:2x3", "gauss", "f4e0ddc873d662bd", 56),
+    ("rand6-s4", _random(6, 20, 4, 4), "circle:6", "gauss", "b059e2e7c4079f1e", 90),
+    ("rand5-s6", _random(5, 24, 4, 6), "line:5", "gauss", "185a6fbd4df87680", 93),
+    ("rand5-s6", _random(5, 24, 4, 6), "circle:5", "gauss", "eae4614adb1d67f1", 61),
     ("rand9-s3", _random(9, 12, 4, 3), "grid:3x3", "fast", "265ae252676e17ab", 62),
     ("rand9-s3", _random(9, 12, 4, 3), "line:9", "fast", "be9a648f3898640d", 104),
     ("qaoa8-s5", _qaoa(5), "line:8", "gauss", "0b087e88248efc74", 264),

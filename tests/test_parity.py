@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -14,6 +15,13 @@ from conftest import (
 )
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
+
+
+_OUT_OF_RANGE = [zx.Cnot(7, 0), zx.Cnot(0, 7)]  # on 4 qubits
+
+
+def _out_of_range(cnot):
+    return f"^{re.escape(str(cnot))} out of range for 4 qubits$"
 
 
 class TestBasics:
@@ -49,6 +57,22 @@ class TestBasics:
 
     def test_str_grid(self):
         assert str(zx.identity_map(2)) == "1 0\n0 1"
+
+    @pytest.mark.parametrize("cnot", _OUT_OF_RANGE, ids=["control", "target"])
+    def test_append_rejects_a_cnot_out_of_range(self, cnot):
+        with pytest.raises(ValueError, match=_out_of_range(cnot)):
+            zx.append_cnot(random_invertible_map(random.Random(40), 4), cnot)
+
+    @pytest.mark.parametrize("cnot", _OUT_OF_RANGE, ids=["control", "target"])
+    def test_prepend_rejects_a_cnot_out_of_range(self, cnot):
+        for m in (zx.identity_map(4), random_invertible_map(random.Random(41), 4)):
+            with pytest.raises(ValueError, match=_out_of_range(cnot)):
+                zx.prepend_cnot(m, cnot)
+
+    @pytest.mark.parametrize("cnot", _OUT_OF_RANGE, ids=["control", "target"])
+    def test_from_cnots_rejects_a_cnot_out_of_range(self, cnot):
+        with pytest.raises(ValueError, match=_out_of_range(cnot)):
+            zx.from_cnots(4, [zx.Cnot(1, 2), cnot])
 
     def test_list_rows_become_a_tuple(self):
         m = zx.ParityMap(2, [1, 3])
@@ -283,6 +307,21 @@ class TestSequenceMemo:
         assert zx.cnot_cost(zx.identity_map(4), arch) == 0
         assert not arch.memos["sequence"]
 
+    @pytest.mark.parametrize("q", [5, 8])
+    def test_identity_above_four_qubits_is_stored_once(self, q):
+        arch = zx.line(q)
+        identity = zx.identity_map(q)
+        with mock.patch.object(parity, "_shortest_variant",
+                               wraps=parity._shortest_variant) as variant:
+            assert zx.cnot_cost(identity, arch) == 0
+            assert variant.call_count == 1
+            assert arch.memos["sequence"] == {identity.rows: ()}
+            assert not arch.memos["round"]  # synthesized in zero rounds
+            assert zx.steiner_gauss(identity, arch) == []
+            assert zx.cnot_cost(identity, arch) == 0
+            assert variant.call_count == 1
+        assert arch.memos["sequence"] == {identity.rows: ()}
+
 
 _EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(4),
                 zx.complete(4), zx.grid(2, 2), star(4)]
@@ -497,10 +536,11 @@ class TestFreeRounds:
             return eliminate(*args)
 
         monkeypatch.setattr(parity, "_eliminate_vertex", counting)
-        decided = parity._decide_round(list(m.rows), 0b11111, arch)
+        rows = list(m.rows)
+        decided = parity._decide_round(rows, 0b11111, parity._structured(0b11111, rows), arch)
         assert calls == []
         ops, _ = _reference_greedy(m, zx.line(5))
-        assert decided == (0,)
+        assert decided == (0, ())
         assert parity._synthesize_raw(m, arch) == parity._cancel_cnots(ops[::-1])
 
     @pytest.mark.parametrize("rows", [
@@ -512,3 +552,66 @@ class TestFreeRounds:
         assert _free_pivots(0b1111, list(rows), zx.line(4)) == [0, 3]
         with pytest.raises(ValueError, match="parity map is singular"):
             zx.steiner_gauss(m, zx.line(4))
+
+
+def _singular_maps(rng, q, draws):
+    """Singular maps of q >= 5 qubits: `draws` random invertible maps with a
+    duplicated row, a row the XOR of two others, or a zero column, and the
+    two near-identity shapes of `test_singular_map_with_free_pivots_rejected`
+    padded with unit rows."""
+    maps = []
+    for _ in range(draws):
+        for shape in ("duplicate", "xor", "zero column"):
+            rows = list(random_invertible_map(rng, q).rows)
+            i, j, k = rng.sample(range(q), 3)
+            if shape == "duplicate":
+                rows[j] = rows[i]
+            elif shape == "xor":
+                rows[k] = rows[i] ^ rows[j]
+            else:
+                rows = [row & ~(1 << j) for row in rows]
+            maps.append(zx.ParityMap(q, rows))
+    pad = tuple(1 << i for i in range(4, q))
+    maps += [zx.ParityMap(q, (0b0001, 0b0110, 0b0110, 0b1000) + pad),
+             zx.ParityMap(q, (0b0001, 0b0100, 0b0100, 0b1000) + pad)]
+    return maps
+
+
+_STOP_ARCHS = [(family, q) for family in _NEAR_FAMILIES for q in range(5, 9)]
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("q", [5, 6, 7])
+    @pytest.mark.parametrize("build", [zx.line, zx.circle, zx.complete],
+                             ids=lambda b: b.__name__)
+    def test_greedy_rejects_singular_maps(self, build, q):
+        arch = build(q)
+        for m in _singular_maps(random.Random(q), q, 50):
+            for fn in (zx.cnot_cost, zx.steiner_gauss):
+                with pytest.raises(ValueError, match="parity map is singular"):
+                    fn(m, arch)
+        assert not arch.memos["sequence"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_STOP_ARCHS), st.booleans(), st.randoms(use_true_random=False))
+    def test_no_round_is_decided_without_structure(self, family_q, near_identity, rng):
+        family, q = family_q
+        arch = ARCH_FAMILIES[family](q)  # cold: every round is decided afresh
+        m = random_invertible_map(rng, q, q // 2 if near_identity else None)
+        decide = parity._decide_round
+        decided = []
+
+        def checked(rows, remaining, structured, arch):
+            assert structured == parity._structured(remaining, rows) != 0
+            decided.append((remaining, tuple(rows)))
+            return decide(rows, remaining, structured, arch)
+
+        with mock.patch.object(parity, "_decide_round", checked):
+            raw = parity._synthesize_raw(m, arch)
+        ops, states = _reference_greedy(m, arch)
+        assert raw == parity._cancel_cnots(ops[::-1])
+        # the decided rounds are the reference's rounds up to the first
+        # state without structure, after which it only runs free rounds
+        assert decided == [(remaining, rows) for remaining, rows in states
+                           if parity._structured(remaining, list(rows))]
+        assert decided == states[:len(decided)]
