@@ -23,7 +23,7 @@ With n = num_qubits, the nine tables and their keys are:
   * "exact": for n <= 4, `parity._exact_table`, a bytearray over every map
     packed into n * n bits, built whole on first use (empty until then),
   * "sequence": `parity.steiner_gauss` results by the map's rows tuple, the
-    identity's () too, read only through `parity._stored`; empty for n <= 4,
+    identity's () too, used only in `parity._sequence`; empty for n <= 4,
   * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
     additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,
@@ -122,10 +122,9 @@ class Architecture:
     def is_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def _region(self, allowed: int | None) -> int:
-        """The vertex mask `allowed` names; -1 or None (anywhere) is the full mask."""
-        everywhere = (1 << self.num_qubits) - 1
-        return everywhere if allowed is None else allowed & everywhere
+    def _region(self, allowed: int) -> int:
+        """The vertex mask `allowed` names; -1 (anywhere) is the full mask."""
+        return allowed & (1 << self.num_qubits) - 1
 
     def shortest_path(self, u: int, v: int, allowed: int = -1) -> list[int]:
         """Lexicographically smallest shortest path from u to v (inclusive),
@@ -143,11 +142,9 @@ class Architecture:
             path.append(cur)
         return path
 
-    def terminal_tree(
-        self, terminals: Iterable[int], allowed: int | None = -1
-    ) -> TreeEdges:
+    def terminal_tree(self, terminals: Iterable[int], allowed: int = -1) -> TreeEdges:
         """Approximate Steiner tree connecting the terminals inside the
-        `allowed` vertex mask (-1 or None: anywhere).
+        `allowed` vertex mask (-1: anywhere).
 
         Returns the tree's edges over physical vertices; its weight is their
         number. A single terminal yields the empty tree. Each call builds

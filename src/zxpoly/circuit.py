@@ -214,8 +214,18 @@ def to_qasm(circuit: Circuit) -> str:
         if isinstance(gate, Cnot):
             lines.append(f"cx q[{gate.control}],q[{gate.target}];")
         else:
-            lines.append(f"r{gate.basis.lower()}({gate.phase.radians():.12g}) q[{gate.qubit}];")
+            lines.append(f"r{gate.basis.lower()}({_qasm_angle(gate.phase)}) q[{gate.qubit}];")
     return "\n".join(lines) + "\n"
+
+
+def _qasm_angle(phase: Phase) -> str:
+    """The phase as an exact multiple of pi, in a form `_qasm_phase` reads
+    back: 0, pi, pi/d, n*pi or n*pi/d."""
+    n, d = phase.numerator, phase.denominator
+    if n == 0:
+        return "0"
+    angle = "pi" if n == 1 else f"{n}*pi"
+    return angle if d == 1 else f"{angle}/{d}"
 
 
 def _qasm_phase(text: str) -> Phase | None:

@@ -16,12 +16,12 @@ a shortest sequence in the Architecture's "exact" table. Larger maps get a
 greedy that organizes each pivot column's elimination along a Steiner tree,
 and gets a map's inverse by replaying its own direct synthesis backwards.
 
-`_stored` is the one sequence lookup of `steiner_gauss` and `cnot_cost`: it
+`_sequence` is the one sequence read of `steiner_gauss` and `cnot_cost`: it
 checks the map fits, walks a q <= 4 map back through the "exact" table
 (`cnot_cost` reads its depth there), and otherwise gives the map's entry
 in the Architecture's "sequence" table (bounded by `memo_put`), the
-identity's () included. On a miss `steiner_gauss` synthesizes the map and
-stores it, so costing a map and lowering it later synthesize it once.
+identity's () included, synthesizing and storing it on a miss, so costing
+a map and lowering it later synthesize it once.
 The greedy runs while a remaining vertex is structured (its row or column
 is not a unit vector), so the identity takes no round. Each round is
 decided once per elimination state and kept in the "round" table as
@@ -367,21 +367,24 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     the map's rows, so a map is synthesized once however often it is costed
     or lowered; each call returns a fresh list.
     """
-    wires = _stored(m, arch)
-    if wires is None:
-        wires = memo_put(arch.memos["sequence"], m.rows, _shortest_variant(m, arch))
+    wires = _sequence(m, arch)
     return list(map(Cnot, wires[::2], wires[1::2]))
 
 
-def _stored(m: ParityMap, arch: Architecture) -> tuple[int, ...] | None:
-    """The map's known sequence as flat (control, target) wires: for q <=
+def _sequence(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
+    """The map's sequence as flat (control, target) wires: for q <=
     EXACT_QUBITS its walk back through the "exact" table, otherwise its
-    "sequence" entry (the identity's is ()), or None on a miss. Raises
-    ValueError when the map does not fit or is singular with q <= EXACT_QUBITS."""
+    "sequence" entry (the identity's is ()), synthesized by
+    `_shortest_variant` and stored on a miss. Raises ValueError when the
+    map does not fit or is singular."""
     if m.size <= EXACT_QUBITS:
         return _walk_back(*_exact_entry(m, arch), m.size)
     _check_size(m, arch)
-    return arch.memos["sequence"].get(m.rows)
+    memo = arch.memos["sequence"]
+    wires = memo.get(m.rows)
+    if wires is None:
+        wires = memo_put(memo, m.rows, _shortest_variant(m, arch))
+    return wires
 
 
 def _check_size(m: ParityMap, arch: Architecture) -> None:
@@ -508,12 +511,9 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
     """Number of CNOTs steiner_gauss emits for the map: up to EXACT_QUBITS
     the map's depth in the "exact" table, the optimum, read without the
-    walk; otherwise the length of its known sequence, synthesized by
-    steiner_gauss on a miss."""
+    walk; otherwise the length of its sequence, synthesized by `_sequence`
+    on a miss."""
     if m.size <= EXACT_QUBITS:
         table, index = _exact_entry(m, arch)
         return table[2 * index] - 1
-    wires = _stored(m, arch)
-    if wires is None:
-        return len(steiner_gauss(m, arch))
-    return len(wires) // 2
+    return len(_sequence(m, arch)) // 2

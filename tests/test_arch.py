@@ -204,12 +204,12 @@ class TestTerminalTree:
 
     def test_anywhere_is_one_region(self):
         arch = zx.build_architecture("grid:2x3")
-        terms, anywhere = [0, 2, 5], (None, -1, 0b111111)
+        terms, anywhere = [0, 2, 5], (-1, 0b111111)
         trees = [arch.terminal_tree(terms, allowed) for allowed in anywhere]
-        assert trees[0] == trees[1] == trees[2]
+        assert trees[0] == trees[1]
         assert arch.tree_weight(0b100101) == len(trees[0])
         rooted = [arch.rooted_terminal_tree(0b100101, 0, allowed) for allowed in anywhere]
-        assert rooted[0] == rooted[1] == rooted[2]
+        assert rooted[0] == rooted[1]
         assert len(arch.memos["rooted"]) == 1
         with pytest.raises(ValueError, match="not in the allowed vertex set"):
             arch.terminal_tree(terms, 0)

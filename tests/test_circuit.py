@@ -266,8 +266,8 @@ class TestQasm:
         assert lines[1] == 'include "qelib1.inc";'
         assert lines[2] == "qreg q[3];"
         assert lines[3] == "cx q[0],q[1];"
-        assert lines[4] == "rz(0.785398163397) q[2];"
-        assert lines[5] == "rx(3.14159265359) q[0];"
+        assert lines[4] == "rz(pi/4) q[2];"
+        assert lines[5] == "rx(pi) q[0];"
 
     def test_round_trip(self):
         rng = random.Random(35)
@@ -284,6 +284,13 @@ class TestQasm:
                     gates.append(zx.Rx(PH(rng.randint(0, 63), 32), rng.randrange(q)))
             circ = zx.Circuit(q, gates)
             assert zx.from_qasm(zx.to_qasm(circ)) == circ
+
+    @pytest.mark.parametrize("denominator", [2**20, 2**30, 1234567])
+    def test_angles_round_trip_exactly(self, denominator):
+        phases = [PH(1, denominator), PH(3, denominator), PH(2 * denominator - 1, denominator)]
+        circ = zx.Circuit(2, [rot(phase, qubit) for phase in phases
+                              for rot, qubit in ((zx.Rz, 0), (zx.Rx, 1))])
+        assert zx.from_qasm(zx.to_qasm(circ)) == circ
 
     def test_unsupported_line_rejected(self):
         with pytest.raises(ValueError):

@@ -276,7 +276,33 @@ class TestCnotLowerBound:
             assert bound == _relay_bound(absorbed, arch)
 
 
+class _CountingMemo(dict):
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
 class TestSequenceMemo:
+    @pytest.mark.parametrize("name", ["line:6", "grid:2x3"])
+    def test_one_read_per_call(self, name):
+        arch = zx.build_architecture(name)
+        memo = arch.memos["sequence"] = _CountingMemo()
+        rng = random.Random(26)
+        maps = {random_invertible_map(rng, 6) for _ in range(30)} - {zx.identity_map(6)}
+        with mock.patch.object(parity, "_shortest_variant",
+                               wraps=parity._shortest_variant) as variant:
+            for m in maps:
+                gets, syntheses = memo.gets, variant.call_count
+                cost = zx.cnot_cost(m, arch)
+                assert (memo.gets - gets, variant.call_count - syntheses) == (1, 1)
+                assert len(zx.steiner_gauss(m, arch)) == cost
+                assert (memo.gets - gets, variant.call_count - syntheses) == (2, 1)
+        assert len(memo) == len(maps)
+
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(sorted(_WARM)), st.randoms(use_true_random=False))
     def test_warm_equals_cold(self, name, rng):

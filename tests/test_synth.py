@@ -481,13 +481,13 @@ class TestSynthesize:
 class TestCostMemo:
     def test_shared_across_synthesize_calls(self, monkeypatch):
         calls = []
-        steiner_gauss = parity.steiner_gauss
+        shortest_variant = parity._shortest_variant
 
         def counting(m, arch):
             calls.append(m.rows)
-            return steiner_gauss(m, arch)
+            return shortest_variant(m, arch)
 
-        monkeypatch.setattr(parity, "steiner_gauss", counting)
+        monkeypatch.setattr(parity, "_shortest_variant", counting)
         arch = zx.line(5)  # q <= 4 maps are read from the exact table, not synthesized
         poly = random_zx_poly(random.Random(26), 5, 12, 3)
         first = zx.synthesize(poly, arch, "gauss")
