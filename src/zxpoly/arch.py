@@ -21,9 +21,11 @@ With n = num_qubits, the nine tables and their keys are:
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
     the full mask's entry, built first, is `dist`,
   * "exact": for n <= 4, `parity._exact_table`, a bytearray over every map
-    packed into n * n bits, built whole on first use (empty until then),
-  * "sequence": `parity.steiner_gauss` results by the map's rows tuple, the
-    identity's () too, used only in `parity._sequence`; empty for n <= 4,
+    packed into n * n bits, built whole on first use (empty until then) and
+    read only on a "sequence" miss,
+  * "sequence": `parity.steiner_gauss` results as (control, target) pairs by
+    the map's rows tuple, the identity's () too, at every n, used only in
+    `parity._sequence`,
   * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
     additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,

@@ -152,13 +152,18 @@ def run_bench(grid: dict, reps: int, base_seed: int) -> tuple[list[BenchRecord],
     """Run the sweep; returns (records, number of failed instances): those
     that raised, and those whose output `sim.verify` did not prove. Raises
     ValueError on a sweep that would measure nothing: `reps` below 1, or an
-    empty sweep list in the grid."""
+    empty sweep list in the grid; and, before any instance runs, on a grid
+    point whose architecture cannot be built."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    points = [(point, _arch_descriptor(point["arch"], point["qubits"]))
+              for point in _grid_points(grid)]
+    for _, descriptor in points:
+        build_architecture(descriptor)  # raises now, not after the earlier points ran
     records: list[BenchRecord] = []
     failures = 0
-    for point in _grid_points(grid):
-        arch = build_architecture(_arch_descriptor(point["arch"], point["qubits"]))
+    for point, descriptor in points:
+        arch = build_architecture(descriptor)  # fresh per point, its memos empty
         for rep in range(reps):
             seed = base_seed + rep
             for algorithm in point["algorithms"]:

@@ -16,18 +16,18 @@ a shortest sequence in the Architecture's "exact" table. Larger maps get a
 greedy that organizes each pivot column's elimination along a Steiner tree,
 and gets a map's inverse by replaying its own direct synthesis backwards.
 
-`_sequence` is the one sequence read of `steiner_gauss` and `cnot_cost`: it
-checks the map fits, walks a q <= 4 map back through the "exact" table
-(`cnot_cost` reads its depth there), and otherwise gives the map's entry
-in the Architecture's "sequence" table (bounded by `memo_put`), the
-identity's () included, synthesizing and storing it on a miss, so costing
-a map and lowering it later synthesize it once.
+`_sequence` is the one sequence read of `steiner_gauss` and `cnot_cost`, at
+every size: it checks the map fits and gives its entry in the
+Architecture's "sequence" table (bounded by `memo_put`), the identity's ()
+included, a tuple of (control, target) pairs. On a miss it walks a q <= 4
+map back through the "exact" table, or synthesizes a larger one, and
+stores the result, so costing a map and lowering it later compute it once.
 The greedy runs while a remaining vertex is structured (its row or column
 is not a unit vector), so the identity takes no round. Each round is
 decided once per elimination state and kept in the "round" table as
 (pivot, row additions); fresh and stored rounds are applied by one replay.
-The greedy works on (control, target) int pairs; `Cnot` objects are built
-only for the list `steiner_gauss` returns. Each row step gathers its
+The greedy, like every stored sequence, works on (control, target) int
+pairs; `Cnot` objects are built only for the list `steiner_gauss` returns. Each row step gathers its
 sources onto the pivot with `Architecture.gather`, the tree walk the
 gadget ladders use too.
 """
@@ -35,6 +35,7 @@ gadget ladders use too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable
 
 from .arch import Architecture, memo_put
@@ -363,49 +364,32 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
     inverse-transpose, whose gate lists convert into one another by
     reversal and/or control-target exchange; the shortest synthesis wins.
 
-    Every result, the identity's [] too, is memoized per Architecture by
-    the map's rows, so a map is synthesized once however often it is costed
-    or lowered; each call returns a fresh list.
+    It is the `Cnot` view of `_sequence`: every result, the identity's []
+    too, is stored per Architecture as (control, target) pairs, so a map is
+    walked back or synthesized once however often it is costed or lowered;
+    each call returns a fresh list.
     """
-    wires = _sequence(m, arch)
-    return list(map(Cnot, wires[::2], wires[1::2]))
+    return list(starmap(Cnot, _sequence(m, arch)))
 
 
-def _sequence(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
-    """The map's sequence as flat (control, target) wires: for q <=
-    EXACT_QUBITS its walk back through the "exact" table, otherwise its
-    "sequence" entry (the identity's is ()), synthesized by
-    `_shortest_variant` and stored on a miss. Raises ValueError when the
-    map does not fit or is singular."""
-    if m.size <= EXACT_QUBITS:
-        return _walk_back(*_exact_entry(m, arch), m.size)
+def _sequence(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
+    """The map's entry in the Architecture's "sequence" table, its CNOTs as
+    (control, target) pairs (the identity's is ()); on a miss it is computed,
+    walked back through the "exact" table for q <= EXACT_QUBITS and otherwise
+    synthesized by `_shortest_variant`, and stored. Raises ValueError when
+    the map does not fit the architecture or is singular."""
     _check_size(m, arch)
     memo = arch.memos["sequence"]
-    wires = memo.get(m.rows)
-    if wires is None:
-        wires = memo_put(memo, m.rows, _shortest_variant(m, arch))
-    return wires
+    pairs = memo.get(m.rows)
+    if pairs is None:
+        pairs = memo_put(memo, m.rows, _walk_back(m, arch) if m.size <= EXACT_QUBITS
+                         else _shortest_variant(m, arch))
+    return pairs
 
 
 def _check_size(m: ParityMap, arch: Architecture) -> None:
     if m.size != arch.num_qubits:
         raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
-
-
-def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
-    """The Architecture's "exact" table, built on first use, and the map's
-    index in it, sum(rows[i] << q * i). Raises ValueError when the map does
-    not fit the architecture or is singular."""
-    _check_size(m, arch)
-    table = arch.memos["exact"]
-    if not table:
-        table = arch.memos["exact"] = _exact_table(arch)
-    index = 0
-    for row in reversed(m.rows):
-        index = index << m.size | row
-    if not table[2 * index]:
-        raise ValueError("parity map is singular")
-    return table, index
 
 
 def _exact_table(arch: Architecture) -> bytearray:
@@ -435,33 +419,43 @@ def _exact_table(arch: Architecture) -> bytearray:
     return table
 
 
-def _walk_back(table: bytearray, index: int, q: int) -> tuple[int, ...]:
-    """The map's shortest sequence as flat (control, target) wires: undo
-    each last gate (a CNOT is its own inverse) back to the identity."""
+def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
+    """The map's shortest sequence from the Architecture's "exact" table,
+    built on first use: starting at the map's index, sum(rows[i] << q * i),
+    undo each last gate (a CNOT is its own inverse) back to the identity.
+    Raises ValueError when the map is singular."""
+    table = arch.memos["exact"]
+    if not table:
+        table = arch.memos["exact"] = _exact_table(arch)
+    q = m.size
+    index = 0
+    for row in reversed(m.rows):
+        index = index << q | row
+    if not table[2 * index]:
+        raise ValueError("parity map is singular")
     full = (1 << q) - 1
-    wires: list[int] = []
+    pairs: list[tuple[int, int]] = []
     for _ in range(table[2 * index] - 1):
         gate = table[2 * index + 1]
         control, target = gate >> 2, gate & 3
         index ^= (index >> q * control & full) << q * target
-        wires += (target, control)
-    return tuple(wires[::-1])
+        pairs.append((control, target))
+    return tuple(reversed(pairs))
 
 
-def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[int, ...]:
+def _shortest_variant(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
     """The shortest of the four variants' syntheses (the first on a tie),
-    converted back to a sequence for the map, as flat (control, target) wires;
-    the inverse is the direct synthesis replayed backwards (CNOTs self-invert)."""
+    converted back to a sequence for the map; the inverse is the direct
+    synthesis replayed backwards (CNOTs self-invert)."""
     direct = _synthesize_raw(m, arch)
     inverse = from_cnots(m.size, (Cnot(c, t) for c, t in reversed(direct)))
-    best = min(
+    return tuple(min(
         direct,
         _synthesize_raw(inverse, arch)[::-1],
         [(t, c) for c, t in reversed(_synthesize_raw(_gf2_transpose(m), arch))],
         [(t, c) for c, t in _synthesize_raw(_gf2_transpose(inverse), arch)],
         key=len,
-    )
-    return tuple(w for pair in best for w in pair)
+    ))
 
 
 def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
@@ -509,11 +503,6 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map: up to EXACT_QUBITS
-    the map's depth in the "exact" table, the optimum, read without the
-    walk; otherwise the length of its sequence, synthesized by `_sequence`
-    on a miss."""
-    if m.size <= EXACT_QUBITS:
-        table, index = _exact_entry(m, arch)
-        return table[2 * index] - 1
-    return len(_sequence(m, arch)) // 2
+    """Number of CNOTs steiner_gauss emits for the map: the length of its
+    `_sequence` (the optimum up to EXACT_QUBITS qubits)."""
+    return len(_sequence(m, arch))

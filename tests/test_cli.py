@@ -445,6 +445,27 @@ class TestBench:
         with pytest.raises(ValueError, match="^unknown architecture name 'square'$"):
             run_bench(grid, reps=1, base_seed=0)
 
+    @pytest.mark.parametrize("grid,message", [
+        ({"qubits": [4, 5], "gadgets": [6], "architectures": ["grid"]},
+         "^grid architecture needs a square qubit count, got 5$"),
+        ({"qubits": [4], "gadgets": [6], "architectures": ["line", "ring"]},
+         "^unknown architecture name 'ring'$"),
+        ({"qubits": [4, 0], "gadgets": [6], "architectures": ["line"]},
+         "architecture needs at least one qubit"),
+    ], ids=["grid-not-square", "unknown-name", "no-qubits"])
+    def test_late_bad_architecture_fails_before_any_instance(self, monkeypatch, grid, message):
+        ran = []
+        run_instance = bench.run_instance
+
+        def counting(*args):
+            ran.append(args)
+            return run_instance(*args)
+
+        monkeypatch.setattr(bench, "run_instance", counting)
+        with pytest.raises(ValueError, match=message):
+            run_bench(grid, reps=2, base_seed=0)
+        assert ran == []
+
     def test_maxcut_kind(self):
         grid = {
             "kind": "maxcut",

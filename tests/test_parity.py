@@ -286,21 +286,28 @@ class _CountingMemo(dict):
         return super().get(key, default)
 
 
+def _computing(q):
+    """Patch, counting its calls, the function that computes a q-qubit
+    map's "sequence" entry on a miss."""
+    name = "_walk_back" if q <= parity.EXACT_QUBITS else "_shortest_variant"
+    return mock.patch.object(parity, name, wraps=getattr(parity, name))
+
+
 class TestSequenceMemo:
-    @pytest.mark.parametrize("name", ["line:6", "grid:2x3"])
+    @pytest.mark.parametrize("name", ["line:4", "complete:4", "line:6", "grid:2x3"])
     def test_one_read_per_call(self, name):
         arch = zx.build_architecture(name)
+        q = arch.num_qubits
         memo = arch.memos["sequence"] = _CountingMemo()
         rng = random.Random(26)
-        maps = {random_invertible_map(rng, 6) for _ in range(30)} - {zx.identity_map(6)}
-        with mock.patch.object(parity, "_shortest_variant",
-                               wraps=parity._shortest_variant) as variant:
+        maps = {random_invertible_map(rng, q) for _ in range(30)} - {zx.identity_map(q)}
+        with _computing(q) as computed:
             for m in maps:
-                gets, syntheses = memo.gets, variant.call_count
+                gets, computes = memo.gets, computed.call_count
                 cost = zx.cnot_cost(m, arch)
-                assert (memo.gets - gets, variant.call_count - syntheses) == (1, 1)
+                assert (memo.gets - gets, computed.call_count - computes) == (1, 1)
                 assert len(zx.steiner_gauss(m, arch)) == cost
-                assert (memo.gets - gets, variant.call_count - syntheses) == (2, 1)
+                assert (memo.gets - gets, computed.call_count - computes) == (2, 1)
         assert len(memo) == len(maps)
 
     @settings(max_examples=150, deadline=None)
@@ -327,25 +334,18 @@ class TestSequenceMemo:
         second.append(zx.Cnot(0, 1))
         assert zx.steiner_gauss(m, arch) == expected
 
-    def test_identity_is_not_memoized(self):
-        arch = zx.line(4)
-        assert zx.steiner_gauss(zx.identity_map(4), arch) == []
-        assert zx.cnot_cost(zx.identity_map(4), arch) == 0
-        assert not arch.memos["sequence"]
-
-    @pytest.mark.parametrize("q", [5, 8])
-    def test_identity_above_four_qubits_is_stored_once(self, q):
+    @pytest.mark.parametrize("q", [4, 5, 8])
+    def test_identity_is_stored_once(self, q):
         arch = zx.line(q)
         identity = zx.identity_map(q)
-        with mock.patch.object(parity, "_shortest_variant",
-                               wraps=parity._shortest_variant) as variant:
+        with _computing(q) as computed:
             assert zx.cnot_cost(identity, arch) == 0
-            assert variant.call_count == 1
+            assert computed.call_count == 1
             assert arch.memos["sequence"] == {identity.rows: ()}
-            assert not arch.memos["round"]  # synthesized in zero rounds
+            assert not arch.memos["round"]  # synthesized in zero rounds, or walked back
             assert zx.steiner_gauss(identity, arch) == []
             assert zx.cnot_cost(identity, arch) == 0
-            assert variant.call_count == 1
+            assert computed.call_count == 1
         assert arch.memos["sequence"] == {identity.rows: ()}
 
 
@@ -402,7 +402,7 @@ class TestExactTable:
         assert calls == archs
         for arch in archs:
             assert len(arch.memos["exact"]) == 2 << 16
-            assert not arch.memos["sequence"] and not arch.memos["round"]
+            assert not arch.memos["round"]
 
     def test_not_built_above_four_qubits(self):
         arch = zx.line(5)

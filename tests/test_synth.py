@@ -506,15 +506,22 @@ class TestCostMemo:
         assert ref() is None
 
     def test_capped_memos_emit_the_same_gates(self, monkeypatch):
-        polys = [zx.simplify(zx.random_poly(6, 8, 4, seed=s)) for s in range(5)]
-
-        def gates(arch):
+        def gates(polys, arch):
             return [zx.lower_regions(zx.synthesize(p, arch, "gauss"), arch).gates for p in polys]
 
-        uncapped = gates(zx.complete(6))
+        cases = []
+        for q in (4, 6):  # q = 4 walks maps back through "exact", q = 6 synthesizes them
+            polys = [zx.simplify(zx.random_poly(q, 8, 4, seed=s)) for s in range(5)]
+            arch = zx.complete(q)
+            cases.append((polys, gates(polys, arch)))
+            assert len(arch.memos["sequence"]) > 8, q  # so the cap below evicts
         monkeypatch.setattr(zx_arch, "MEMO_CAP", 8)
-        arch = zx.complete(6)
-        assert gates(arch) == uncapped
-        assert len(arch.memos) == 9
-        for name, memo in arch.memos.items():
-            assert len(memo) <= 8, name
+        for polys, uncapped in cases:
+            arch = zx.complete(polys[0].num_qubits)
+            assert gates(polys, arch) == uncapped
+            assert len(arch.memos) == 9
+            for name, memo in arch.memos.items():
+                if name == "exact":  # built whole, not through memo_put
+                    assert len(memo) == (2 << 16 if arch.num_qubits == 4 else 0)
+                else:
+                    assert len(memo) <= 8, name
