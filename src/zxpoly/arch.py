@@ -22,10 +22,11 @@ With n = num_qubits, the nine tables and their keys are:
     the full mask's entry, built first, is `dist`,
   * "exact": for n <= 4, `parity._exact_table`, a bytearray over every map
     packed into n * n bits, built whole on first use (empty until then) and
-    read only on a "sequence" miss,
+    read through `parity._exact_entry`: by `cnot_cost` for a map's depth,
+    and on a "sequence" miss to walk a map back,
   * "sequence": `parity.steiner_gauss` results as (control, target) pairs by
     the map's rows tuple, the identity's () too, at every n, used only in
-    `parity._sequence`,
+    `parity._sequence` (for n <= 4, only when a map is lowered),
   * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
     additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,

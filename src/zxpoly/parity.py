@@ -10,18 +10,21 @@ onto the control column.
 architecture edge. It satisfies the replay contract: applying the returned
 gates in order to the identity map reproduces the input bit-for-bit. Up to
 EXACT_QUBITS qubits it is exact: GL(q, 2) has at most 20,160 maps there
-(9,999,360 at q = 5), so one BFS over them from the identity, run the first
-time such a map is asked for, leaves each map's depth and the last gate of
-a shortest sequence in the Architecture's "exact" table. Larger maps get a
+(9,999,360 at q = 5), so one BFS over them from the identity, vectorized
+over each level's frontier and run the first time such a map is asked for,
+leaves each map's depth and the last gate of a shortest sequence in the
+Architecture's "exact" table. There `cnot_cost` is the map's depth byte,
+read through `_exact_entry` like the walk-back. Larger maps get a
 greedy that organizes each pivot column's elimination along a Steiner tree,
 and gets a map's inverse by replaying its own direct synthesis backwards.
 
-`_sequence` is the one sequence read of `steiner_gauss` and `cnot_cost`, at
-every size: it checks the map fits and gives its entry in the
-Architecture's "sequence" table (bounded by `memo_put`), the identity's ()
-included, a tuple of (control, target) pairs. On a miss it walks a q <= 4
-map back through the "exact" table, or synthesizes a larger one, and
-stores the result, so costing a map and lowering it later compute it once.
+`_sequence` is the one sequence read of `steiner_gauss` at every size, and
+of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
+entry in the Architecture's "sequence" table (bounded by `memo_put`), the
+identity's () included, a tuple of (control, target) pairs. On a miss it
+walks a q <= 4 map back through the "exact" table, or synthesizes a larger
+one, and stores the result, so a larger map costed and lowered later is
+synthesized once, and a q <= 4 map is walked back only when it is lowered.
 The greedy runs while a remaining vertex is structured (its row or column
 is not a unit vector), so the identity takes no round. Each round is
 decided once per elimination state and kept in the "round" table as
@@ -37,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Iterable
+
+import numpy as np
 
 from .arch import Architecture, memo_put
 from .poly import mask_to_legs
@@ -366,8 +371,8 @@ def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:
 
     It is the `Cnot` view of `_sequence`: every result, the identity's []
     too, is stored per Architecture as (control, target) pairs, so a map is
-    walked back or synthesized once however often it is costed or lowered;
-    each call returns a fresh list.
+    walked back or synthesized once however often it is lowered (or, from
+    5 qubits on, costed); each call returns a fresh list.
     """
     return list(starmap(Cnot, _sequence(m, arch)))
 
@@ -396,34 +401,43 @@ def _exact_table(arch: Architecture) -> bytearray:
     """BFS from the identity over GL(q, 2), q <= EXACT_QUBITS, appending
     coupling-edge CNOTs (the sorted edges, each as (u, v) then (v, u)). For
     the map at index i, byte 2i is 1 + its depth, its fewest such CNOTs (0:
-    singular), and byte 2i + 1 the last gate, c << 2 | t, of the first
-    shortest sequence found."""
+    singular), and byte 2i + 1 the last gate, c << 2 | t, of its first
+    shortest sequence: each level applies one move at a time to the whole
+    frontier, and a map reached at that level keeps the least (frontier
+    position, move index) pair that reaches it, whose order is also the
+    next frontier's, as in a BFS of one map and one move at a time."""
     q = arch.num_qubits
     full = (1 << q) - 1
-    moves = [(q * c, q * t, c << 2 | t)
-             for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
+    moves = [(c, t) for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
+    gates = np.array([c << 2 | t for c, t in moves], dtype=np.uint8)
     table = bytearray(2 << q * q)
-    frontier = [sum(1 << (q + 1) * i for i in range(q))]  # the identity
-    depth = table[2 * frontier[0]] = 1
-    while frontier:
+    view = np.frombuffer(table, dtype=np.uint8)
+    depths, last = view[0::2], view[1::2]
+    unreached = np.iinfo(np.int32).max
+    first = np.full(1 << q * q, unreached, dtype=np.int32)  # least pair this level
+    frontier = np.array([sum(1 << (q + 1) * i for i in range(q))], dtype=np.int32)
+    depth = depths[frontier] = 1  # the identity
+    while frontier.size:
         depth += 1
-        reached = []
-        for index in frontier:
-            for control, target, gate in moves:
-                nxt = index ^ (index >> control & full) << target
-                if not table[2 * nxt]:
-                    table[2 * nxt] = depth
-                    table[2 * nxt + 1] = gate
-                    reached.append(nxt)
-        frontier = reached
+        pairs = np.arange(frontier.size, dtype=np.int32) * len(moves)
+        for move, (c, t) in enumerate(moves):
+            nxt = frontier ^ (frontier >> q * c & full) << q * t  # one move is a bijection
+            fresh = depths[nxt] == 0
+            nxt = nxt[fresh]
+            first[nxt] = np.minimum(first[nxt], pairs[fresh] + move)
+        reached = np.flatnonzero(first != unreached)
+        order = first[reached].argsort()
+        frontier = reached[order].astype(np.int32)
+        depths[frontier] = depth
+        last[frontier] = gates[first[frontier] % len(moves)]
+        first[frontier] = unreached
     return table
 
 
-def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
-    """The map's shortest sequence from the Architecture's "exact" table,
-    built on first use: starting at the map's index, sum(rows[i] << q * i),
-    undo each last gate (a CNOT is its own inverse) back to the identity.
-    Raises ValueError when the map is singular."""
+def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
+    """The Architecture's "exact" table, built on first use, and the map's
+    index in it, sum(rows[i] << q * i). Raises ValueError when the map is
+    singular."""
     table = arch.memos["exact"]
     if not table:
         table = arch.memos["exact"] = _exact_table(arch)
@@ -433,6 +447,15 @@ def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
         index = index << q | row
     if not table[2 * index]:
         raise ValueError("parity map is singular")
+    return table, index
+
+
+def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
+    """The map's shortest sequence from the "exact" table: starting at the
+    map's index, undo each last gate (a CNOT is its own inverse) back to the
+    identity. Raises ValueError when the map is singular."""
+    table, index = _exact_entry(m, arch)
+    q = m.size
     full = (1 << q) - 1
     pairs: list[tuple[int, int]] = []
     for _ in range(table[2 * index] - 1):
@@ -503,6 +526,13 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map: the length of its
-    `_sequence` (the optimum up to EXACT_QUBITS qubits)."""
-    return len(_sequence(m, arch))
+    """Number of CNOTs steiner_gauss emits for the map. Up to EXACT_QUBITS
+    qubits it is the optimum, the map's depth read from the "exact" table,
+    so costing walks no sequence back and stores none; above, it is the
+    length of its `_sequence`. Raises ValueError when the map does not fit
+    the architecture or is singular."""
+    if m.size > EXACT_QUBITS:
+        return len(_sequence(m, arch))
+    _check_size(m, arch)
+    table, index = _exact_entry(m, arch)
+    return table[2 * index] - 1

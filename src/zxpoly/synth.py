@@ -24,14 +24,16 @@ on the gadget's legs and basis, so it is computed once per Architecture
 (its "zx" memo) and reused at every recursion level, in every QAOA layer
 and after every accept.
 
-`optimize_gauss` prices a candidate's parity regions with `cnot_cost` (the
-optimum up to 4 qubits, read from the Architecture's exact table; the
-Steiner-Gauss greedy's length above) only when `cnot_lower_bound` leaves
-room for a strict decrease. That bound, max(r, c, 2D - min(r, c)) over the
-non-unit rows r, the non-unit columns c and the farthest hop D from a wire
-to an input its parity holds, is one no coupling-edge CNOT sequence for the
-map can beat; a skipped candidate has net >= 0 and would have been
-rejected, so the skip never changes the output.
+`optimize_gauss` prices a candidate's parity regions with `cnot_cost`.
+Up to 4 qubits that is the optimum, one byte read from the Architecture's
+exact table, which costs less than a bound, so every candidate is priced.
+Above, it is the Steiner-Gauss greedy's length, and a candidate is priced
+only when `cnot_lower_bound` leaves room for a strict decrease. That bound,
+max(r, c, 2D - min(r, c)) over the non-unit rows r, the non-unit columns c
+and the farthest hop D from a wire to an input its parity holds, is one no
+coupling-edge CNOT sequence for the map can beat; a skipped candidate has
+net >= 0 and would have been rejected, so the skip never changes the
+output.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Iterable
 
 from .arch import Architecture, memo_put
 from .parity import (
-    ParityMap, append_cnot, cnot_cost, cnot_lower_bound, identity_map, prepend_cnot, steiner_gauss,
+    EXACT_QUBITS, ParityMap, append_cnot, cnot_cost, cnot_lower_bound, identity_map, prepend_cnot,
+    steiner_gauss,
 )
 from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
@@ -118,14 +121,17 @@ def optimize_gauss(
     Every candidate's effect_zx is read from one `_zx_table`, rebuilt only
     after an accept. A candidate's net is effect_zx plus what the two
     absorbed regions cost minus what the current ones cost (the ceiling).
-    `cnot_lower_bound`, which counts the non-unit rows and columns and the
-    relays a parity needs to cross the coupling graph, is at most what any
-    synthesis of a map on `arch` costs, so a candidate whose effect_zx plus
-    the bounds of its absorbed regions reaches the ceiling has net >= 0 and
-    is skipped before it is priced by `cnot_cost`. The skip cannot
-    change the output only because acceptance is strict (net < 0); a rule
-    that accepted net == 0 would need the strict skip (>) instead."""
+    Above EXACT_QUBITS qubits, `cnot_lower_bound`, which counts the
+    non-unit rows and columns and the relays a parity needs to cross the
+    coupling graph, is at most what any synthesis of a map on `arch` costs,
+    so a candidate whose effect_zx plus the bounds of its absorbed regions
+    reaches the ceiling has net >= 0 and is skipped before it is priced by
+    `cnot_cost`. Up to EXACT_QUBITS, `cnot_cost` is one table read, cheaper
+    than the two bounds, so there is no skip. The skip cannot change the
+    output only because acceptance is strict (net < 0); a rule that
+    accepted net == 0 would need the strict skip (>) instead."""
     q = arch.num_qubits
+    bounded = q > EXACT_QUBITS
     ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     table = _zx_table(poly, arch)
     for control in range(q):
@@ -137,7 +143,8 @@ def optimize_gauss(
                 continue
             cnot = Cnot(control, target)
             left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-            if zx + cnot_lower_bound(left, arch) + cnot_lower_bound(right, arch) >= ceiling:
+            if bounded and (zx + cnot_lower_bound(left, arch)
+                            + cnot_lower_bound(right, arch) >= ceiling):
                 continue
             absorbed = cnot_cost(left, arch) + cnot_cost(right, arch)
             if zx + absorbed < ceiling:

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from conftest import (
     ARCH_FAMILIES, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul, map_from_lists,
-    map_to_lists, random_invertible_map, random_zx_poly, row_column_bound, star,
+    map_to_lists, random_invertible_map, random_zx_poly, reference_exact_table, row_column_bound,
+    star,
 )
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
@@ -301,13 +302,17 @@ class TestSequenceMemo:
         memo = arch.memos["sequence"] = _CountingMemo()
         rng = random.Random(26)
         maps = {random_invertible_map(rng, q) for _ in range(30)} - {zx.identity_map(q)}
+        # up to EXACT_QUBITS, cnot_cost reads the map's depth from the "exact"
+        # table: no "sequence" read, no walk-back, nothing stored
+        costed = q > parity.EXACT_QUBITS
         with _computing(q) as computed:
             for m in maps:
-                gets, computes = memo.gets, computed.call_count
+                gets, calls, stored = memo.gets, computed.call_count, len(memo)
                 cost = zx.cnot_cost(m, arch)
-                assert (memo.gets - gets, computed.call_count - computes) == (1, 1)
+                assert (memo.gets - gets, computed.call_count - calls) == (costed, costed)
+                assert len(memo) == stored + costed
                 assert len(zx.steiner_gauss(m, arch)) == cost
-                assert (memo.gets - gets, computed.call_count - computes) == (2, 1)
+                assert (memo.gets - gets, computed.call_count - calls) == (costed + 1, 1)
         assert len(memo) == len(maps)
 
     @settings(max_examples=150, deadline=None)
@@ -338,11 +343,12 @@ class TestSequenceMemo:
     def test_identity_is_stored_once(self, q):
         arch = zx.line(q)
         identity = zx.identity_map(q)
+        costed = q > parity.EXACT_QUBITS  # up to EXACT_QUBITS costing stores nothing
         with _computing(q) as computed:
             assert zx.cnot_cost(identity, arch) == 0
-            assert computed.call_count == 1
-            assert arch.memos["sequence"] == {identity.rows: ()}
-            assert not arch.memos["round"]  # synthesized in zero rounds, or walked back
+            assert computed.call_count == costed
+            assert arch.memos["sequence"] == ({identity.rows: ()} if costed else {})
+            assert not arch.memos["round"]  # synthesized in zero rounds, or not at all
             assert zx.steiner_gauss(identity, arch) == []
             assert zx.cnot_cost(identity, arch) == 0
             assert computed.call_count == 1
@@ -403,6 +409,12 @@ class TestExactTable:
         for arch in archs:
             assert len(arch.memos["exact"]) == 2 << 16
             assert not arch.memos["round"]
+
+    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
+                             ids=lambda arch: arch.name)
+    def test_equals_reference_bfs(self, arch):
+        # the last-gate bytes decide which shortest sequence is lowered
+        assert parity._exact_table(arch) == reference_exact_table(arch)
 
     def test_not_built_above_four_qubits(self):
         arch = zx.line(5)

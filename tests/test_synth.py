@@ -236,6 +236,24 @@ class TestOptimizeGauss:
         assert pruned_some
         assert totals["bound"] < totals["row_column"] < totals["zx_only"]
 
+    def test_bound_only_above_exact_qubits(self, monkeypatch):
+        def bound(m, arch):
+            raise AssertionError("cnot_lower_bound called")
+
+        monkeypatch.setattr(synth, "cnot_lower_bound", bound)
+        rng = random.Random(29)
+        for _ in range(60):
+            q = rng.randint(2, parity.EXACT_QUBITS)
+            arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
+            poly = random_zx_poly(rng, q, rng.randint(0, 8))
+            pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
+                      for _ in range(2))
+            assert zx.optimize_gauss(pl, poly, pr, arch) == self._unpruned(pl, poly, pr, arch)
+        # C(0, 1) shrinks the gadget (zx = -2 < ceiling = 0), so it is bounded
+        poly = zx.ZXPolynomial(5, (zx.PhaseGadget.z([0, 1], PH(1, 4)),))
+        with pytest.raises(AssertionError, match="cnot_lower_bound called"):
+            zx.optimize_gauss(identity_map(5), poly, identity_map(5), zx.line(5))
+
     @pytest.mark.parametrize("arch", [zx.line(8), zx.circle(8), zx.grid(2, 4)],
                              ids=lambda arch: arch.name)
     def test_qaoa_candidates_rejected_before_costing(self, arch, exact_costings, monkeypatch):
