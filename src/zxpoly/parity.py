@@ -12,11 +12,13 @@ gates in order to the identity map reproduces the input bit-for-bit. Up to
 EXACT_QUBITS qubits it is exact: GL(q, 2) has at most 20,160 maps there
 (9,999,360 at q = 5), so one BFS over them from the identity, vectorized
 over each level's frontier and run the first time such a map is asked for,
-leaves each map's depth and the last gate of a shortest sequence in the
-Architecture's "exact" table. There `cnot_cost` is the map's depth byte,
-read through `_exact_entry` like the walk-back. Larger maps get a
-greedy that organizes each pivot column's elimination along a Steiner tree,
-and gets a map's inverse by replaying its own direct synthesis backwards.
+leaves one byte per map, 1 + its depth, in the Architecture's "exact"
+table. There `cnot_cost` is the map's depth byte, read through
+`_exact_entry` like the walk-back, which steps from the map to the identity
+by undoing, at each step, the first move that reaches a map one level
+shallower. Larger maps get a greedy that organizes each pivot column's
+elimination along a Steiner tree, and gets a map's inverse by replaying its
+own direct synthesis backwards.
 
 `_sequence` is the one sequence read of `steiner_gauss` at every size, and
 of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
@@ -397,40 +399,30 @@ def _check_size(m: ParityMap, arch: Architecture) -> None:
         raise ValueError(f"map size {m.size} does not match architecture {arch.name}")
 
 
+def _moves(arch: Architecture) -> list[tuple[int, int]]:
+    """The coupling-edge CNOTs in their fixed order: the sorted edges, each
+    as (u, v) then (v, u)."""
+    return [(c, t) for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
+
+
 def _exact_table(arch: Architecture) -> bytearray:
     """BFS from the identity over GL(q, 2), q <= EXACT_QUBITS, appending
-    coupling-edge CNOTs (the sorted edges, each as (u, v) then (v, u)). For
-    the map at index i, byte 2i is 1 + its depth, its fewest such CNOTs (0:
-    singular), and byte 2i + 1 the last gate, c << 2 | t, of its first
-    shortest sequence: each level applies one move at a time to the whole
-    frontier, and a map reached at that level keeps the least (frontier
-    position, move index) pair that reaches it, whose order is also the
-    next frontier's, as in a BFS of one map and one move at a time."""
+    coupling-edge CNOTs. Byte i is 1 + the depth of the map at index i, its
+    fewest such CNOTs, or 0 for a singular map. Each level applies one move
+    at a time to the whole frontier and marks the unreached maps it hits;
+    the next frontier is every map at the new depth."""
     q = arch.num_qubits
     full = (1 << q) - 1
-    moves = [(c, t) for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
-    gates = np.array([c << 2 | t for c, t in moves], dtype=np.uint8)
-    table = bytearray(2 << q * q)
-    view = np.frombuffer(table, dtype=np.uint8)
-    depths, last = view[0::2], view[1::2]
-    unreached = np.iinfo(np.int32).max
-    first = np.full(1 << q * q, unreached, dtype=np.int32)  # least pair this level
-    frontier = np.array([sum(1 << (q + 1) * i for i in range(q))], dtype=np.int32)
-    depth = depths[frontier] = 1  # the identity
+    table = bytearray(1 << q * q)
+    depths = np.frombuffer(table, dtype=np.uint8)
+    frontier = np.array([sum(1 << (q + 1) * i for i in range(q))])  # the identity
+    depth = depths[frontier] = 1
     while frontier.size:
         depth += 1
-        pairs = np.arange(frontier.size, dtype=np.int32) * len(moves)
-        for move, (c, t) in enumerate(moves):
-            nxt = frontier ^ (frontier >> q * c & full) << q * t  # one move is a bijection
-            fresh = depths[nxt] == 0
-            nxt = nxt[fresh]
-            first[nxt] = np.minimum(first[nxt], pairs[fresh] + move)
-        reached = np.flatnonzero(first != unreached)
-        order = first[reached].argsort()
-        frontier = reached[order].astype(np.int32)
-        depths[frontier] = depth
-        last[frontier] = gates[first[frontier] % len(moves)]
-        first[frontier] = unreached
+        for c, t in _moves(arch):
+            nxt = frontier ^ (frontier >> q * c & full) << q * t
+            depths[nxt[depths[nxt] == 0]] = depth
+        frontier = np.flatnonzero(depths == depth)
     return table
 
 
@@ -445,24 +437,28 @@ def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
     index = 0
     for row in reversed(m.rows):
         index = index << q | row
-    if not table[2 * index]:
+    if not table[index]:
         raise ValueError("parity map is singular")
     return table, index
 
 
 def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
-    """The map's shortest sequence from the "exact" table: starting at the
-    map's index, undo each last gate (a CNOT is its own inverse) back to the
-    identity. Raises ValueError when the map is singular."""
+    """The map's shortest sequence from the "exact" table: from the map's
+    index, undo the first move (in `_moves` order; a CNOT is its own inverse)
+    that reaches a map one level shallower, until the identity. Raises
+    ValueError when the map is singular."""
     table, index = _exact_entry(m, arch)
     q = m.size
     full = (1 << q) - 1
+    moves = _moves(arch)
     pairs: list[tuple[int, int]] = []
-    for _ in range(table[2 * index] - 1):
-        gate = table[2 * index + 1]
-        control, target = gate >> 2, gate & 3
-        index ^= (index >> q * control & full) << q * target
-        pairs.append((control, target))
+    while (depth := table[index]) > 1:
+        for c, t in moves:
+            prev = index ^ (index >> q * c & full) << q * t
+            if table[prev] == depth - 1:
+                break
+        index = prev
+        pairs.append((c, t))
     return tuple(reversed(pairs))
 
 
@@ -527,12 +523,12 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
     """Number of CNOTs steiner_gauss emits for the map. Up to EXACT_QUBITS
-    qubits it is the optimum, the map's depth read from the "exact" table,
-    so costing walks no sequence back and stores none; above, it is the
-    length of its `_sequence`. Raises ValueError when the map does not fit
-    the architecture or is singular."""
+    qubits it is the optimum, the map's depth, its one byte in the "exact"
+    table less 1, so costing walks no sequence back and stores none; above,
+    it is the length of its `_sequence`. Raises ValueError when the map does
+    not fit the architecture or is singular."""
     if m.size > EXACT_QUBITS:
         return len(_sequence(m, arch))
     _check_size(m, arch)
     table, index = _exact_entry(m, arch)
-    return table[2 * index] - 1
+    return table[index] - 1

@@ -120,32 +120,6 @@ def exact_cnot_counts(num_qubits: int, edges) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def reference_exact_table(arch: zx.Architecture) -> bytearray:
-    """`parity._exact_table` as a plain Python BFS, one map and one move at
-    a time: the first time a map is reached, from the earliest frontier
-    entry and then the earliest move, fixes its depth byte and last gate,
-    and the next frontier lists maps in the order they were reached."""
-    q = arch.num_qubits
-    full = (1 << q) - 1
-    moves = [(q * c, q * t, c << 2 | t)
-             for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
-    table = bytearray(2 << q * q)
-    frontier = [sum(1 << (q + 1) * i for i in range(q))]  # the identity
-    depth = table[2 * frontier[0]] = 1
-    while frontier:
-        depth += 1
-        reached = []
-        for index in frontier:
-            for control, target, gate in moves:
-                nxt = index ^ (index >> control & full) << target
-                if not table[2 * nxt]:
-                    table[2 * nxt] = depth
-                    table[2 * nxt + 1] = gate
-                    reached.append(nxt)
-        frontier = reached
-    return table
-
-
 def row_column_bound(m: zx.ParityMap) -> int:
     """The architecture-blind CNOT lower bound: the larger of the map's
     non-unit rows and non-unit columns (a gate changes one of each)."""

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from conftest import (
     ARCH_FAMILIES, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul, map_from_lists,
-    map_to_lists, random_invertible_map, random_zx_poly, reference_exact_table, row_column_bound,
+    map_to_lists, random_invertible_map, random_zx_poly, row_column_bound,
     star,
 )
 from zxpoly import parity
@@ -360,11 +360,12 @@ _EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(
 
 
 class TestExactTable:
-    @pytest.mark.parametrize("arch", _EXACT_ARCHS, ids=lambda arch: arch.name)
+    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
+                             ids=lambda arch: arch.name)
     def test_every_map_at_the_optimum(self, arch):
         q = arch.num_qubits
         optimum = exact_cnot_counts(q, sorted(arch.edges))
-        assert len(optimum) == {3: 168, 4: 20160}[q]
+        assert len(optimum) == {1: 1, 2: 6, 3: 168, 4: 20160}[q]
         for rows, count in optimum.items():
             m = zx.ParityMap(q, rows)
             assert zx.cnot_cost(m, arch) == count, rows
@@ -372,6 +373,40 @@ class TestExactTable:
             assert len(seq) == count, rows
             assert zx.from_cnots(q, seq) == m, rows
             assert all(arch.is_edge(g.control, g.target) for g in seq), rows
+
+    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
+                             ids=lambda arch: arch.name)
+    def test_equals_reference_bfs(self, arch):
+        # one byte per map: 1 + its depth in the exact_cnot_counts BFS, and 0
+        # for every singular map
+        q = arch.num_qubits
+        optimum = exact_cnot_counts(q, sorted(arch.edges))
+        zx.cnot_cost(zx.identity_map(q), arch)
+        assert len(arch.memos["exact"]) == 1 << q * q
+        expected = bytearray(1 << q * q)
+        for rows, count in optimum.items():
+            expected[sum(row << q * i for i, row in enumerate(rows))] = 1 + count
+        assert arch.memos["exact"] == expected
+
+    @pytest.mark.parametrize("arch", _EXACT_ARCHS, ids=lambda arch: arch.name)
+    def test_walk_back_undoes_the_first_move_one_level_shallower(self, arch):
+        # walking back from the map, each step undoes the first move, in
+        # (sorted edge, (u, v) then (v, u)) order, whose undo lowers the depth by one
+        q = arch.num_qubits
+        optimum = exact_cnot_counts(q, sorted(arch.edges))
+        moves = [(c, t) for u, v in sorted(arch.edges) for c, t in ((u, v), (v, u))]
+
+        def undo(rows, c, t):
+            return rows[:t] + (rows[t] ^ rows[c],) + rows[t + 1:]
+
+        for start in optimum:
+            rows = start
+            for gate in reversed(zx.steiner_gauss(zx.ParityMap(q, start), arch)):
+                move = next((c, t) for c, t in moves
+                            if optimum[undo(rows, c, t)] == optimum[rows] - 1)
+                assert (gate.control, gate.target) == move, start
+                rows = undo(rows, *move)
+            assert rows == zx.identity_map(q).rows, start
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_every_singular_map_rejected(self, q):
@@ -407,14 +442,8 @@ class TestExactTable:
             zx.synthesize(random_zx_poly(rng, 4, 12, 3), arch, "gauss")
         assert calls == archs
         for arch in archs:
-            assert len(arch.memos["exact"]) == 2 << 16
+            assert len(arch.memos["exact"]) == 1 << 16
             assert not arch.memos["round"]
-
-    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
-                             ids=lambda arch: arch.name)
-    def test_equals_reference_bfs(self, arch):
-        # the last-gate bytes decide which shortest sequence is lowered
-        assert parity._exact_table(arch) == reference_exact_table(arch)
 
     def test_not_built_above_four_qubits(self):
         arch = zx.line(5)

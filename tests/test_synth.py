@@ -540,6 +540,6 @@ class TestCostMemo:
             assert len(arch.memos) == 9
             for name, memo in arch.memos.items():
                 if name == "exact":  # built whole, not through memo_put
-                    assert len(memo) == (2 << 16 if arch.num_qubits == 4 else 0)
+                    assert len(memo) == (1 << 16 if arch.num_qubits == 4 else 0)
                 else:
                     assert len(memo) <= 8, name
