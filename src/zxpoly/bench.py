@@ -25,6 +25,7 @@ import csv
 import io
 import itertools
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 
 from . import sim
@@ -153,17 +154,20 @@ def run_bench(grid: dict, reps: int, base_seed: int) -> tuple[list[BenchRecord],
     that raised, and those whose output `sim.verify` did not prove. Raises
     ValueError on a sweep that would measure nothing: `reps` below 1, or an
     empty sweep list in the grid; and, before any instance runs, on a grid
-    point whose architecture cannot be built."""
+    point whose architecture cannot be built or has another qubit count."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    points = [(point, _arch_descriptor(point["arch"], point["qubits"]))
-              for point in _grid_points(grid)]
-    for _, descriptor in points:
-        build_architecture(descriptor)  # raises now, not after the earlier points ran
+    points = deque()  # (point, its fresh Architecture), popped so each is freed when done
+    for point in _grid_points(grid):
+        arch = build_architecture(_arch_descriptor(point["arch"], point["qubits"]))
+        if arch.num_qubits != point["qubits"]:
+            raise ValueError(f"architecture {arch.name} has {arch.num_qubits} qubits, "
+                             f"the grid point has {point['qubits']}")
+        points.append((point, arch))
     records: list[BenchRecord] = []
     failures = 0
-    for point, descriptor in points:
-        arch = build_architecture(descriptor)  # fresh per point, its memos empty
+    while points:
+        point, arch = points.popleft()
         for rep in range(reps):
             seed = base_seed + rep
             for algorithm in point["algorithms"]:

@@ -17,7 +17,10 @@ circuit in one call. Two gadget emitters are provided:
     pipeline emits. Its ladder is `Architecture.gather`, the tree walk the
     Steiner-Gauss row step uses too, on a memoized rooted terminal tree.
 
-Both produce circuits whose unitary equals the gadget's exactly.
+Both rotate on the highest leg, so on a line a gadget over consecutive
+wires gets the same gates from either; any other leg would give the Steiner
+ladder the same CNOT count (why: `steiner_gadget_circuit`). Both produce
+circuits whose unitary equals the gadget's exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import ClassVar
 
 from .arch import Architecture
 from .parity import ParityMap, steiner_gauss
-from .poly import Phase, PhaseGadget, ZXPolynomial, json_int, mask_to_legs
+from .poly import Phase, PhaseGadget, ZXPolynomial, json_int
 from .rules import Cnot
 
 
@@ -135,49 +138,40 @@ def naive_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
 
 def naive_poly_circuit(poly: ZXPolynomial, arch: Architecture) -> Circuit:
     """Concatenated naive ladders for every gadget; the metric baseline."""
+    if poly.num_qubits != arch.num_qubits:
+        raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
+                         f"qubits, architecture {arch.name} has {arch.num_qubits}")
     return Circuit(arch.num_qubits, [
         gate for gadget in poly.gadgets for gate in naive_gadget_circuit(gadget, arch).gates
     ])
 
 
-def _tree_root(arch: Architecture, legs: int) -> int:
-    """Leg vertex with minimal eccentricity in the terminal tree over the
-    `legs` mask.
-
-    Ties go to the highest leg index, matching the naive ladder's
-    convention of rotating the last leg.
-    """
-    best = None
-    for leg in mask_to_legs(legs):
-        parent, order = arch.rooted_terminal_tree(legs, leg)
-        ecc, v = 0, order[-1]  # BFS order ends at a deepest vertex
-        while v != leg:
-            ecc, v = ecc + 1, parent[v]
-        if best is None or ecc <= best[0]:
-            best = (ecc, leg)
-    return best[1]
-
-
 def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     """Tree-placed circuit for one gadget.
 
-    The parity of the legs is accumulated onto the root by the post-order
-    CNOT(child, parent) ops of `arch.gather`; each non-leg relay vertex
-    emits one extra cancelling CNOT before its subtree so its own input
-    drops out of the parity. The sweep is mirrored after the rotation. X
-    gadgets use the same structure with every CNOT direction reversed and
-    an RX rotation.
+    The parity of the legs is accumulated onto the root, the highest leg,
+    by the post-order CNOT(child, parent) ops of `arch.gather`; each
+    non-leg relay vertex emits one extra cancelling CNOT before its subtree
+    so its own input drops out of the parity. The sweep is mirrored after
+    the rotation. X gadgets use the same structure with every CNOT
+    direction reversed and an RX rotation.
+
+    The CNOT count, twice the number of `gather` ops (one per carrying tree
+    edge, one more per carrying relay), is the same whichever leg is the
+    root: an edge is skipped exactly when its side away from the root holds
+    no leg, and since the root is a leg, that side is the same for every
+    root; a relay carries exactly when it lies on the tree path between two
+    legs, which does not depend on the root either.
     """
     if gadget.legs >> arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
     legs = gadget.leg_list()
+    rotation = _rotation(gadget.basis, gadget.phase, legs[-1])
     if len(legs) == 1:
-        return Circuit(arch.num_qubits, (_rotation(gadget.basis, gadget.phase, legs[0]),))
-    root = _tree_root(arch, gadget.legs)
+        return Circuit(arch.num_qubits, (rotation,))
     flip = gadget.basis == "X"
     up = [Cnot(parent, child) if flip else Cnot(child, parent)
-          for child, parent in arch.gather(gadget.legs, root)]
-    rotation = _rotation(gadget.basis, gadget.phase, root)
+          for child, parent in arch.gather(gadget.legs, legs[-1])]
     return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
 
 

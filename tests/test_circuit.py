@@ -11,7 +11,8 @@ import pytest
 import zxpoly as zx
 from zxpoly import sim
 from zxpoly.arch import rooted_tree
-from conftest import gadget_unitary, random_gadget, random_invertible_map, random_zx_poly
+from zxpoly.poly import mask_to_legs
+from conftest import gadget_unitary, random_gadget, random_invertible_map, random_zx_poly, star
 
 PH = zx.Phase
 
@@ -43,6 +44,13 @@ class TestNaiveEmitter:
         assert _edge_legal(circ, zx.line(3))
         assert np.linalg.norm(sim.circuit_unitary(circ) - gadget_unitary(g, 3)) < 1e-12
 
+    @pytest.mark.parametrize("poly_qubits", [4, 6])
+    def test_polynomial_of_another_size_rejected(self, poly_qubits):
+        poly = zx.ZXPolynomial(poly_qubits, (zx.PhaseGadget.z([0, 1], PH(1, 4)),))
+        with pytest.raises(ValueError, match=f"^polynomial and architecture disagree: polynomial "
+                                             f"has {poly_qubits} qubits, architecture line:5 has 5$"):
+            zx.naive_poly_circuit(poly, zx.line(5))
+
 
 class TestSteinerEmitter:
     def test_relay_trace(self):
@@ -68,22 +76,11 @@ class TestSteinerEmitter:
 
 def _recursive_gadget_gates(gadget, arch):
     """Reference tree-placed emitter: a recursive walk over `rooted_tree`
-    of the gadget's terminal tree, rooted at the leg of least eccentricity
-    (ties to the highest leg)."""
+    of the gadget's terminal tree, rooted at the highest leg."""
     legs = gadget.leg_list()
-    root, up = legs[0], []
+    root, up = legs[-1], []
     if len(legs) > 1:
-        tree_edges = arch.terminal_tree(legs)
-        best = None
-        for leg in legs:
-            parent, order = rooted_tree(tree_edges, leg)
-            depth = {leg: 0}
-            for v in order[1:]:
-                depth[v] = depth[parent[v]] + 1
-            if best is None or max(depth.values()) <= best[0]:
-                best = (max(depth.values()), leg)
-        root = best[1]
-        parent, order = rooted_tree(tree_edges, root)
+        parent, order = rooted_tree(arch.terminal_tree(legs), root)
         children = {v: [] for v in order}
         for v in order[1:]:
             children[parent[v]].append(v)
@@ -111,6 +108,27 @@ class TestSteinerLadderReference:
                 g = zx.PhaseGadget(basis, legs, PH(1, 4))
                 assert zx.steiner_gadget_circuit(g, arch).gates == tuple(_recursive_gadget_gates(
                     g, arch)), (arch.name, basis, bin(legs))
+
+
+class TestLadderRoot:
+    @pytest.mark.parametrize("arch", [zx.line(6), zx.circle(7), zx.grid(2, 4), zx.grid(3, 3),
+                                      zx.grid(3, 4), zx.complete(5), star(6)],
+                             ids=lambda a: a.name)
+    def test_gather_length_is_root_independent(self, arch):
+        # why the ladder may rotate on any one leg: its CNOT count is the same for each
+        for legs in range(1, 1 << arch.num_qubits):
+            lengths = {len(arch.gather(legs, root)) for root in mask_to_legs(legs)}
+            assert len(lengths) == 1, (arch.name, bin(legs), lengths)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_consecutive_legs_match_naive_on_line(self, q):
+        arch = zx.line(q)
+        for first in range(q - 1):
+            for last in range(first + 1, q):
+                for basis in "ZX":
+                    g = zx.PhaseGadget(basis, (1 << last + 1) - (1 << first), PH(1, 4))
+                    assert zx.steiner_gadget_circuit(g, arch).gates == \
+                        zx.naive_gadget_circuit(g, arch).gates, (q, first, last, basis)
 
 
 class TestEmitterProperties:

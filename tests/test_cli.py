@@ -1,8 +1,10 @@
 """CLI subcommands, the package exports and the benchmark harness contract."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -409,6 +411,40 @@ class TestBench:
         assert run_cli("bench", "--grid", grid_path, "--reps", reps, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        ({"kind": "random", "qubits": [4], "gadgets": [6], "architectures": ["line:5"],
+          "algorithms": ["divide_fast", "naive"]},
+         "architecture line:5 has 5 qubits, the grid point has 4"),
+        ({"kind": "maxcut", "vertices": [6], "p_edges": [0.5], "layers": [1],
+          "architectures": ["line:8"]},
+         "architecture line:8 has 8 qubits, the grid point has 6"),
+    ], ids=["random", "maxcut"])
+    def test_architecture_of_another_size_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   grid, message):
+        ran = []
+        monkeypatch.setattr(bench, "run_instance", lambda *args: ran.append(args))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "out.csv"
+        assert run_cli("bench", "--grid", grid_path, "--reps", 2, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() and ran == []
+
+    def test_each_point_gets_a_fresh_architecture_freed_when_done(self, monkeypatch):
+        seen = []
+        run_instance = bench.run_instance
+
+        def spying(poly, arch, algorithm):
+            gc.collect()
+            assert [ref() for ref in seen if ref() is not None] in ([], [arch])
+            if not seen or seen[-1]() is not arch:
+                seen.append(weakref.ref(arch))
+            return run_instance(poly, arch, algorithm)
+
+        monkeypatch.setattr(bench, "run_instance", spying)
+        run_bench(self.GRID, reps=2, base_seed=0)
+        assert len(seen) == 4  # two gadget counts on two architectures
 
     def test_instance_that_cannot_be_generated_keeps_its_rows(self):
         # the default max_legs of 4 is out of range for 3 qubits, not for 5
