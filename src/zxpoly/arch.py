@@ -13,9 +13,9 @@ With n = num_qubits, the nine tables and their keys are:
     by u * n + v (u < v); `tree_weight` reads only these, and only for
     three or more terminals,
   * "rooted": `rooted_terminal_tree`, terminal trees rooted at a terminal,
-    by (terms << n | region) * n + root (terms the terminal mask); the
-    entry at the smallest terminal roots the edges `terminal_tree` builds
-    (it is not memoized), and other roots re-root that entry's edges,
+    by (terms << n | region) * n + root (terms the terminal mask); each
+    entry roots the edges `terminal_tree` builds (it is not memoized), and
+    only `parity._column_step` asks for them,
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
@@ -31,7 +31,8 @@ With n = num_qubits, the nine tables and their keys are:
   * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
     additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,
-  * "gather": `gather` op tuples by terms * n + root,
+  * "gather": `gather` op tuples by terms * n + root; a miss builds and
+    roots its own whole-graph tree and keeps only the ops,
   * "zx": `synth._zx_table`'s (control, target, delta) triples of one
     gadget, flattened, by legs << 1 | (basis == "X").
 
@@ -212,8 +213,8 @@ class Architecture:
 
         Returns (parent, order): parent[v] is v's parent (the root's is
         itself, -1 off the tree) and order is the tree's BFS vertex order.
-        Raises ValueError when `root` is not in `terms`. The smallest-terminal
-        entry roots `terminal_tree`'s edges; other roots re-root its edges.
+        Raises ValueError when `root` is not in `terms`. A miss roots the
+        edges `terminal_tree` builds.
         """
         q = self.num_qubits
         if not (0 <= root < q and terms >> root & 1):
@@ -222,13 +223,7 @@ class Architecture:
         key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
         cached = self.memos["rooted"].get(key)
         if cached is None:
-            smallest = (terms & -terms).bit_length() - 1
-            if root == smallest:
-                edges = self.terminal_tree(mask_to_legs(terms), allowed)
-            else:
-                parent, order = self.rooted_terminal_tree(terms, smallest, allowed)
-                edges = [(v, parent[v]) for v in order[1:]]
-            up, order = rooted_tree(edges, root)
+            up, order = rooted_tree(self.terminal_tree(mask_to_legs(terms), allowed), root)
             parent = tuple(up.get(v, -1) for v in range(q))
             cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
         return cached
@@ -236,7 +231,8 @@ class Architecture:
     def gather(self, terms: int, root: int) -> tuple[tuple[int, int], ...]:
         """Row additions (child, parent), each meaning rows[parent] ^=
         rows[child], that XOR the rows of the `terms` mask onto the `root`
-        terminal along their rooted terminal tree.
+        terminal along `terminal_tree`'s edges over the whole graph, rooted
+        there by `rooted_tree`; a miss builds that tree and keeps only the ops.
 
         The ops come in post-order, children in ascending order. A relay (a
         tree vertex outside `terms`) is first added onto its parent once
@@ -252,7 +248,7 @@ class Architecture:
         cached = self.memos["gather"].get(key)
         if cached is not None:
             return cached
-        parent, order = self.rooted_terminal_tree(terms, root)
+        parent, order = rooted_tree(self.terminal_tree(mask_to_legs(terms), -1), root)
         carries = terms  # vertices whose subtree holds a terminal
         for v in reversed(order):
             if carries >> v & 1:

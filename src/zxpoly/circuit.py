@@ -15,7 +15,7 @@ circuit in one call. Two gadget emitters are provided:
   * `steiner_gadget_circuit` places CNOTs along a Steiner tree over the
     legs, cancelling non-leg relay wires, and is what the synthesis
     pipeline emits. Its ladder is `Architecture.gather`, the tree walk the
-    Steiner-Gauss row step uses too, on a memoized rooted terminal tree.
+    Steiner-Gauss row step uses too, memoized as its op tuple.
 
 Both rotate on the highest leg, so on a line a gadget over consecutive
 wires gets the same gates from either; any other leg would give the Steiner

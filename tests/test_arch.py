@@ -312,6 +312,22 @@ class TestMaskChecks:
             arch.rooted_terminal_tree(0b0011, 4, 0b0110)
 
 
+class TestTreeStorage:
+    def test_gather_stores_no_rooted_tree(self):
+        arch = zx.line(5)
+        for terms in range(1, 1 << 5):
+            for root in mask_to_legs(terms):
+                arch.gather(terms, root)
+        assert not arch.memos["rooted"]
+
+    @pytest.mark.parametrize("terms, root", [(0b00011, 1), (0b10101, 4), (0b11110, 3)])
+    def test_rooted_terminal_tree_stores_one_entry(self, terms, root):
+        # a root that is not the smallest terminal stores no second tree
+        arch = zx.line(5)
+        arch.rooted_terminal_tree(terms, root)
+        assert len(arch.memos["rooted"]) == 1
+
+
 def _star(q):
     return zx.Architecture(q, [(q - 1, i) for i in range(q - 1)], name=f"star:{q}")
 
@@ -398,6 +414,26 @@ class TestGraphMemos:
                 for root in reversed(mask_to_legs(terms)):
                     assert _tree_or_error(fresh.rooted_terminal_tree, terms, root, allowed) == \
                         _tree_or_error(reference, terms, root, allowed), (bin(terms), root, allowed)
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_gather_matches_recursive_walk(self, arch):
+        # every root of every terminal set, as the row step roots gather at any pivot
+        for terms in range(1, 1 << arch.num_qubits):
+            for root in mask_to_legs(terms):
+                parent, order = rooted_tree(arch.terminal_tree(mask_to_legs(terms)), root)
+                children = {v: [] for v in order}
+                for v in order[1:]:
+                    children[parent[v]].append(v)
+
+                def walk(v):
+                    below = [op for child in sorted(children[v]) for op in walk(child)]
+                    if not below and not terms >> v & 1:
+                        return []  # a subtree with no terminal
+                    relay = [] if terms >> v & 1 else [(v, parent[v])]
+                    return relay + below + [(v, parent[v])]
+
+                expected = tuple(op for child in sorted(children[root]) for op in walk(child))
+                assert arch.gather(terms, root) == expected, (arch.name, bin(terms), root)
 
     @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
     def test_gather_xors_terminals_onto_root(self, arch):

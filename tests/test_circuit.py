@@ -115,10 +115,12 @@ class TestLadderRoot:
                                       zx.grid(3, 4), zx.complete(5), star(6)],
                              ids=lambda a: a.name)
     def test_gather_length_is_root_independent(self, arch):
-        # why the ladder may rotate on any one leg: its CNOT count is the same for each
+        # why the ladder may rotate on any one leg: its CNOT count is the same for each;
+        # on these graphs no tree leaf is a relay, so every tree edge and every relay carries
         for legs in range(1, 1 << arch.num_qubits):
             lengths = {len(arch.gather(legs, root)) for root in mask_to_legs(legs)}
             assert len(lengths) == 1, (arch.name, bin(legs), lengths)
+            assert lengths == {2 * arch.tree_weight(legs) + 1 - legs.bit_count()}, (arch.name, bin(legs))
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_consecutive_legs_match_naive_on_line(self, q):
