@@ -23,8 +23,10 @@ With n = num_qubits, the nine tables and their keys are:
   * "exact": for n <= 4, `parity._exact_table`, one byte per map packed
     into n * n bits, 1 + its depth (0: singular), built whole on first use
     (empty until then) and read through `parity._exact_entry`: by
-    `cnot_cost` for a map's depth, and on a "sequence" miss to walk a map
-    back, each step undoing the first move that lowers the depth by one,
+    `cnot_cost` for a map's depth, by `parity.exact_pricer`, the gauss
+    sweep's pricer, for the depths of a flank pair's absorbing moves, and
+    on a "sequence" miss to walk a map back, each step undoing the first
+    move that lowers the depth by one,
   * "sequence": `parity.steiner_gauss` results as (control, target) pairs by
     the map's rows tuple, the identity's () too, at every n, used only in
     `parity._sequence` (for n <= 4, only when a map is lowered),

@@ -16,7 +16,11 @@ leaves one byte per map, 1 + its depth, in the Architecture's "exact"
 table. There `cnot_cost` is the map's depth byte, read through
 `_exact_entry` like the walk-back, which steps from the map to the identity
 by undoing, at each step, the first move that reaches a map one level
-shallower. Larger maps get a greedy that organizes each pivot column's
+shallower. `exact_pricer` packs a gauss candidate's two flanks once and
+prices each candidate on the packed indices: the append move (the control
+row onto the target row) of the BFS and the walk-back for the left flank,
+and the prepend move (the target column onto the control column) for the
+right. Larger maps get a greedy that organizes each pivot column's
 elimination along a Steiner tree, and gets a map's inverse by replaying its
 own direct synthesis backwards.
 
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -428,8 +432,9 @@ def _exact_table(arch: Architecture) -> bytearray:
 
 def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
     """The Architecture's "exact" table, built on first use, and the map's
-    index in it, sum(rows[i] << q * i). Raises ValueError when the map is
-    singular."""
+    index in it, sum(rows[i] << q * i). Raises ValueError when the map does
+    not fit the architecture or is singular."""
+    _check_size(m, arch)
     table = arch.memos["exact"]
     if not table:
         table = arch.memos["exact"] = _exact_table(arch)
@@ -440,6 +445,33 @@ def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
     if not table[index]:
         raise ValueError("parity map is singular")
     return table, index
+
+
+def exact_pricer(
+    pl: ParityMap, pr: ParityMap, arch: Architecture
+) -> tuple[int, Callable[[int, int], int]]:
+    """What a flank pair (pl, pr) costs, cnot_cost(pl) + cnot_cost(pr), and
+    a pricer: price(c, t) is cnot_cost(append_cnot(pl, C(c, t))) +
+    cnot_cost(prepend_cnot(pr, C(c, t))), for q <= EXACT_QUBITS.
+
+    Each flank is checked and packed once, by `_exact_entry`; a candidate's
+    two maps are then one move each on the packed index, read from the
+    "exact" table: appending adds the control row onto the target row, as
+    in `_walk_back`, and prepending adds the target column onto the control
+    column, bit t of every row moved to bit c. Raises ValueError, as
+    `cnot_cost` does, when a flank does not fit the architecture or is
+    singular."""
+    table, left = _exact_entry(pl, arch)
+    _, right = _exact_entry(pr, arch)
+    q = arch.num_qubits
+    full = (1 << q) - 1
+    ones = sum(1 << q * i for i in range(q))  # bit 0 of every row
+
+    def price(c: int, t: int) -> int:
+        return (table[left ^ (left >> q * c & full) << q * t]
+                + table[right ^ (right >> t & ones) << c] - 2)
+
+    return table[left] + table[right] - 2, price
 
 
 def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:
@@ -529,6 +561,5 @@ def cnot_cost(m: ParityMap, arch: Architecture) -> int:
     not fit the architecture or is singular."""
     if m.size > EXACT_QUBITS:
         return len(_sequence(m, arch))
-    _check_size(m, arch)
     table, index = _exact_entry(m, arch)
     return table[index] - 1

@@ -24,16 +24,18 @@ on the gadget's legs and basis, so it is computed once per Architecture
 (its "zx" memo) and reused at every recursion level, in every QAOA layer
 and after every accept.
 
-`optimize_gauss` prices a candidate's parity regions with `cnot_cost`.
-Up to 4 qubits that is the optimum, one byte read from the Architecture's
-exact table, which costs less than a bound, so every candidate is priced.
-Above, it is the Steiner-Gauss greedy's length, and a candidate is priced
-only when `cnot_lower_bound` leaves room for a strict decrease. That bound,
-max(r, c, 2D - min(r, c)) over the non-unit rows r, the non-unit columns c
-and the farthest hop D from a wire to an input its parity holds, is one no
-coupling-edge CNOT sequence for the map can beat; a skipped candidate has
-net >= 0 and would have been rejected, so the skip never changes the
-output.
+`optimize_gauss` prices a candidate's parity regions by `cnot_cost`.
+Up to 4 qubits that is the optimum, and `exact_pricer` reads it for both
+absorbed regions from the Architecture's exact table, one move on each
+flank's packed index, with no map built: that costs less than a bound, so
+every candidate that passes zx < ceiling is priced, and only an accepted
+one builds its `Cnot` and its two maps. Above, it is the Steiner-Gauss
+greedy's length, and a candidate is priced only when `cnot_lower_bound`
+leaves room for a strict decrease. That bound, max(r, c, 2D - min(r, c))
+over the non-unit rows r, the non-unit columns c and the farthest hop D
+from a wire to an input its parity holds, is one no coupling-edge CNOT
+sequence for the map can beat; a skipped candidate has net >= 0 and would
+have been rejected, so the skip never changes the output.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from typing import Iterable
 
 from .arch import Architecture, memo_put
 from .parity import (
-    EXACT_QUBITS, ParityMap, append_cnot, cnot_cost, cnot_lower_bound, identity_map, prepend_cnot,
-    steiner_gauss,
+    EXACT_QUBITS, ParityMap, append_cnot, cnot_cost, cnot_lower_bound, exact_pricer, identity_map,
+    prepend_cnot, steiner_gauss,
 )
 from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
@@ -126,31 +128,40 @@ def optimize_gauss(
     coupling graph, is at most what any synthesis of a map on `arch` costs,
     so a candidate whose effect_zx plus the bounds of its absorbed regions
     reaches the ceiling has net >= 0 and is skipped before it is priced by
-    `cnot_cost`. Up to EXACT_QUBITS, `cnot_cost` is one table read, cheaper
-    than the two bounds, so there is no skip. The skip cannot change the
-    output only because acceptance is strict (net < 0); a rule that
-    accepted net == 0 would need the strict skip (>) instead."""
+    `cnot_cost`. Up to EXACT_QUBITS, `exact_pricer` reads both absorbed
+    regions' cost from the flanks' packed indices, cheaper than the two
+    bounds, so there is no bound skip; a rejected candidate builds no map,
+    and an accepted one builds its two and packs them for the next pricer.
+    The bound skip cannot change the output only because acceptance is
+    strict (net < 0); a rule that accepted net == 0 would need the strict
+    skip (>) instead."""
     q = arch.num_qubits
-    bounded = q > EXACT_QUBITS
-    ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
+    exact = q <= EXACT_QUBITS
+    if exact:
+        ceiling, price = exact_pricer(pl, pr, arch)
+    else:
+        ceiling = cnot_cost(pl, arch) + cnot_cost(pr, arch)
     table = _zx_table(poly, arch)
     for control in range(q):
         for target in range(q):
             if control == target:
                 continue
             zx = table[control][target]
-            if zx >= ceiling:
+            if zx >= ceiling or (exact and zx + price(control, target) >= ceiling):
                 continue
             cnot = Cnot(control, target)
             left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-            if bounded and (zx + cnot_lower_bound(left, arch)
-                            + cnot_lower_bound(right, arch) >= ceiling):
-                continue
-            absorbed = cnot_cost(left, arch) + cnot_cost(right, arch)
-            if zx + absorbed < ceiling:
-                pl, poly, pr = left, propagate_cnot_poly(poly, cnot), right
+            if exact:
+                ceiling, price = exact_pricer(left, right, arch)
+            else:
+                if zx + cnot_lower_bound(left, arch) + cnot_lower_bound(right, arch) >= ceiling:
+                    continue
+                absorbed = cnot_cost(left, arch) + cnot_cost(right, arch)
+                if zx + absorbed >= ceiling:
+                    continue
                 ceiling = absorbed
-                table = _zx_table(poly, arch)
+            pl, poly, pr = left, propagate_cnot_poly(poly, cnot), right
+            table = _zx_table(poly, arch)
     return pl, poly, pr
 
 

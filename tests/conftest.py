@@ -33,6 +33,10 @@ ARCH_FAMILIES = {
     "star": star,
 }
 
+# every topology of 3 and 4 qubits whose GL(q, 2) the "exact" table searches
+EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(4),
+               zx.complete(4), zx.grid(2, 2), star(4)]
+
 
 def random_gadget(rng: random.Random, q: int, max_legs: int | None = None) -> zx.PhaseGadget:
     basis = "Z" if rng.random() < 0.5 else "X"

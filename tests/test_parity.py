@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import zxpoly as zx
 from conftest import (
-    ARCH_FAMILIES, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul, map_from_lists,
-    map_to_lists, random_invertible_map, random_zx_poly, row_column_bound,
-    star,
+    ARCH_FAMILIES, EXACT_ARCHS, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul,
+    map_from_lists, map_to_lists, random_invertible_map, random_zx_poly, row_column_bound, star,
 )
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
@@ -355,12 +354,8 @@ class TestSequenceMemo:
         assert arch.memos["sequence"] == {identity.rows: ()}
 
 
-_EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(4),
-                zx.complete(4), zx.grid(2, 2), star(4)]
-
-
 class TestExactTable:
-    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
+    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *EXACT_ARCHS],
                              ids=lambda arch: arch.name)
     def test_every_map_at_the_optimum(self, arch):
         q = arch.num_qubits
@@ -374,7 +369,7 @@ class TestExactTable:
             assert zx.from_cnots(q, seq) == m, rows
             assert all(arch.is_edge(g.control, g.target) for g in seq), rows
 
-    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *_EXACT_ARCHS],
+    @pytest.mark.parametrize("arch", [zx.line(1), zx.line(2), *EXACT_ARCHS],
                              ids=lambda arch: arch.name)
     def test_equals_reference_bfs(self, arch):
         # one byte per map: 1 + its depth in the exact_cnot_counts BFS, and 0
@@ -388,7 +383,7 @@ class TestExactTable:
             expected[sum(row << q * i for i, row in enumerate(rows))] = 1 + count
         assert arch.memos["exact"] == expected
 
-    @pytest.mark.parametrize("arch", _EXACT_ARCHS, ids=lambda arch: arch.name)
+    @pytest.mark.parametrize("arch", EXACT_ARCHS, ids=lambda arch: arch.name)
     def test_walk_back_undoes_the_first_move_one_level_shallower(self, arch):
         # walking back from the map, each step undoes the first move, in
         # (sorted edge, (u, v) then (v, u)) order, whose undo lowers the depth by one
@@ -465,6 +460,51 @@ class TestExactTable:
             gates(poly, warm)
         for poly in polys:
             assert gates(poly, warm) == gates(poly, build(4))
+
+
+class TestExactPricer:
+    @staticmethod
+    def _check(pl, pr, arch):
+        ceiling, price = parity.exact_pricer(pl, pr, arch)
+        assert ceiling == zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
+        for c, t in itertools.permutations(range(arch.num_qubits), 2):
+            cnot = zx.Cnot(c, t)
+            assert price(c, t) == (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
+                                   + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch)), (pl, pr, cnot)
+
+    @pytest.mark.parametrize("arch", [a for a in EXACT_ARCHS if a.num_qubits == 3],
+                             ids=lambda arch: arch.name)
+    def test_every_q3_map_priced_by_definition(self, arch):
+        # each invertible map is a left flank once and a right flank once
+        maps = [zx.ParityMap(3, rows) for rows in exact_cnot_counts(3, sorted(arch.edges))]
+        for pl, pr in zip(maps, reversed(maps)):
+            self._check(pl, pr, arch)
+
+    @pytest.mark.parametrize("arch", [a for a in EXACT_ARCHS if a.num_qubits == 4],
+                             ids=lambda arch: arch.name)
+    def test_sampled_q4_pairs_priced_by_definition(self, arch):
+        rng = random.Random(32)
+        maps = [zx.ParityMap(4, rows) for rows in exact_cnot_counts(4, sorted(arch.edges))]
+        for _ in range(150):
+            self._check(rng.choice(maps), rng.choice(maps), arch)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_flank_checked_as_cnot_cost_checks_it(self, side):
+        # a flank of another size or a singular one fails the pricer, and the
+        # sweep, with the error cnot_cost gives for it
+        arch = zx.line(4)
+        poly = zx.ZXPolynomial(4, (zx.PhaseGadget.z([0, 1], zx.Phase(1, 4)),))
+        for flank, message in [
+            (zx.identity_map(3), "map size 3 does not match architecture line:4"),
+            (zx.ParityMap(4, (1, 1, 4, 8)), "parity map is singular"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                zx.cnot_cost(flank, arch)
+            pl, pr = (flank, zx.identity_map(4)) if side == "left" else (zx.identity_map(4), flank)
+            with pytest.raises(ValueError, match=message):
+                parity.exact_pricer(pl, pr, arch)
+            with pytest.raises(ValueError, match=message):
+                zx.optimize_gauss(pl, poly, pr, arch)
 
 
 _FAMILY_ARCHS = {  # shared by every example

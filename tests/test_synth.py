@@ -12,7 +12,7 @@ import zxpoly as zx
 from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
 from conftest import (
-    ARCH_FAMILIES, effect_parity, exact_cnot_counts, gadget_cost, parity_unitary,
+    ARCH_FAMILIES, EXACT_ARCHS, effect_parity, exact_cnot_counts, gadget_cost, parity_unitary,
     random_invertible_map, random_zx_poly, regions_unitary, row_column_bound, star,
 )
 
@@ -249,10 +249,42 @@ class TestOptimizeGauss:
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
             assert zx.optimize_gauss(pl, poly, pr, arch) == self._unpruned(pl, poly, pr, arch)
+        for arch in EXACT_ARCHS:
+            q = arch.num_qubits
+            for _ in range(8):
+                poly = random_zx_poly(rng, q, rng.randint(0, 8))
+                pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
+                          for _ in range(2))
+                assert zx.optimize_gauss(pl, poly, pr, arch) == self._unpruned(pl, poly, pr, arch)
         # C(0, 1) shrinks the gadget (zx = -2 < ceiling = 0), so it is bounded
         poly = zx.ZXPolynomial(5, (zx.PhaseGadget.z([0, 1], PH(1, 4)),))
         with pytest.raises(AssertionError, match="cnot_lower_bound called"):
             zx.optimize_gauss(identity_map(5), poly, identity_map(5), zx.line(5))
+
+    def test_exact_rejects_build_nothing(self, monkeypatch):
+        # up to EXACT_QUBITS a candidate is priced on the packed flanks: only
+        # an accepted one builds its Cnot and its two maps, and none is costed
+        calls = {"Cnot": 0, "append_cnot": 0, "prepend_cnot": 0, "propagate_cnot_poly": 0}
+        for name in calls:
+            fn = getattr(synth, name)
+            monkeypatch.setattr(synth, name, lambda *args, name=name, fn=fn: (
+                calls.__setitem__(name, calls[name] + 1) or fn(*args)))
+
+        def cost(m, arch):
+            raise AssertionError("cnot_cost called")
+
+        monkeypatch.setattr(synth, "cnot_cost", cost)
+        rng = random.Random(32)
+        for arch in EXACT_ARCHS + [zx.line(2), zx.complete(2)]:
+            q = arch.num_qubits
+            for _ in range(8):
+                poly = random_zx_poly(rng, q, rng.randint(0, 8))
+                pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
+                          for _ in range(2))
+                zx.optimize_gauss(pl, poly, pr, arch)
+        accepts = calls["propagate_cnot_poly"]
+        assert accepts > 0
+        assert calls == dict.fromkeys(calls, accepts)
 
     @pytest.mark.parametrize("arch", [zx.line(8), zx.circle(8), zx.grid(2, 4)],
                              ids=lambda arch: arch.name)
