@@ -16,13 +16,17 @@ leaves one byte per map, 1 + its depth, in the Architecture's "exact"
 table. There `cnot_cost` is the map's depth byte, read through
 `_exact_entry` like the walk-back, which steps from the map to the identity
 by undoing, at each step, the first move that reaches a map one level
-shallower. `exact_pricer` packs a gauss candidate's two flanks once and
-prices each candidate on the packed indices: the append move (the control
-row onto the target row) of the BFS and the walk-back for the left flank,
-and the prepend move (the target column onto the control column) for the
-right. Larger maps get a greedy that organizes each pivot column's
+shallower. Larger maps get a greedy that organizes each pivot column's
 elimination along a Steiner tree, and gets a map's inverse by replaying its
 own direct synthesis backwards.
+
+`flank_pricer` is where the gauss sweep's pricing decides by size. It
+takes a candidate's two flanks once and prices each CNOT absorbed into
+them. Up to EXACT_QUBITS it reads the packed indices: the append move (the
+control row onto the target row) of the BFS and the walk-back for the left
+flank, and the prepend move (the target column onto the control column)
+for the right. Above, it answers with `cnot_lower_bound` when that already
+spends the sweep's budget, and synthesizes the two maps otherwise.
 
 `_sequence` is the one sequence read of `steiner_gauss` at every size, and
 of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
@@ -447,27 +451,40 @@ def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
     return table, index
 
 
-def exact_pricer(
+def flank_pricer(
     pl: ParityMap, pr: ParityMap, arch: Architecture
-) -> tuple[int, Callable[[int, int], int]]:
-    """What a flank pair (pl, pr) costs, cnot_cost(pl) + cnot_cost(pr), and
-    a pricer: price(c, t) is cnot_cost(append_cnot(pl, C(c, t))) +
-    cnot_cost(prepend_cnot(pr, C(c, t))), for q <= EXACT_QUBITS.
+) -> tuple[int, Callable[[int, int, int], int]]:
+    """What a gauss flank pair (pl, pr) costs now, the ceiling
+    cnot_cost(pl) + cnot_cost(pr), and a pricer for its candidates: with C
+    the CNOT (c, t) and absorbed = cnot_cost(append_cnot(pl, C)) +
+    cnot_cost(prepend_cnot(pr, C)), price(c, t, budget) is absorbed or a
+    value >= budget that is at most absorbed, so min(price, budget) ==
+    min(absorbed, budget). Raises ValueError, as `cnot_cost` does, when a
+    flank does not fit the architecture or is singular.
 
-    Each flank is checked and packed once, by `_exact_entry`; a candidate's
-    two maps are then one move each on the packed index, read from the
-    "exact" table: appending adds the control row onto the target row, as
-    in `_walk_back`, and prepending adds the target column onto the control
-    column, bit t of every row moved to bit c. Raises ValueError, as
-    `cnot_cost` does, when a flank does not fit the architecture or is
-    singular."""
+    Up to EXACT_QUBITS qubits each flank is checked and packed once, by
+    `_exact_entry`, and a candidate's two maps are one move each on the
+    packed index, read from the "exact" table with no map built, whatever
+    the budget: appending adds the control row onto the target row, as in
+    `_walk_back`, and prepending adds the target column onto the control
+    column, bit t of every row moved to bit c. Above, the pricer builds both
+    maps and returns the sum of their `cnot_lower_bound`s when it reaches
+    the budget, so only a candidate that may fit it is costed."""
+    if arch.num_qubits > EXACT_QUBITS:
+        def price(c: int, t: int, budget: int) -> int:
+            cnot = Cnot(c, t)
+            left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
+            bound = cnot_lower_bound(left, arch) + cnot_lower_bound(right, arch)
+            return bound if bound >= budget else cnot_cost(left, arch) + cnot_cost(right, arch)
+
+        return cnot_cost(pl, arch) + cnot_cost(pr, arch), price
     table, left = _exact_entry(pl, arch)
     _, right = _exact_entry(pr, arch)
     q = arch.num_qubits
     full = (1 << q) - 1
     ones = sum(1 << q * i for i in range(q))  # bit 0 of every row
 
-    def price(c: int, t: int) -> int:
+    def price(c: int, t: int, budget: int) -> int:
         return (table[left ^ (left >> q * c & full) << q * t]
                 + table[right ^ (right >> t & ones) << c] - 2)
 

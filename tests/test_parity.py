@@ -463,14 +463,17 @@ class TestExactTable:
 
 
 class TestExactPricer:
+    # `flank_pricer` up to EXACT_QUBITS, where it prices on the packed flanks
     @staticmethod
     def _check(pl, pr, arch):
-        ceiling, price = parity.exact_pricer(pl, pr, arch)
+        ceiling, price = parity.flank_pricer(pl, pr, arch)
         assert ceiling == zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
         for c, t in itertools.permutations(range(arch.num_qubits), 2):
             cnot = zx.Cnot(c, t)
-            assert price(c, t) == (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
-                                   + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch)), (pl, pr, cnot)
+            # exact whatever the budget, even one no absorbed cost fits
+            absorbed = (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
+                        + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch))
+            assert price(c, t, 0) == absorbed, (pl, pr, cnot)
 
     @pytest.mark.parametrize("arch", [a for a in EXACT_ARCHS if a.num_qubits == 3],
                              ids=lambda arch: arch.name)
@@ -491,20 +494,49 @@ class TestExactPricer:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_flank_checked_as_cnot_cost_checks_it(self, side):
         # a flank of another size or a singular one fails the pricer, and the
-        # sweep, with the error cnot_cost gives for it
-        arch = zx.line(4)
-        poly = zx.ZXPolynomial(4, (zx.PhaseGadget.z([0, 1], zx.Phase(1, 4)),))
-        for flank, message in [
-            (zx.identity_map(3), "map size 3 does not match architecture line:4"),
-            (zx.ParityMap(4, (1, 1, 4, 8)), "parity map is singular"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                zx.cnot_cost(flank, arch)
-            pl, pr = (flank, zx.identity_map(4)) if side == "left" else (zx.identity_map(4), flank)
-            with pytest.raises(ValueError, match=message):
-                parity.exact_pricer(pl, pr, arch)
-            with pytest.raises(ValueError, match=message):
-                zx.optimize_gauss(pl, poly, pr, arch)
+        # sweep, with the error cnot_cost gives for it, on either side of
+        # EXACT_QUBITS
+        for q in (4, 5):
+            arch = zx.line(q)
+            poly = zx.ZXPolynomial(q, (zx.PhaseGadget.z([0, 1], zx.Phase(1, 4)),))
+            singular = zx.ParityMap(q, (1, 1) + tuple(1 << i for i in range(2, q)))
+            for flank, message in [
+                (zx.identity_map(q - 1), f"map size {q - 1} does not match architecture line:{q}"),
+                (singular, "parity map is singular"),
+            ]:
+                with pytest.raises(ValueError, match=message):
+                    zx.cnot_cost(flank, arch)
+                identity = zx.identity_map(q)
+                pl, pr = (flank, identity) if side == "left" else (identity, flank)
+                with pytest.raises(ValueError, match=message):
+                    parity.flank_pricer(pl, pr, arch)
+                with pytest.raises(ValueError, match=message):
+                    zx.optimize_gauss(pl, poly, pr, arch)
+
+
+class TestFlankPricer:
+    # above EXACT_QUBITS the pricer may answer a budget with a bound
+    @pytest.mark.parametrize("arch", [zx.line(5), zx.circle(6), zx.grid(2, 3)],
+                             ids=lambda arch: arch.name)
+    def test_price_meets_every_budget(self, arch):
+        rng = random.Random(33)
+        q = arch.num_qubits
+        identity = zx.identity_map(q)
+        maps = [identity] + [random_invertible_map(rng, q) for _ in range(3)]
+        short = 0  # answers below the absorbed cost, where the bound sufficed
+        for pl, pr in itertools.product(maps, repeat=2):
+            ceiling, price = parity.flank_pricer(pl, pr, arch)
+            assert ceiling == zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
+            for c, t in itertools.permutations(range(q), 2):
+                cnot = zx.Cnot(c, t)
+                absorbed = (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
+                            + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch))
+                for budget in range(absorbed + 2):
+                    answer = price(c, t, budget)
+                    assert min(answer, budget) == min(absorbed, budget), (pl, pr, cnot, budget)
+                    assert answer <= absorbed
+                    short += answer < absorbed
+        assert short
 
 
 _FAMILY_ARCHS = {  # shared by every example

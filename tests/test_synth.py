@@ -199,35 +199,42 @@ class TestOptimizeGauss:
 
     @pytest.fixture
     def exact_costings(self, monkeypatch):
-        """Maps one sweep costs exactly when it skips with `bound`; the sweep
+        """Maps one sweep costs exactly when it skips with `bound`, and the
+        flank pricers it takes (one, and one more per accept); the sweep
         must still return `expected`."""
-        costings = []
-        cnot_cost = synth.cnot_cost
-        monkeypatch.setattr(synth, "cnot_cost",
+        costings, pricers = [], []
+        cnot_cost = parity.cnot_cost
+        monkeypatch.setattr(parity, "cnot_cost",
                             lambda m, arch: costings.append(m) or cnot_cost(m, arch))
+        flank_pricer = synth.flank_pricer
+        monkeypatch.setattr(synth, "flank_pricer",
+                            lambda *args: pricers.append(args) or flank_pricer(*args))
 
         def count(bound, pl, poly, pr, arch, expected):
-            monkeypatch.setattr(synth, "cnot_lower_bound", bound)
+            monkeypatch.setattr(parity, "cnot_lower_bound", bound)
             costings.clear()
+            pricers.clear()
             assert zx.optimize_gauss(pl, poly, pr, arch) == expected
-            return len(costings)
+            return len(costings), len(pricers)
         return count
 
     def test_prune_matches_unpruned_sweep(self, exact_costings):
+        # above EXACT_QUBITS, where the pricer costs maps and so can skip
+        lower_bound = parity.cnot_lower_bound  # the fixture patches the name
         rng = random.Random(28)
         pruned_some = False
         totals = {"bound": 0, "row_column": 0, "zx_only": 0}
         for _ in range(200):
-            q = rng.randint(2, 5)
+            q = rng.randint(parity.EXACT_QUBITS + 1, parity.EXACT_QUBITS + 2)
             arch = [zx.line(q), zx.circle(q), zx.complete(q)][rng.randrange(3)]
             poly = random_zx_poly(rng, q, rng.randint(0, 8))
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
             args = (pl, poly, pr, arch, self._unpruned(pl, poly, pr, arch))
-            bound = exact_costings(parity.cnot_lower_bound, *args)
-            row_column = exact_costings(lambda m, arch: row_column_bound(m), *args)
-            zx_only = exact_costings(lambda m, arch: 0, *args)  # skip on zx >= ceiling alone
-            every = 2 + 2 * q * (q - 1)  # the two current regions, two maps per candidate
+            bound, pricers = exact_costings(lower_bound, *args)
+            row_column, _ = exact_costings(lambda m, arch: row_column_bound(m), *args)
+            zx_only, _ = exact_costings(lambda m, arch: 0, *args)  # skip on zx >= ceiling alone
+            every = 2 * pricers + 2 * q * (q - 1)  # each pricer's flanks, two maps per candidate
             assert bound <= row_column <= zx_only <= every
             pruned_some |= zx_only < every
             totals["bound"] += bound
@@ -240,7 +247,7 @@ class TestOptimizeGauss:
         def bound(m, arch):
             raise AssertionError("cnot_lower_bound called")
 
-        monkeypatch.setattr(synth, "cnot_lower_bound", bound)
+        monkeypatch.setattr(parity, "cnot_lower_bound", bound)
         rng = random.Random(29)
         for _ in range(60):
             q = rng.randint(2, parity.EXACT_QUBITS)
@@ -273,7 +280,7 @@ class TestOptimizeGauss:
         def cost(m, arch):
             raise AssertionError("cnot_cost called")
 
-        monkeypatch.setattr(synth, "cnot_cost", cost)
+        monkeypatch.setattr(parity, "cnot_cost", cost)
         rng = random.Random(32)
         for arch in EXACT_ARCHS + [zx.line(2), zx.complete(2)]:
             q = arch.num_qubits
@@ -305,7 +312,7 @@ class TestOptimizeGauss:
             assert args[0] == args[2] == identity
             expected = self._unpruned(*args)
             assert expected == args[:3]
-            assert exact_costings(parity.cnot_lower_bound, *args, expected) == 2
+            assert exact_costings(parity.cnot_lower_bound, *args, expected) == (2, 1)
 
 
 class TestOptimizeFast:
