@@ -7,15 +7,11 @@ package, the named tables of its `memos` dict, each filled lazily on first
 use (without a lock). A vertex set (a region) is an int mask, bit v for
 vertex v; -1 means "anywhere" and is normalized to the full mask
 (1 << num_qubits) - 1.
-With n = num_qubits, the nine tables and their keys are:
+With n = num_qubits, the eight tables and their keys are:
 
   * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
     by u * n + v (u < v); `tree_weight` reads only these, and only for
     three or more terminals,
-  * "rooted": `rooted_terminal_tree`, terminal trees rooted at a terminal,
-    by (terms << n | region) * n + root (terms the terminal mask); each
-    entry roots the edges `terminal_tree` builds (it is not memoized), and
-    only `parity._column_step` asks for them,
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
@@ -66,8 +62,6 @@ from typing import Iterable
 from .poly import ascii_number, json_int, legs_to_mask, mask_to_legs
 
 TreeEdges = tuple[tuple[int, int], ...]
-# (parent of each vertex, -1 off the tree; the tree's vertices in BFS order)
-RootedTree = tuple[tuple[int, ...], tuple[int, ...]]
 
 MEMO_CAP = 1 << 14  # entries per memo
 
@@ -103,9 +97,7 @@ class Architecture:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
         self.memos: dict[str, dict | bytearray] = {
-            name: {} for name in (
-                "span", "rooted", "non_cut", "distances", "sequence", "round", "gather", "zx",
-            )
+            name: {} for name in ("span", "non_cut", "distances", "sequence", "round", "gather", "zx")
         }
         self.memos["exact"] = bytearray()
         self.dist = self.distances_within((1 << num_qubits) - 1)
@@ -207,28 +199,6 @@ class Architecture:
                 span = memo_put(spans, u * n + v, legs_to_mask(self.shortest_path(u, v)))
             covered |= span
         return covered.bit_count() - 1
-
-    def rooted_terminal_tree(self, terms: int, root: int, allowed: int = -1) -> RootedTree:
-        """`rooted_tree` of the terminal tree over the `terms` mask, rooted at
-        `root`, moving only through the `allowed` mask (-1: anywhere, the
-        same region as the full vertex mask).
-
-        Returns (parent, order): parent[v] is v's parent (the root's is
-        itself, -1 off the tree) and order is the tree's BFS vertex order.
-        Raises ValueError when `root` is not in `terms`. A miss roots the
-        edges `terminal_tree` builds.
-        """
-        q = self.num_qubits
-        if not (0 <= root < q and terms >> root & 1):
-            raise ValueError(f"root {root} is not a terminal")
-        allowed = self._region(allowed)
-        key = (terms << q | allowed) * q + root  # one int: (terms, allowed, root)
-        cached = self.memos["rooted"].get(key)
-        if cached is None:
-            up, order = rooted_tree(self.terminal_tree(mask_to_legs(terms), allowed), root)
-            parent = tuple(up.get(v, -1) for v in range(q))
-            cached = memo_put(self.memos["rooted"], key, (parent, tuple(order)))
-        return cached
 
     def gather(self, terms: int, root: int) -> tuple[tuple[int, int], ...]:
         """Row additions (child, parent), each meaning rows[parent] ^=

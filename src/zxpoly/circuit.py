@@ -34,7 +34,7 @@ from typing import ClassVar
 
 from .arch import Architecture
 from .parity import ParityMap, steiner_gauss
-from .poly import Phase, PhaseGadget, ZXPolynomial, json_int
+from .poly import Phase, PhaseGadget, ZXPolynomial, decimal_fraction, json_int
 from .rules import Cnot
 
 
@@ -230,7 +230,8 @@ def _qasm_phase(text: str) -> Phase | None:
     `3*pi/4`, `pi*0.25`, `0.785398163397`. A multiple of pi is read
     exactly; any other value is radians, rounded to the nearest multiple
     of pi with a denominator of at most 10^6, and must convert to a finite
-    float.
+    float. A literal is read by `decimal_fraction`, so its exponent has at
+    most EXPONENT_DIGITS digits.
     """
     text = text.strip()
     coefficient = Fraction(-1 if text.startswith("-") else 1)
@@ -243,7 +244,10 @@ def _qasm_phase(text: str) -> Phase | None:
         if m.group(1) == "pi":
             pis += 1 if op == "*" else -1
         else:
-            value = Fraction(m.group(1))
+            try:
+                value = decimal_fraction(m.group(1))
+            except ValueError:  # its exponent is too long to expand
+                return None
             if op == "/" and value == 0:
                 return None
             coefficient = coefficient * value if op == "*" else coefficient / value

@@ -53,7 +53,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .arch import Architecture, memo_put
+from .arch import Architecture, memo_put, rooted_tree
 from .poly import mask_to_legs
 from .rules import Cnot
 
@@ -126,10 +126,11 @@ def _column_step(
 ) -> list[tuple[int, int]]:
     """Make column `pivot` a unit column using tree-edge row additions.
 
-    Builds a Steiner tree over the rows carrying the pivot bit plus the
-    pivot row, fills ones downward so every tree row carries the bit, then
-    eliminates upward so only the pivot row keeps it. All ops stay inside
-    the `allowed` vertex mask.
+    Builds the terminal tree over the rows carrying the pivot bit plus the
+    pivot row inside the `allowed` vertex mask, rooted at the pivot (each
+    call builds it; no table keeps it), fills ones downward so every tree
+    row carries the bit, then eliminates upward so only the pivot row
+    keeps it. All ops stay inside `allowed`.
     """
     bit = 1 << pivot
     carriers = sum(1 << r for r in mask_to_legs(allowed) if rows[r] & bit)
@@ -138,7 +139,7 @@ def _column_step(
     if carriers == bit:
         return []
     ops: list[tuple[int, int]] = []
-    parent, bfs_order = arch.rooted_terminal_tree(carriers | bit, pivot, allowed)
+    parent, bfs_order = rooted_tree(arch.terminal_tree(mask_to_legs(carriers | bit), allowed), pivot)
     if not rows[pivot] & bit:
         # Pull a 1 up to the pivot along the path from the nearest carrier;
         # every vertex strictly between them lacks the bit, so each hop sets it.

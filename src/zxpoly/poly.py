@@ -12,6 +12,7 @@ polynomial no leg at or past its qubit count, so no later stage checks them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import pi
@@ -48,7 +49,7 @@ class Phase:
         or "-3/4"; raises ValueError on anything else, a zero denominator
         included."""
         try:
-            return Phase.from_fraction(ascii_number(text.strip(), Fraction, "phase"))
+            return Phase.from_fraction(ascii_number(text.strip(), decimal_fraction, "phase"))
         except ZeroDivisionError:
             raise ValueError(f"phase {text!r} has a zero denominator") from None
 
@@ -108,6 +109,21 @@ def ascii_number(text: str, parse: Callable[[str], T] = int, what: str = "number
     return parse(text)
 
 
+EXPONENT_DIGITS = 3  # at most, in a decimal exponent that `decimal_fraction` reads
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)", re.ASCII)
+
+
+def decimal_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing first (ValueError) a decimal exponent of more
+    than EXPONENT_DIGITS digits: Fraction builds 10**exponent, so the 11
+    characters "1e999999999" would take hours. Both phase readers, JSON and
+    QASM, read their numbers through here."""
+    exponent = _EXPONENT.search(text)
+    if exponent and len(exponent.group(1)) > EXPONENT_DIGITS:
+        raise ValueError(f"number {text!r} has an exponent of more than {EXPONENT_DIGITS} digits")
+    return Fraction(text)
+
+
 def mask_to_legs(mask: int) -> list[int]:
     """Indices of the set bits of a non-negative mask, ascending; a
     negative mask, which has infinitely many set bits, raises ValueError."""
@@ -162,6 +178,12 @@ class PhaseGadget:
         return f"{self.basis}{{{','.join(map(str, self.leg_list()))}}}({self.phase})"
 
 
+def _leg_out_of_range(index: int, legs: list[int], q: int) -> ValueError:
+    """The error naming gadget `index` and its smallest leg at or past q."""
+    leg = min(w for w in legs if w >= q)
+    return ValueError(f"invalid polynomial: gadget {index}: leg {leg} out of range for {q} qubits")
+
+
 @dataclass(frozen=True)
 class ZXPolynomial:
     """An ordered sequence of phase gadgets over a fixed number of wires.
@@ -182,9 +204,7 @@ class ZXPolynomial:
         q = self.num_qubits
         for g in gadgets:  # a plain loop is the fastest test for the few gadgets most hold
             if g.legs >> q:
-                leg = min(w for w in mask_to_legs(g.legs) if w >= q)
-                raise ValueError(f"invalid polynomial: gadget {gadgets.index(g)}: leg {leg} "
-                                 f"out of range for {q} qubits")
+                raise _leg_out_of_range(gadgets.index(g), mask_to_legs(g.legs), q)
 
     def __len__(self) -> int:
         return len(self.gadgets)
@@ -205,17 +225,21 @@ class ZXPolynomial:
     def from_json_dict(data: dict) -> "ZXPolynomial":
         try:
             qubits = json_int(data["qubits"], "qubit count")
-            gadgets = tuple(
-                PhaseGadget(
-                    str(entry["basis"]),
-                    legs_to_mask(json_int(leg, "leg") for leg in entry["legs"]),
-                    Phase.parse(str(entry["phase"])),
-                )
-                for entry in data.get("gadgets", ())
-            )
+            gadgets, past = [], None
+            for index, entry in enumerate(data.get("gadgets", ())):
+                legs = [json_int(leg, "leg") for leg in entry["legs"]]
+                if any(leg >= qubits for leg in legs):  # before 1 << leg, for a leg of 10**9 too
+                    past = index, legs
+                    break
+                gadgets.append(PhaseGadget(
+                    str(entry["basis"]), legs_to_mask(legs), Phase.parse(str(entry["phase"]))
+                ))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return ZXPolynomial(qubits, gadgets)
+        poly = ZXPolynomial(qubits, tuple(gadgets))  # checks the qubit count first
+        if past:
+            raise _leg_out_of_range(*past, qubits)
+        return poly
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

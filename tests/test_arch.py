@@ -208,9 +208,6 @@ class TestTerminalTree:
         trees = [arch.terminal_tree(terms, allowed) for allowed in anywhere]
         assert trees[0] == trees[1]
         assert arch.tree_weight(0b100101) == len(trees[0])
-        rooted = [arch.rooted_terminal_tree(0b100101, 0, allowed) for allowed in anywhere]
-        assert rooted[0] == rooted[1]
-        assert len(arch.memos["rooted"]) == 1
         with pytest.raises(ValueError, match="not in the allowed vertex set"):
             arch.terminal_tree(terms, 0)
 
@@ -252,7 +249,6 @@ class TestTreeWeight:
         masks = range(1, 1 << arch.num_qubits)
         expected = [len(reference.terminal_tree(mask_to_legs(m))) for m in masks]
         assert [arch.tree_weight(m) for m in masks] == expected  # fresh
-        assert not arch.memos["rooted"]
         for warm in (arch, reference):  # spans filled; trees filled
             assert [warm.tree_weight(m) for m in masks] == expected, warm.name
 
@@ -287,17 +283,13 @@ class TestMaskChecks:
         arch = zx.line(4)
         with pytest.raises(ValueError, match="negative mask -1"):
             arch.gather(-1, root)
-        with pytest.raises(ValueError, match="negative mask -1"):
-            arch.rooted_terminal_tree(-1, root)
 
     @pytest.mark.parametrize("root", [3, 2, 7, -1])
     def test_root_outside_terms_rejected(self, root):
         arch = zx.line(4)
         with pytest.raises(ValueError, match=f"root {root} is not a terminal"):
             arch.gather(0b011, root)
-        with pytest.raises(ValueError, match=f"root {root} is not a terminal"):
-            arch.rooted_terminal_tree(0b011, root)
-        assert not arch.memos["gather"] and not arch.memos["rooted"]
+        assert not arch.memos["gather"]
 
     def test_out_of_range_root_reads_no_gather_entry(self):
         arch = zx.line(4)
@@ -305,27 +297,16 @@ class TestMaskChecks:
         with pytest.raises(ValueError, match="root 4 is not a terminal"):
             arch.gather(0b0100, 4)
 
-    def test_out_of_range_root_reads_no_rooted_entry(self):
-        arch = zx.line(4)
-        arch.rooted_terminal_tree(0b0011, 0, 0b0111)  # the key root 4 of region 0b0110 packs to
-        with pytest.raises(ValueError, match="root 4 is not a terminal"):
-            arch.rooted_terminal_tree(0b0011, 4, 0b0110)
-
 
 class TestTreeStorage:
     def test_gather_stores_no_rooted_tree(self):
+        # only its op tuples: the tree each miss builds and roots is dropped
         arch = zx.line(5)
         for terms in range(1, 1 << 5):
             for root in mask_to_legs(terms):
                 arch.gather(terms, root)
-        assert not arch.memos["rooted"]
-
-    @pytest.mark.parametrize("terms, root", [(0b00011, 1), (0b10101, 4), (0b11110, 3)])
-    def test_rooted_terminal_tree_stores_one_entry(self, terms, root):
-        # a root that is not the smallest terminal stores no second tree
-        arch = zx.line(5)
-        arch.rooted_terminal_tree(terms, root)
-        assert len(arch.memos["rooted"]) == 1
+        assert {name for name, memo in arch.memos.items() if memo} == {"distances", "gather"}
+        assert list(arch.memos["distances"]) == [0b11111]  # `dist`, built with the graph
 
 
 def _star(q):
@@ -372,48 +353,6 @@ class TestGraphMemos:
                         ], (arch.name, bin(vertices), u)
                     else:
                         assert table[u] is None
-
-    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
-    def test_rooted_terminal_tree_matches_rooted_tree(self, arch):
-        rng = random.Random(12)
-        q = arch.num_qubits
-        for _ in range(100):
-            terms = rng.randint(1, (1 << q) - 1)
-            root = rng.choice([v for v in range(q) if terms >> v & 1])
-            allowed = rng.choice([-1, terms | rng.randint(0, (1 << q) - 1)])
-            if allowed >= 0 and not _connected(arch, allowed):
-                continue
-            edges = arch.terminal_tree([v for v in range(q) if terms >> v & 1], allowed)
-            up, order = rooted_tree(edges, root)
-            for _ in range(2):  # cold, then memoized
-                assert arch.rooted_terminal_tree(terms, root, allowed) == (
-                    tuple(up.get(v, -1) for v in range(q)), tuple(order)
-                )
-        # an empty region is not "anywhere", even after an unrestricted call
-        arch.rooted_terminal_tree(0b11, 0)
-        with pytest.raises(ValueError, match="not in the allowed vertex set"):
-            arch.rooted_terminal_tree(0b11, 0, 0)
-
-    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
-    def test_any_root_first_matches_cold_reference(self, arch):
-        # roots descending: each terminal set is first asked for at a root
-        # other than its smallest terminal, whose entry is not stored yet
-        q = arch.num_qubits
-        fresh = zx.Architecture(q, arch.edges, arch.name)
-        rng = random.Random(5)
-
-        def reference(terms, root, allowed):
-            edges = arch.terminal_tree(mask_to_legs(terms), allowed)
-            up, order = rooted_tree(edges, root)
-            return tuple(up.get(v, -1) for v in range(q)), tuple(order)
-
-        for allowed in [-1] + [rng.randint(1, (1 << q) - 1) for _ in range(20)]:
-            for terms in range(1, 1 << q):
-                if allowed != -1 and terms & ~allowed:
-                    continue
-                for root in reversed(mask_to_legs(terms)):
-                    assert _tree_or_error(fresh.rooted_terminal_tree, terms, root, allowed) == \
-                        _tree_or_error(reference, terms, root, allowed), (bin(terms), root, allowed)
 
     @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
     def test_gather_matches_recursive_walk(self, arch):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,14 @@ class TestQasm:
     def test_other_angle_tokens_rejected(self, angle):
         with pytest.raises(ValueError, match="unsupported QASM line"):
             zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+
+    @pytest.mark.parametrize("angle", ["1e999999999", "1e-999999999", "pi*1e-999999999"])
+    def test_long_exponent_rejected_at_once(self, angle):
+        # Fraction alone would build 10**999999999, for hours
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="unsupported QASM line"):
+            zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+        assert time.perf_counter() - start < 1
 
     def test_missing_qreg_rejected(self):
         with pytest.raises(ValueError):

@@ -558,6 +558,41 @@ class TestInverseVariant:
         ]
 
 
+def _random_region(rng, arch, pivot):
+    """A random connected vertex mask holding `pivot`, grown one neighbour at a time."""
+    region = 1 << pivot
+    for _ in range(rng.randrange(arch.num_qubits)):
+        region |= 1 << rng.choice(sorted(
+            {w for v in mask_to_legs(region) for w in arch.adj[v] if not region >> w & 1}
+        ))
+    return region
+
+
+class TestColumnStep:
+    @pytest.mark.parametrize("arch", [zx.line(5), zx.grid(2, 3), zx.grid(3, 3), zx.circle(6), _star(6)],
+                             ids=lambda a: a.name)
+    def test_stays_in_region_and_clears_the_column(self, arch):
+        # an elimination state: rows outside the region are unit rows, and the
+        # rows inside form an invertible map on the region's columns
+        rng = random.Random(34)
+        q = arch.num_qubits
+        for _ in range(300):
+            pivot = rng.randrange(q)
+            allowed = _random_region(rng, arch, pivot)
+            inside = mask_to_legs(allowed)
+            rows = [1 << v for v in range(q)]
+            for _ in range(rng.randint(0, 3 * q) if len(inside) > 1 else 0):
+                control, target = rng.sample(inside, 2)
+                rows[target] ^= rows[control]
+            replayed = rows[:]
+            ops = parity._column_step(rows, pivot, allowed, arch)
+            for control, target in ops:
+                assert arch.is_edge(control, target) and allowed >> control & allowed >> target & 1
+                replayed[target] ^= replayed[control]
+            assert replayed == rows, (arch.name, bin(allowed), pivot)
+            assert [row >> pivot & 1 for row in rows] == [int(v == pivot) for v in range(q)]
+
+
 def _reference_greedy(m, arch):
     """The greedy of `_synthesize_raw` without its round memo: every round
     runs a trial elimination of every non-cut pivot. Returns the (src, dst)

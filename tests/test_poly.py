@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -49,9 +50,17 @@ class TestPhase:
 
     @pytest.mark.parametrize("text, phase", [(" 1/4 ", Phase(1, 4)), ("+1/2", Phase(1, 2)),
                                              ("0.25", Phase(1, 4)), ("5e-1", Phase(1, 2)),
-                                             ("-3", Phase(1))])
+                                             ("-3", Phase(1)), ("25e-0002", Phase(1, 4))])
     def test_parse_keeps_every_ascii_form(self, text, phase):
         assert Phase.parse(text) == phase
+
+    @pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "-3E+0001000"])
+    def test_parse_refuses_a_long_exponent_at_once(self, text):
+        # Fraction alone would build 10**999999999, for hours
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="has an exponent of more than 3 digits$"):
+            Phase.parse(text)
+        assert time.perf_counter() - start < 1
 
     def test_sum_order_independent(self):
         # Abelian group: any summation order normalizes identically.
@@ -171,6 +180,15 @@ class TestJson:
         text = json.dumps({"qubits": 2, "gadgets": [{"basis": "X", "legs": legs, "phase": "1/2"}]})
         with pytest.raises(ValueError, match=message):
             ZXPolynomial.from_json(text)
+
+    def test_huge_leg_refused_before_its_mask_is_built(self):
+        # 1 << 10**9 alone is a 125 MB int
+        text = json.dumps({"qubits": 2, "gadgets": [{"basis": "Z", "legs": [0, 10**9], "phase": "1/4"}]})
+        start = time.perf_counter()
+        with pytest.raises(ValueError,
+                           match="^invalid polynomial: gadget 0: leg 1000000000 out of range for 2 qubits$"):
+            ZXPolynomial.from_json(text)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("legs", [[0, 0], [1.7], [True], [1.0], ["1"], [None], "01"])
     def test_legs_never_rewritten(self, legs):

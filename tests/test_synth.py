@@ -576,7 +576,7 @@ class TestCostMemo:
         for polys, uncapped in cases:
             arch = zx.complete(polys[0].num_qubits)
             assert gates(polys, arch) == uncapped
-            assert len(arch.memos) == 9
+            assert len(arch.memos) == 8
             for name, memo in arch.memos.items():
                 if name == "exact":  # built whole, not through memo_put
                     assert len(memo) == (1 << 16 if arch.num_qubits == 4 else 0)
