@@ -34,7 +34,7 @@ from typing import ClassVar
 
 from .arch import Architecture
 from .parity import ParityMap, steiner_gauss
-from .poly import Phase, PhaseGadget, ZXPolynomial, decimal_fraction, json_int
+from .poly import COEFFICIENT_BITS, Phase, PhaseGadget, ZXPolynomial, decimal_fraction, json_int
 from .rules import Cnot
 
 
@@ -231,7 +231,9 @@ def _qasm_phase(text: str) -> Phase | None:
     exactly; any other value is radians, rounded to the nearest multiple
     of pi with a denominator of at most 10^6, and must convert to a finite
     float. A literal is read by `decimal_fraction`, so its exponent has at
-    most EXPONENT_DIGITS digits.
+    most EXPONENT_DIGITS digits, and the running product may not grow past
+    COEFFICIENT_BITS bits above or below the line (each step's gcd would
+    make many short literals slow).
     """
     text = text.strip()
     coefficient = Fraction(-1 if text.startswith("-") else 1)
@@ -251,6 +253,8 @@ def _qasm_phase(text: str) -> Phase | None:
             if op == "/" and value == 0:
                 return None
             coefficient = coefficient * value if op == "*" else coefficient / value
+            if max(map(int.bit_length, coefficient.as_integer_ratio())) > COEFFICIENT_BITS:
+                return None
         pos = m.end()
         if pos == len(text):
             break

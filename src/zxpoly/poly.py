@@ -110,6 +110,7 @@ def ascii_number(text: str, parse: Callable[[str], T] = int, what: str = "number
 
 
 EXPONENT_DIGITS = 3  # at most, in a decimal exponent that `decimal_fraction` reads
+COEFFICIENT_BITS = 65536  # at most, in either part of a QASM angle's running product
 _EXPONENT = re.compile(r"[eE][-+]?0*(\d+)", re.ASCII)
 
 

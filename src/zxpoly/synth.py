@@ -9,32 +9,31 @@ total unitary while (ideally) shrinking the gadgets' leg trees.
 
 Cost conventions: a gadget is priced at twice its tree weight, and
 `effect_zx` is the change (after minus before) in that gadget-tree CNOT
-estimate, so negative is an improvement. The ceiling is what the two
-flanking parity regions cost now (`cnot_cost`), `absorbed` what they cost
-with the CNOT pair absorbed; `optimize_gauss` accepts a candidate when
-effect_zx + absorbed - ceiling < 0, which is exactly "the total
-emitted-CNOT estimate strictly decreases".
+estimate, so negative is an improvement. Both optimizers are one greedy
+sweep, `_sweep`, with different flank pricers. A pricer gives the ceiling,
+what the two flanking parity regions are charged now, and each candidate's
+absorbed price, with the CNOT pair absorbed; the sweep accepts a candidate
+when effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices by
+`cnot_cost` through `parity.flank_pricer`, which owns every size-dependent
+choice (one move on each flank's packed exact-table index up to 4 qubits,
+above, the Steiner-Gauss length behind a lower-bound skip), so it accepts
+exactly when the total emitted-CNOT estimate strictly decreases.
+`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and costs no map.
 
-Both sweeps read every candidate's effect_zx from one q x q table,
+The sweep reads every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
 accept (accepts are rare next to the q(q-1) candidates of a sweep);
 `effect_zx` stays the one-candidate definition the table must equal. The
 table sums one row of nonzero effects per gadget, and a row depends only
 on the gadget's legs and basis, so it is computed once per Architecture
 (its "zx" memo) and reused at every recursion level, in every QAOA layer
-and after every accept.
-
-`optimize_gauss` prices a candidate's parity regions by `cnot_cost`
-through `parity.flank_pricer`, which owns every size-dependent choice: one
-move on each flank's packed exact-table index up to 4 qubits, and above,
-the Steiner-Gauss length behind a lower-bound skip. The sweep asks each
-candidate for no more than it needs to reject it, and builds a `Cnot` and
-two maps only for an accepted one.
+and after every accept. The sweep builds a `Cnot` for accepts only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import permutations
+from typing import Callable, Iterable
 
 from .arch import Architecture, memo_put
 from .parity import (  # cnot_cost: not called here, but perfbench's tracer wraps synth.cnot_cost
@@ -107,65 +106,60 @@ def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
     return tuple(effects)
 
 
-def optimize_gauss(
-    pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
-) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
-    """Single greedy sweep over all ordered (control, target) pairs,
-    propagating whenever the exact total emitted-CNOT estimate drops.
+def _every_pair(pl: ParityMap, pr: ParityMap) -> Iterable[tuple[int, int]]:
+    """Every ordered (control, target) pair of distinct wires, control-major."""
+    return permutations(range(pl.size), 2)
 
-    Every candidate's effect_zx is read from one `_zx_table`, rebuilt only
-    after an accept. A candidate's net is effect_zx plus what the two
-    absorbed regions cost minus what the current ones cost (the ceiling,
-    from `flank_pricer`, asked again after each accept). The pricer gets the
-    budget ceiling - effect_zx, and when the absorbed cost reaches it, may
-    answer with any value from the budget up to that cost: the candidate has
-    net >= 0 and is rejected either way. That cannot change the output only
-    because acceptance is strict (net < 0); a rule that accepted net == 0
-    would have to pass the pricer a budget one higher."""
-    ceiling, price = flank_pricer(pl, pr, arch)
+
+def _sweep(
+    pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture,
+    pricer: Callable[..., tuple[int, Callable[[int, int, int], int]]],
+    sources: Iterable[Callable[[ParityMap, ParityMap], Iterable[tuple[int, int]]]],
+) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
+    """The one greedy sweep: walk each candidate source in turn, called on
+    the flanks as they stand when its turn comes, and propagate a candidate
+    whose net, effect_zx + absorbed - ceiling, is negative; `pricer` is
+    asked again after each accept. `price` gets the budget ceiling -
+    effect_zx and, once the absorbed price reaches it, may answer any value
+    from the budget up to that price: the candidate is rejected either way
+    only because acceptance is strict, so a rule that accepted net == 0
+    would have to raise the budget by one."""
+    ceiling, price = pricer(pl, pr, arch)
     table = _zx_table(poly, arch)
-    q = arch.num_qubits
-    for control in range(q):
-        for target in range(q):
-            if control == target:
-                continue
+    for source in sources:
+        for control, target in source(pl, pr):
             zx = table[control][target]
             if zx >= ceiling or zx + price(control, target, ceiling - zx) >= ceiling:
                 continue
             cnot = Cnot(control, target)
             pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
             poly = propagate_cnot_poly(poly, cnot)
-            ceiling, price = flank_pricer(pl, pr, arch)
+            ceiling, price = pricer(pl, pr, arch)
             table = _zx_table(poly, arch)
     return pl, poly, pr
+
+
+def optimize_gauss(
+    pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
+) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
+    """`_sweep` over all ordered pairs, pricing the flanks exactly through
+    `flank_pricer`: a CNOT is propagated whenever the total emitted-CNOT
+    estimate strictly drops."""
+    return _sweep(pl, poly, pr, arch, flank_pricer, (_every_pair,))
 
 
 def optimize_fast(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
-    """Single heuristic sweep: instead of re-running Steiner-Gauss per
-    candidate, estimate both parity penalties by the hop distance and demand
-    effect_zx < -2*d(c, t). The 2*d is a heuristic estimate, not a bound on
-    what the parity regions may cost. Candidates come from the CNOTs of each
-    parity region's own synthesis (computed once), then from all ordered
-    pairs. Every effect_zx is read from one `_zx_table`, rebuilt only after
-    an accept."""
-    table = _zx_table(poly, arch)
-
-    def sweep(candidates: Iterable[tuple[int, int]]) -> None:
-        nonlocal pl, poly, pr, table
-        for control, target in candidates:
-            if table[control][target] < -2 * arch.dist[control][target]:
-                cnot = Cnot(control, target)
-                pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-                poly = propagate_cnot_poly(poly, cnot)
-                table = _zx_table(poly, arch)
-
-    sweep((cnot.control, cnot.target) for cnot in steiner_gauss(pl, arch))
-    sweep((cnot.control, cnot.target) for cnot in steiner_gauss(pr, arch))
-    q = arch.num_qubits
-    sweep((c, t) for c in range(q) for t in range(q) if c != t)
-    return pl, poly, pr
+    """`_sweep` with the hop pricer: against a ceiling of 0 a candidate is
+    charged 2*d(c, t), a heuristic estimate, not a bound on what the flanks
+    may cost, so it is accepted when effect_zx < -2*d(c, t). Candidates come
+    from the CNOTs of `steiner_gauss(pl)`, then of `steiner_gauss(pr)` as
+    those accepts left pr, then from all ordered pairs."""
+    hop = lambda c, t, budget: 2 * arch.dist[c][t]
+    seeds = lambda m: ((cnot.control, cnot.target) for cnot in steiner_gauss(m, arch))
+    return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop),
+                  (lambda pl, pr: seeds(pl), lambda pl, pr: seeds(pr), _every_pair))
 
 
 def score(a: PhaseGadget, b: PhaseGadget, num_qubits: int) -> int:

@@ -342,6 +342,20 @@ class TestQasm:
             zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
         assert time.perf_counter() - start < 1
 
+    def test_long_product_rejected_at_once(self):
+        # each factor fits EXPONENT_DIGITS; unbounded, the exact product of
+        # 1,000 of them takes seconds to build
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="unsupported QASM line"):
+            zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({'*'.join(['1e999'] * 1000)}) q[0];\n")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("angle, phase", [("1e999*pi", PH(0)), ("1e-999*1e999*pi/4", PH(1, 4)),
+                                              ("pi*1e99/1e99", PH(1))])
+    def test_large_literals_below_the_bound_read(self, angle, phase):
+        circ = zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+        assert circ.gates == (zx.Rz(phase, 0),)
+
     def test_missing_qreg_rejected(self):
         with pytest.raises(ValueError):
             zx.from_qasm("OPENQASM 2.0;\n")

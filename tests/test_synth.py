@@ -376,6 +376,26 @@ class TestOptimizeFast:
             accepted += expected[1] != poly
         assert accepted >= 20
 
+    def test_never_prices_a_parity_region_exactly(self, monkeypatch):
+        # fast charges hop distances: its only parity work is steiner_gauss
+        def refuse(*args):
+            raise AssertionError("fast mode priced a parity region")
+
+        for module, name in ((parity, "cnot_cost"), (parity, "cnot_lower_bound"),
+                             (synth, "cnot_cost"), (synth, "flank_pricer")):
+            monkeypatch.setattr(module, name, refuse)
+        rng = random.Random(35)
+        moved = 0
+        for arch in (zx.line(3), zx.grid(2, 3), zx.line(8)):
+            for _ in range(12):
+                poly = random_zx_poly(rng, arch.num_qubits, rng.randint(1, 10))
+                regions = zx.synthesize(poly, arch, "fast")
+                moved += any(not region.is_identity() for region in regions[::2])
+                if arch.num_qubits <= 6:
+                    assert sim.equal_up_to_global_phase(
+                        regions_unitary(regions), sim.poly_unitary(poly), 1e-9)
+        assert moved >= 10
+
 
 class TestScore:
     def test_identical_full_legs(self):
