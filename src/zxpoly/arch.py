@@ -7,11 +7,13 @@ package, the named tables of its `memos` dict, each filled lazily on first
 use (without a lock). A vertex set (a region) is an int mask, bit v for
 vertex v; -1 means "anywhere" and is normalized to the full mask
 (1 << num_qubits) - 1.
-With n = num_qubits, the eight tables and their keys are:
+With n = num_qubits, the nine tables and their keys are:
 
   * "span": the vertex mask of `shortest_path(u, v)` over the whole graph,
-    by u * n + v (u < v); `tree_weight` reads only these, and only for
-    three or more terminals,
+    by u * n + v (u < v); `tree_weight` reads these, only for three or
+    more terminals and only on a "weight" miss,
+  * "weight": `tree_weight` by leg mask, for three or more terminals (one
+    or two weigh their distance, with no table),
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
@@ -97,7 +99,8 @@ class Architecture:
             adj[v].append(u)
         self.adj = tuple(tuple(sorted(ns)) for ns in adj)
         self.memos: dict[str, dict | bytearray] = {
-            name: {} for name in ("span", "non_cut", "distances", "sequence", "round", "gather", "zx")
+            name: {} for name in ("span", "weight", "non_cut", "distances", "sequence", "round",
+                                  "gather", "zx")
         }
         self.memos["exact"] = bytearray()
         self.dist = self.distances_within((1 << num_qubits) - 1)
@@ -181,7 +184,8 @@ class Architecture:
         is the terminals together with the vertices of those paths: the OR
         of `legs` and each edge's "span" mask.
         One or two terminals: the tree is the one shortest path, so the
-        weight is their distance (no Prim, no "span" read).
+        weight is their distance (no Prim, no "span" or "weight" read).
+        Three or more: the "weight" table answers a mask weighed before.
         """
         terms = mask_to_legs(legs)
         n = self.num_qubits
@@ -191,6 +195,9 @@ class Architecture:
             raise ValueError(f"terminal {terms[-1]} out of range")
         if len(terms) <= 2:
             return self.dist[terms[0]][terms[-1]]
+        weight = self.memos["weight"].get(legs)
+        if weight is not None:
+            return weight
         spans = self.memos["span"]
         covered = legs
         for u, v in self._prim(terms, self.dist):
@@ -198,7 +205,7 @@ class Architecture:
             if span is None:
                 span = memo_put(spans, u * n + v, legs_to_mask(self.shortest_path(u, v)))
             covered |= span
-        return covered.bit_count() - 1
+        return memo_put(self.memos["weight"], legs, covered.bit_count() - 1)
 
     def gather(self, terms: int, root: int) -> tuple[tuple[int, int], ...]:
         """Row additions (child, parent), each meaning rows[parent] ^=
@@ -268,17 +275,25 @@ class Architecture:
     @staticmethod
     def _prim(terms: list[int], dist) -> list[tuple[int, int]]:
         """Edges (u, v), u < v, of the metric closure's minimum spanning
-        tree over the ascending `terms`, with `dist` the hop table. Prim,
-        grown from the smallest terminal: best[t] is the least (distance,
-        u, v) key of an edge from the tree to t. Keys are distinct, so the
+        tree over the ascending `terms`, with `dist` the hop table over n
+        vertices. Prim, grown from the smallest terminal: best[t] is the
+        least key of an edge from the tree to t, the edge (u, v) at distance
+        d keyed by the one int (d * n + u) * n + v, which orders as the
+        tuple (d, u, v) does since u, v < n. Keys are distinct, so the
         spanning tree is unique."""
-        best = {t: (dist[terms[0]][t], terms[0], t) for t in terms[1:]}
+        n = len(dist)
+        root = terms[0]
+        best = {t: (dist[root][t] * n + root) * n + t for t in terms[1:]}
         chosen: list[tuple[int, int]] = []
         while best:
             t = min(best, key=best.__getitem__)
-            chosen.append(best.pop(t)[1:])
+            key = best.pop(t)
+            chosen.append((key // n % n, key % n))
+            row = dist[t]
             for s in best:
-                best[s] = min(best[s], (dist[t][s], min(t, s), max(t, s)))
+                key = (row[s] * n + t) * n + s if t < s else (row[s] * n + s) * n + t
+                if key < best[s]:
+                    best[s] = key
         return chosen
 
     def __repr__(self) -> str:

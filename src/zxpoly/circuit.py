@@ -231,12 +231,13 @@ def _qasm_phase(text: str) -> Phase | None:
     exactly; any other value is radians, rounded to the nearest multiple
     of pi with a denominator of at most 10^6, and must convert to a finite
     float. A literal is read by `decimal_fraction`, so its exponent has at
-    most EXPONENT_DIGITS digits, and the running product may not grow past
-    COEFFICIENT_BITS bits above or below the line (each step's gcd would
-    make many short literals slow).
+    most EXPONENT_DIGITS digits. The running product is kept as an
+    unreduced numerator and denominator, neither of which may grow past
+    COEFFICIENT_BITS bits, and is reduced once at the end: a gcd at each
+    step would make many short literals slow.
     """
     text = text.strip()
-    coefficient = Fraction(-1 if text.startswith("-") else 1)
+    numerator, denominator = -1 if text.startswith("-") else 1, 1
     pos = 1 if text.startswith(("-", "+")) else 0
     pis, op = 0, "*"
     while True:
@@ -252,8 +253,13 @@ def _qasm_phase(text: str) -> Phase | None:
                 return None
             if op == "/" and value == 0:
                 return None
-            coefficient = coefficient * value if op == "*" else coefficient / value
-            if max(map(int.bit_length, coefficient.as_integer_ratio())) > COEFFICIENT_BITS:
+            if op == "*":
+                numerator *= value.numerator
+                denominator *= value.denominator
+            else:
+                numerator *= value.denominator
+                denominator *= value.numerator
+            if max(numerator.bit_length(), denominator.bit_length()) > COEFFICIENT_BITS:
                 return None
         pos = m.end()
         if pos == len(text):
@@ -262,6 +268,7 @@ def _qasm_phase(text: str) -> Phase | None:
         if op not in "*/":
             return None
         pos += 1
+    coefficient = Fraction(numerator, denominator)
     if pis == 1:
         return Phase.from_fraction(coefficient)
     if pis != 0:

@@ -279,13 +279,17 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
     decided once, memoized in the Architecture's "round" table under one
     int packing both, as (pivot, row additions) of the winning trial; fresh
     or stored, replaying the additions reproduces the trial's rows exactly.
+    A round without additions took a free pivot, whose row and column are
+    unit vectors, so it leaves the structured mask as it was; that mask is
+    recomputed only after a round with additions.
     """
     q = m.size
     memo = arch.memos["round"]
     rows = list(m.rows)
     ops: list[tuple[int, int]] = []
     remaining = (1 << q) - 1
-    while structured := _structured(remaining, rows):
+    structured = _structured(remaining, rows)
+    while structured:
         key = remaining
         for row in rows:
             key = key << q | row
@@ -297,6 +301,8 @@ def _synthesize_raw(m: ParityMap, arch: Architecture) -> list[tuple[int, int]]:
             rows[dst] ^= rows[src]
         ops += additions
         remaining &= ~(1 << pivot)
+        if additions:
+            structured = _structured(remaining, rows)
     return _cancel_cnots(ops[::-1])
 
 
@@ -308,7 +314,14 @@ def _decide_round(
     A non-cut pivot is free when it is not structured: its row and column
     are unit vectors among the remaining rows. Exactly the free pivots have
     empty trials (no column ops, no residue), so if one exists they are the
-    tied set, with no trial elimination; otherwise every non-cut pivot runs one."""
+    tied set, with no trial elimination; otherwise every non-cut pivot runs one.
+
+    Ties go to the least (`_stretch_penalty`, pivot); a lone tied pivot
+    needs no penalty. The penalty is never negative: the pivot is non-cut,
+    so the rest stays connected without it, and a path inside the smaller
+    region is one inside the larger, so no distance shrinks. The tied
+    pivots are scored in ascending order, so the first whose penalty is 0
+    wins and the rest are not scored."""
     non_cut = arch.non_cut_vertices(remaining)
     if non_cut & ~structured:
         tied = [(pivot, ()) for pivot in mask_to_legs(non_cut & ~structured)]
@@ -317,10 +330,15 @@ def _decide_round(
                   for pivot in mask_to_legs(non_cut)]
         cheapest = min(len(trial_ops) for _, trial_ops in trials)
         tied = [trial for trial in trials if len(trial[1]) == cheapest]
-    if len(tied) > 1:  # the penalty is only a tie-break; skip it otherwise
-        tied = [min(tied, key=lambda trial: (
-            _stretch_penalty(arch, remaining, trial[0], structured), trial[0]))]
     pivot, additions = tied[0]
+    if len(tied) > 1:
+        least = None
+        for candidate, candidate_additions in tied:
+            penalty = _stretch_penalty(arch, remaining, candidate, structured)
+            if least is None or penalty < least:
+                least, pivot, additions = penalty, candidate, candidate_additions
+                if not penalty:
+                    break
     return pivot, tuple(additions)
 
 
@@ -351,10 +369,15 @@ def _stretch_penalty(
 
 
 def _gf2_transpose(m: ParityMap) -> ParityMap:
-    q = m.size
-    return ParityMap(
-        q, tuple(sum((m.rows[j] >> i & 1) << j for j in range(q)) for i in range(q))
-    )
+    """The transposed map: bit j of row i moves to bit i of row j, one set
+    bit at a time."""
+    columns = [0] * m.size
+    for j, row in enumerate(m.rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << j
+            row ^= low
+    return ParityMap(m.size, tuple(columns))
 
 
 def steiner_gauss(m: ParityMap, arch: Architecture) -> list[Cnot]:

@@ -18,7 +18,9 @@ when effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices by
 choice (one move on each flank's packed exact-table index up to 4 qubits,
 above, the Steiner-Gauss length behind a lower-bound skip), so it accepts
 exactly when the total emitted-CNOT estimate strictly decreases.
-`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and costs no map.
+`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and costs no map;
+it synthesizes a flank only to list its CNOTs as seed candidates, and only
+when some coupling-edge candidate could be accepted.
 
 The sweep reads every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
@@ -106,18 +108,20 @@ def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
     return tuple(effects)
 
 
-def _every_pair(pl: ParityMap, pr: ParityMap) -> Iterable[tuple[int, int]]:
-    """Every ordered (control, target) pair of distinct wires, control-major."""
+def _every_pair(pl: ParityMap, pr: ParityMap, table: list[list[int]]) -> Iterable[tuple[int, int]]:
+    """Every ordered (control, target) pair of distinct wires, control-major;
+    the zx table is not read."""
     return permutations(range(pl.size), 2)
 
 
 def _sweep(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture,
     pricer: Callable[..., tuple[int, Callable[[int, int, int], int]]],
-    sources: Iterable[Callable[[ParityMap, ParityMap], Iterable[tuple[int, int]]]],
+    sources: Iterable[Callable[[ParityMap, ParityMap, list[list[int]]], Iterable[tuple[int, int]]]],
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
     """The one greedy sweep: walk each candidate source in turn, called on
-    the flanks as they stand when its turn comes, and propagate a candidate
+    the flanks and the zx table as they stand when its turn comes (the
+    table changes only on an accept), and propagate a candidate
     whose net, effect_zx + absorbed - ceiling, is negative; `pricer` is
     asked again after each accept. `price` gets the budget ceiling -
     effect_zx and, once the absorbed price reaches it, may answer any value
@@ -127,7 +131,7 @@ def _sweep(
     ceiling, price = pricer(pl, pr, arch)
     table = _zx_table(poly, arch)
     for source in sources:
-        for control, target in source(pl, pr):
+        for control, target in source(pl, pr, table):
             zx = table[control][target]
             if zx >= ceiling or zx + price(control, target, ceiling - zx) >= ceiling:
                 continue
@@ -155,11 +159,23 @@ def optimize_fast(
     charged 2*d(c, t), a heuristic estimate, not a bound on what the flanks
     may cost, so it is accepted when effect_zx < -2*d(c, t). Candidates come
     from the CNOTs of `steiner_gauss(pl)`, then of `steiner_gauss(pr)` as
-    those accepts left pr, then from all ordered pairs."""
+    those accepts left pr, then from all ordered pairs.
+
+    A seed list holds coupling-edge CNOTs only, and the table changes only
+    on an accept, so a seed source can accept nothing when no edge (c, t)
+    passes the sweep's test, table[c][t] < 0 and table[c][t] + hop(c, t)
+    < 0, as its turn comes: then its flank is not synthesized."""
     hop = lambda c, t, budget: 2 * arch.dist[c][t]
-    seeds = lambda m: ((cnot.control, cnot.target) for cnot in steiner_gauss(m, arch))
+
+    def seeds(m: ParityMap, table: list[list[int]]) -> Iterable[tuple[int, int]]:
+        if not any(row[t] + hop(c, t, 0) < 0
+                   for c, row in enumerate(table) for t in arch.adj[c] if row[t] < 0):
+            return ()
+        return ((cnot.control, cnot.target) for cnot in steiner_gauss(m, arch))
+
     return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop),
-                  (lambda pl, pr: seeds(pl), lambda pl, pr: seeds(pr), _every_pair))
+                  (lambda pl, pr, table: seeds(pl, table),
+                   lambda pl, pr, table: seeds(pr, table), _every_pair))
 
 
 def score(a: PhaseGadget, b: PhaseGadget, num_qubits: int) -> int:

@@ -6,6 +6,7 @@ import re
 import pytest
 
 import zxpoly as zx
+from zxpoly import arch as zx_arch
 from zxpoly.arch import rooted_tree
 from zxpoly.poly import mask_to_legs
 from conftest import (
@@ -252,6 +253,26 @@ class TestTreeWeight:
         for warm in (arch, reference):  # spans filled; trees filled
             assert [warm.tree_weight(m) for m in masks] == expected, warm.name
 
+    def test_weight_table_answers_as_a_miss_does(self, monkeypatch):
+        # misses weigh and store; hits answer from "weight" without Prim;
+        # under MEMO_CAP = 8 most reads are misses again
+        for build in (lambda: zx.line(7), lambda: zx.grid(2, 4), lambda: zx.complete(6),
+                      lambda: star(7)):
+            reference, arch = build(), build()
+            masks = range(1, 1 << arch.num_qubits)
+            expected = [len(reference.terminal_tree(mask_to_legs(m))) for m in masks]
+            assert [arch.tree_weight(m) for m in masks] == expected, arch.name
+            assert set(arch.memos["weight"]) == {m for m in masks if m.bit_count() >= 3}
+            with monkeypatch.context() as patched:
+                patched.setattr(zx_arch.Architecture, "_prim", staticmethod(_refuse))
+                assert [arch.tree_weight(m) for m in masks] == expected, arch.name
+            with monkeypatch.context() as patched:
+                patched.setattr(zx_arch, "MEMO_CAP", 8)
+                capped = build()
+                for _ in range(2):
+                    assert [capped.tree_weight(m) for m in masks] == expected, arch.name
+                assert len(capped.memos["weight"]) == 8
+
     @pytest.mark.parametrize("family", sorted(ARCH_FAMILIES))
     def test_two_terminals_weigh_their_distance(self, family):
         for q in range(2, 9):
@@ -271,6 +292,37 @@ class TestTreeWeight:
     def test_bad_masks_rejected(self, legs, message):
         with pytest.raises(ValueError, match=message):
             zx.line(4).tree_weight(legs)
+
+
+def _refuse(*args):
+    raise AssertionError("called")
+
+
+def _prim_by_tuples(terms, dist):
+    """Prim over the metric closure with (distance, u, v) tuple keys."""
+    best = {t: (dist[terms[0]][t], terms[0], t) for t in terms[1:]}
+    chosen = []
+    while best:
+        t = min(best, key=best.__getitem__)
+        chosen.append(best.pop(t)[1:])
+        for s in best:
+            best[s] = min(best[s], (dist[t][s], min(t, s), max(t, s)))
+    return chosen
+
+
+class TestPrim:
+    def test_int_keys_order_as_tuple_keys(self):
+        # complete:12 has every distance 1, so every choice is a tie
+        rng = random.Random(36)
+        archs = [zx.complete(12), zx.line(9), zx.circle(10), zx.grid(3, 4), star(8)]
+        archs += [zx.Architecture(q, random_connected_graph(rng, q)) for q in (6, 9, 12)]
+        for arch in archs:
+            q = arch.num_qubits
+            for _ in range(80):
+                terms = sorted(rng.sample(range(q), rng.randint(2, q)))
+                region = sum(1 << v for v in terms) | rng.getrandbits(q)
+                for dist in (arch.dist, arch.distances_within(region)):
+                    assert zx_arch.Architecture._prim(terms, dist) == _prim_by_tuples(terms, dist)
 
 
 class TestMaskChecks:

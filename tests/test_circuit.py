@@ -350,6 +350,16 @@ class TestQasm:
             zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({'*'.join(['1e999'] * 1000)}) q[0];\n")
         assert time.perf_counter() - start < 1
 
+    def test_product_held_under_the_bound_rejected_at_once(self):
+        # 19 factors bring the product just under COEFFICIENT_BITS; each
+        # /1e999*1e999 pair then cancels, which a gcd per step would find
+        # at the cost of one ~63k-bit gcd per factor (seconds for 10,000)
+        angle = "*".join(["1e999"] * 19) + "/1e999*1e999" * 5000 + "*pi"
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="unsupported QASM line"):
+            zx.from_qasm(f"OPENQASM 2.0;\nqreg q[1];\nrz({angle}) q[0];\n")
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("angle, phase", [("1e999*pi", PH(0)), ("1e-999*1e999*pi/4", PH(1, 4)),
                                               ("pi*1e99/1e99", PH(1))])
     def test_large_literals_below_the_bound_read(self, angle, phase):

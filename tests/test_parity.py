@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import zxpoly as zx
 from conftest import (
     ARCH_FAMILIES, EXACT_ARCHS, exact_cnot_counts, gauss_cnots, gf2_invert, gf2_matmul,
-    map_from_lists, map_to_lists, random_invertible_map, random_zx_poly, row_column_bound, star,
+    map_from_lists, map_to_lists, random_connected_graph, random_invertible_map, random_zx_poly,
+    row_column_bound, star,
 )
 from zxpoly import parity
 from zxpoly.poly import mask_to_legs
@@ -789,3 +790,61 @@ class TestEarlyStop:
         assert decided == [(remaining, rows) for remaining, rows in states
                            if parity._structured(remaining, list(rows))]
         assert decided == states[:len(decided)]
+
+
+def _reference_round(rows, remaining, structured, arch):
+    """A greedy round that scores every tied pivot and takes the least
+    (penalty, pivot); returns ((pivot, row additions), penalties scored)."""
+    non_cut = arch.non_cut_vertices(remaining)
+    if non_cut & ~structured:
+        trials = {pivot: () for pivot in mask_to_legs(non_cut & ~structured)}
+    else:
+        trials = {pivot: tuple(parity._eliminate_vertex(rows[:], pivot, remaining, arch))
+                  for pivot in mask_to_legs(non_cut)}
+    cheapest = min(map(len, trials.values()))
+    scored = sorted((parity._stretch_penalty(arch, remaining, pivot, structured), pivot)
+                    for pivot, additions in trials.items() if len(additions) == cheapest)
+    assert scored[0][0] >= 0
+    return (scored[0][1], trials[scored[0][1]]), len(scored)
+
+
+def _tie_break_archs(rng):
+    for q in range(5, 10):
+        yield from (ARCH_FAMILIES[family](q) for family in ("line", "circle", "grid", "complete"))
+        yield zx.Architecture(q, random_connected_graph(rng, q), name=f"random:{q}")
+
+
+class TestTieBreak:
+    def test_first_zero_penalty_wins_as_the_full_scoring_does(self):
+        rng = random.Random(36)
+        rounds = scored = reference_scored = 0
+        for arch in _tie_break_archs(rng):
+            q = arch.num_qubits
+            for near_identity in (None, q // 2, None):
+                rows = list(random_invertible_map(rng, q, near_identity).rows)
+                remaining = (1 << q) - 1
+                while structured := parity._structured(remaining, rows):
+                    expected, count = _reference_round(rows, remaining, structured, arch)
+                    with mock.patch.object(parity, "_stretch_penalty",
+                                           wraps=parity._stretch_penalty) as penalty:
+                        decided = parity._decide_round(rows[:], remaining, structured, arch)
+                    assert decided == expected, (arch.name, remaining, rows)
+                    rounds += 1
+                    scored += penalty.call_count
+                    reference_scored += count if count > 1 else 0
+                    pivot, additions = decided
+                    for src, dst in additions:
+                        rows[dst] ^= rows[src]
+                    remaining &= ~(1 << pivot)
+        assert rounds > 300
+        assert scored < reference_scored  # some tie-breaks stopped at a zero
+
+
+class TestTranspose:
+    def test_matches_the_bit_by_bit_transpose(self):
+        rng = random.Random(36)
+        for q in range(1, 13):
+            for _ in range(40):
+                m = zx.ParityMap(q, [rng.getrandbits(q) for _ in range(q)])
+                expected = tuple(sum((m.rows[j] >> i & 1) << j for j in range(q)) for i in range(q))
+                assert parity._gf2_transpose(m).rows == expected

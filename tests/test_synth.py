@@ -13,7 +13,8 @@ from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
 from conftest import (
     ARCH_FAMILIES, EXACT_ARCHS, effect_parity, exact_cnot_counts, gadget_cost, parity_unitary,
-    random_invertible_map, random_zx_poly, regions_unitary, row_column_bound, star,
+    random_connected_graph, random_invertible_map, random_zx_poly, regions_unitary,
+    row_column_bound, star,
 )
 
 PH = zx.Phase
@@ -315,6 +316,30 @@ class TestOptimizeGauss:
             assert exact_costings(parity.cnot_lower_bound, *args, expected) == (2, 1)
 
 
+def _fast_per_candidate(pl, poly, pr, arch):
+    """`optimize_fast` one candidate at a time: `effect_zx` against -2*d(c, t)
+    for the CNOTs of `steiner_gauss(pl)`, then of `steiner_gauss(pr)`, both
+    always synthesized, then every ordered pair."""
+    def worthwhile(cnot):
+        return zx.effect_zx(poly, cnot, arch) < -2 * arch.dist[cnot.control][cnot.target]
+
+    def accept(cnot):
+        return (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
+                zx.prepend_cnot(pr, cnot))
+
+    for cnot in zx.steiner_gauss(pl, arch):
+        if worthwhile(cnot):
+            pl, poly, pr = accept(cnot)
+    for cnot in zx.steiner_gauss(pr, arch):
+        if worthwhile(cnot):
+            pl, poly, pr = accept(cnot)
+    for control in range(arch.num_qubits):
+        for target in range(arch.num_qubits):
+            if control != target and worthwhile(zx.Cnot(control, target)):
+                pl, poly, pr = accept(zx.Cnot(control, target))
+    return pl, poly, pr
+
+
 class TestOptimizeFast:
     def test_no_improvable_pair_unchanged(self):
         arch = zx.line(3)
@@ -343,26 +368,6 @@ class TestOptimizeFast:
         assert pl.is_identity() and pr.is_identity() and out == poly
 
     def test_table_sweep_matches_per_candidate_sweep(self):
-        def per_candidate(pl, poly, pr, arch):
-            def worthwhile(cnot):
-                return zx.effect_zx(poly, cnot, arch) < -2 * arch.dist[cnot.control][cnot.target]
-
-            def accept(cnot):
-                return (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
-                        zx.prepend_cnot(pr, cnot))
-
-            for cnot in zx.steiner_gauss(pl, arch):
-                if worthwhile(cnot):
-                    pl, poly, pr = accept(cnot)
-            for cnot in zx.steiner_gauss(pr, arch):
-                if worthwhile(cnot):
-                    pl, poly, pr = accept(cnot)
-            for control in range(arch.num_qubits):
-                for target in range(arch.num_qubits):
-                    if control != target and worthwhile(zx.Cnot(control, target)):
-                        pl, poly, pr = accept(zx.Cnot(control, target))
-            return pl, poly, pr
-
         rng = random.Random(29)
         accepted = 0
         for _ in range(240):
@@ -371,10 +376,47 @@ class TestOptimizeFast:
             poly = random_zx_poly(rng, q, rng.randint(0, 10))
             pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q)
                       for _ in range(2))
-            expected = per_candidate(pl, poly, pr, arch)
+            expected = _fast_per_candidate(pl, poly, pr, arch)
             assert zx.optimize_fast(pl, poly, pr, arch) == expected
             accepted += expected[1] != poly
         assert accepted >= 20
+
+    def test_skipped_seed_lists_change_nothing(self, monkeypatch):
+        # the reference synthesizes both seed lists on every sweep; fast
+        # skips one when no coupling edge can win
+        seeded = []
+        steiner_gauss = synth.steiner_gauss
+
+        def counting(m, arch):
+            seeded.append(m.rows)
+            return steiner_gauss(m, arch)
+
+        monkeypatch.setattr(synth, "steiner_gauss", counting)
+        rng = random.Random(36)
+        sweeps, accepted = 40, 0
+        for _ in range(sweeps):
+            q = rng.randint(6, 12)
+            family = rng.choice(sorted(ARCH_FAMILIES) + ["random"])
+            arch = (zx.Architecture(q, random_connected_graph(rng, q)) if family == "random"
+                    else ARCH_FAMILIES[family](q))
+            poly = random_zx_poly(rng, q, rng.randint(0, 10), rng.choice([None, 3]))
+            pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q, q)
+                      for _ in range(2))
+            expected = _fast_per_candidate(pl, poly, pr, arch)
+            assert zx.optimize_fast(pl, poly, pr, arch) == expected
+            accepted += expected[1] != poly
+        assert 0 < len(seeded) < 2 * sweeps  # some seed lists built, some skipped
+        assert accepted >= 10
+
+    def test_qaoa_synthesizes_no_parity_map(self, monkeypatch):
+        # on these MaxCut runs no coupling-edge CNOT beats the hop price when
+        # a seed source's turn comes, so fast synthesizes no flank; lowering
+        # the regions would, but `synthesize` does not lower
+        calls = []
+        monkeypatch.setattr(parity, "_shortest_variant", lambda m, arch: calls.append(m))
+        for seed in range(3):
+            zx.synthesize(zx.maxcut_qaoa(8, 0.5, 2, seed), zx.line(8), "fast")
+        assert calls == []
 
     def test_never_prices_a_parity_region_exactly(self, monkeypatch):
         # fast charges hop distances: its only parity work is steiner_gauss
@@ -596,7 +638,7 @@ class TestCostMemo:
         for polys, uncapped in cases:
             arch = zx.complete(polys[0].num_qubits)
             assert gates(polys, arch) == uncapped
-            assert len(arch.memos) == 8
+            assert len(arch.memos) == 9
             for name, memo in arch.memos.items():
                 if name == "exact":  # built whole, not through memo_put
                     assert len(memo) == (1 << 16 if arch.num_qubits == 4 else 0)
