@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:  # JSON nested too deep
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

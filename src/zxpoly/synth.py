@@ -10,17 +10,17 @@ total unitary while (ideally) shrinking the gadgets' leg trees.
 Cost conventions: a gadget is priced at twice its tree weight, and
 `effect_zx` is the change (after minus before) in that gadget-tree CNOT
 estimate, so negative is an improvement. Both optimizers are one greedy
-sweep, `_sweep`, with different flank pricers. A pricer gives the ceiling,
-what the two flanking parity regions are charged now, and each candidate's
-absorbed price, with the CNOT pair absorbed; the sweep accepts a candidate
-when effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices by
-`cnot_cost` through `parity.flank_pricer`, which owns every size-dependent
-choice (one move on each flank's packed exact-table index up to 4 qubits,
-above, the Steiner-Gauss length behind a lower-bound skip), so it accepts
-exactly when the total emitted-CNOT estimate strictly decreases.
-`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and costs no map;
-it synthesizes a flank only to list its CNOTs as seed candidates, and only
-when some coupling-edge candidate could be accepted.
+sweep, `_sweep`, over one candidate order, every ordered (control, target)
+pair, control-major, with different flank pricers; there are no candidate
+sources and no seed lists. A pricer gives the ceiling, what the two flanking
+parity regions are charged now, and each candidate's absorbed price, with
+the CNOT pair absorbed; the sweep accepts a candidate when
+effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices by `cnot_cost`
+through `parity.flank_pricer`, which owns every size-dependent choice (one
+move on each flank's packed exact-table index up to 4 qubits, above, the
+Steiner-Gauss length behind a lower-bound skip), so it accepts exactly when
+the total emitted-CNOT estimate strictly decreases. `optimize_fast` charges
+2*d(c, t) against a ceiling of 0 and neither costs nor synthesizes a map.
 
 The sweep reads every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
@@ -35,10 +35,10 @@ and after every accept. The sweep builds a `Cnot` for accepts only.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Callable, Iterable
+from typing import Callable
 
 from .arch import Architecture, memo_put
-from .parity import (  # cnot_cost: not called here, but perfbench's tracer wraps synth.cnot_cost
+from .parity import (  # cnot_cost, steiner_gauss: not called here, but perfbench's tracer wraps both
     ParityMap, append_cnot, cnot_cost, flank_pricer, identity_map, prepend_cnot, steiner_gauss,
 )
 from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
@@ -108,48 +108,39 @@ def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
     return tuple(effects)
 
 
-def _every_pair(pl: ParityMap, pr: ParityMap, table: list[list[int]]) -> Iterable[tuple[int, int]]:
-    """Every ordered (control, target) pair of distinct wires, control-major;
-    the zx table is not read."""
-    return permutations(range(pl.size), 2)
-
-
 def _sweep(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture,
     pricer: Callable[..., tuple[int, Callable[[int, int, int], int]]],
-    sources: Iterable[Callable[[ParityMap, ParityMap, list[list[int]]], Iterable[tuple[int, int]]]],
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
-    """The one greedy sweep: walk each candidate source in turn, called on
-    the flanks and the zx table as they stand when its turn comes (the
-    table changes only on an accept), and propagate a candidate
-    whose net, effect_zx + absorbed - ceiling, is negative; `pricer` is
-    asked again after each accept. `price` gets the budget ceiling -
-    effect_zx and, once the absorbed price reaches it, may answer any value
-    from the budget up to that price: the candidate is rejected either way
-    only because acceptance is strict, so a rule that accepted net == 0
-    would have to raise the budget by one."""
+    """The one greedy sweep: walk every ordered (control, target) pair of
+    distinct wires once, control-major, and propagate a candidate whose net,
+    effect_zx + absorbed - ceiling, is negative; `pricer` is asked again and
+    the zx table rebuilt after each accept. There is no other candidate
+    source. `price` gets the budget ceiling - effect_zx and, once the
+    absorbed price reaches it, may answer any value from the budget up to
+    that price: the candidate is rejected either way only because acceptance
+    is strict, so a rule that accepted net == 0 would have to raise the
+    budget by one."""
     ceiling, price = pricer(pl, pr, arch)
     table = _zx_table(poly, arch)
-    for source in sources:
-        for control, target in source(pl, pr, table):
-            zx = table[control][target]
-            if zx >= ceiling or zx + price(control, target, ceiling - zx) >= ceiling:
-                continue
-            cnot = Cnot(control, target)
-            pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-            poly = propagate_cnot_poly(poly, cnot)
-            ceiling, price = pricer(pl, pr, arch)
-            table = _zx_table(poly, arch)
+    for control, target in permutations(range(arch.num_qubits), 2):
+        zx = table[control][target]
+        if zx >= ceiling or zx + price(control, target, ceiling - zx) >= ceiling:
+            continue
+        cnot = Cnot(control, target)
+        pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
+        poly = propagate_cnot_poly(poly, cnot)
+        ceiling, price = pricer(pl, pr, arch)
+        table = _zx_table(poly, arch)
     return pl, poly, pr
 
 
 def optimize_gauss(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
-    """`_sweep` over all ordered pairs, pricing the flanks exactly through
-    `flank_pricer`: a CNOT is propagated whenever the total emitted-CNOT
-    estimate strictly drops."""
-    return _sweep(pl, poly, pr, arch, flank_pricer, (_every_pair,))
+    """`_sweep` pricing the flanks exactly through `flank_pricer`: a CNOT is
+    propagated whenever the total emitted-CNOT estimate strictly drops."""
+    return _sweep(pl, poly, pr, arch, flank_pricer)
 
 
 def optimize_fast(
@@ -157,25 +148,11 @@ def optimize_fast(
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
     """`_sweep` with the hop pricer: against a ceiling of 0 a candidate is
     charged 2*d(c, t), a heuristic estimate, not a bound on what the flanks
-    may cost, so it is accepted when effect_zx < -2*d(c, t). Candidates come
-    from the CNOTs of `steiner_gauss(pl)`, then of `steiner_gauss(pr)` as
-    those accepts left pr, then from all ordered pairs.
-
-    A seed list holds coupling-edge CNOTs only, and the table changes only
-    on an accept, so a seed source can accept nothing when no edge (c, t)
-    passes the sweep's test, table[c][t] < 0 and table[c][t] + hop(c, t)
-    < 0, as its turn comes: then its flank is not synthesized."""
+    may cost, so it is accepted when effect_zx < -2*d(c, t). It walks the
+    same candidates as `optimize_gauss`, with no seed lists, and neither
+    costs nor synthesizes a map."""
     hop = lambda c, t, budget: 2 * arch.dist[c][t]
-
-    def seeds(m: ParityMap, table: list[list[int]]) -> Iterable[tuple[int, int]]:
-        if not any(row[t] + hop(c, t, 0) < 0
-                   for c, row in enumerate(table) for t in arch.adj[c] if row[t] < 0):
-            return ()
-        return ((cnot.control, cnot.target) for cnot in steiner_gauss(m, arch))
-
-    return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop),
-                  (lambda pl, pr, table: seeds(pl, table),
-                   lambda pl, pr, table: seeds(pr, table), _every_pair))
+    return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop))
 
 
 def score(a: PhaseGadget, b: PhaseGadget, num_qubits: int) -> int:

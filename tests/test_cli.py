@@ -243,6 +243,24 @@ class TestSynthAndVerify:
                            f"--tol={tol}") == 2, tol
             assert "error:" in capsys.readouterr().err, tol
 
+    @pytest.mark.parametrize("reader", ["synth-in", "verify-poly", "verify-circuit", "arch-file",
+                                        "bench-grid"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, reader):
+        # deeper than the recursion limit, the JSON decoder raises RecursionError;
+        # an object, since an architecture argument is read as JSON only then
+        nested, poly_path, circ_path = tmp_path / "nested.json", tmp_path / "p.json", tmp_path / "c.json"
+        nested.write_text('{"edges": ' + "[" * 200000 + "]" * 200000 + "}")
+        poly_path.write_text(zx.ZXPolynomial(2, ()).to_json())
+        circ_path.write_text(zx.circuit_to_json(zx.Circuit(2, [])))
+        args = {"synth-in": ("synth", "--in", nested, "--arch", "line:2"),
+                "verify-poly": ("verify", "--poly", nested, "--circuit", circ_path),
+                "verify-circuit": ("verify", "--poly", poly_path, "--circuit", nested),
+                "arch-file": ("synth", "--in", poly_path, "--arch", nested),
+                "bench-grid": ("bench", "--grid", nested)}[reader]
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestAsciiNumbers:
     """Every number read from text is ASCII without underscores: int(), float()

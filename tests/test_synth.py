@@ -13,8 +13,7 @@ from zxpoly import arch as zx_arch, parity, sim, synth
 from zxpoly.parity import identity_map
 from conftest import (
     ARCH_FAMILIES, EXACT_ARCHS, effect_parity, exact_cnot_counts, gadget_cost, parity_unitary,
-    random_connected_graph, random_invertible_map, random_zx_poly, regions_unitary,
-    row_column_bound, star,
+    random_invertible_map, random_zx_poly, regions_unitary, row_column_bound, star,
 )
 
 PH = zx.Phase
@@ -318,25 +317,15 @@ class TestOptimizeGauss:
 
 def _fast_per_candidate(pl, poly, pr, arch):
     """`optimize_fast` one candidate at a time: `effect_zx` against -2*d(c, t)
-    for the CNOTs of `steiner_gauss(pl)`, then of `steiner_gauss(pr)`, both
-    always synthesized, then every ordered pair."""
-    def worthwhile(cnot):
-        return zx.effect_zx(poly, cnot, arch) < -2 * arch.dist[cnot.control][cnot.target]
-
-    def accept(cnot):
-        return (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
-                zx.prepend_cnot(pr, cnot))
-
-    for cnot in zx.steiner_gauss(pl, arch):
-        if worthwhile(cnot):
-            pl, poly, pr = accept(cnot)
-    for cnot in zx.steiner_gauss(pr, arch):
-        if worthwhile(cnot):
-            pl, poly, pr = accept(cnot)
+    for every ordered pair, control-major."""
     for control in range(arch.num_qubits):
         for target in range(arch.num_qubits):
-            if control != target and worthwhile(zx.Cnot(control, target)):
-                pl, poly, pr = accept(zx.Cnot(control, target))
+            if control == target:
+                continue
+            cnot = zx.Cnot(control, target)
+            if zx.effect_zx(poly, cnot, arch) < -2 * arch.dist[control][target]:
+                pl, poly, pr = (zx.append_cnot(pl, cnot), zx.propagate_cnot_poly(poly, cnot),
+                                zx.prepend_cnot(pr, cnot))
     return pl, poly, pr
 
 
@@ -381,37 +370,9 @@ class TestOptimizeFast:
             accepted += expected[1] != poly
         assert accepted >= 20
 
-    def test_skipped_seed_lists_change_nothing(self, monkeypatch):
-        # the reference synthesizes both seed lists on every sweep; fast
-        # skips one when no coupling edge can win
-        seeded = []
-        steiner_gauss = synth.steiner_gauss
-
-        def counting(m, arch):
-            seeded.append(m.rows)
-            return steiner_gauss(m, arch)
-
-        monkeypatch.setattr(synth, "steiner_gauss", counting)
-        rng = random.Random(36)
-        sweeps, accepted = 40, 0
-        for _ in range(sweeps):
-            q = rng.randint(6, 12)
-            family = rng.choice(sorted(ARCH_FAMILIES) + ["random"])
-            arch = (zx.Architecture(q, random_connected_graph(rng, q)) if family == "random"
-                    else ARCH_FAMILIES[family](q))
-            poly = random_zx_poly(rng, q, rng.randint(0, 10), rng.choice([None, 3]))
-            pl, pr = (identity_map(q) if rng.random() < 0.5 else random_invertible_map(rng, q, q)
-                      for _ in range(2))
-            expected = _fast_per_candidate(pl, poly, pr, arch)
-            assert zx.optimize_fast(pl, poly, pr, arch) == expected
-            accepted += expected[1] != poly
-        assert 0 < len(seeded) < 2 * sweeps  # some seed lists built, some skipped
-        assert accepted >= 10
-
     def test_qaoa_synthesizes_no_parity_map(self, monkeypatch):
-        # on these MaxCut runs no coupling-edge CNOT beats the hop price when
-        # a seed source's turn comes, so fast synthesizes no flank; lowering
-        # the regions would, but `synthesize` does not lower
+        # fast synthesizes no flank; lowering the regions would, but
+        # `synthesize` does not lower
         calls = []
         monkeypatch.setattr(parity, "_shortest_variant", lambda m, arch: calls.append(m))
         for seed in range(3):
@@ -419,12 +380,13 @@ class TestOptimizeFast:
         assert calls == []
 
     def test_never_prices_a_parity_region_exactly(self, monkeypatch):
-        # fast charges hop distances: its only parity work is steiner_gauss
+        # fast charges hop distances: it neither costs nor synthesizes a map
         def refuse(*args):
-            raise AssertionError("fast mode priced a parity region")
+            raise AssertionError("fast mode priced or synthesized a parity region")
 
         for module, name in ((parity, "cnot_cost"), (parity, "cnot_lower_bound"),
-                             (synth, "cnot_cost"), (synth, "flank_pricer")):
+                             (synth, "cnot_cost"), (synth, "flank_pricer"),
+                             (synth, "steiner_gauss")):
             monkeypatch.setattr(module, name, refuse)
         rng = random.Random(35)
         moved = 0
