@@ -39,7 +39,7 @@ from .poly import Phase, PhaseGadget, ZXPolynomial
 from .rules import (
     Cnot,
     commutes,
-    pi_commute_swap,
+    exchange,
     propagate_cnot_gadget,
     propagate_cnot_poly,
     try_merge,
@@ -61,7 +61,7 @@ __all__ = [
     "Architecture", "build_architecture", "line", "circle", "grid", "complete",
     "Phase", "PhaseGadget", "ZXPolynomial",
     "Cnot", "propagate_cnot_gadget", "propagate_cnot_poly", "commutes",
-    "pi_commute_swap", "try_merge",
+    "exchange", "try_merge",
     "ParityMap", "identity_map", "append_cnot", "prepend_cnot", "from_cnots",
     "steiner_gauss", "cnot_cost", "cnot_lower_bound",
     "simplify",

@@ -150,7 +150,7 @@ class Architecture:
 
         Returns the tree's edges over physical vertices; its weight is their
         number. A single terminal yields the empty tree. Each call builds
-        the tree (not memoized).
+        the tree.
         """
         terms = sorted(set(terminals))
         if not terms:
@@ -372,10 +372,12 @@ def build_architecture(spec: str | dict) -> Architecture:
 
     Accepts "line:Q", "circle:Q", "grid:RxC", "complete:Q", with Q, R and C
     in ASCII digits, or an explicit graph as {"qubits": Q, "edges": [[u, v],
-    ...]} (as a dict or JSON text).
+    ...]} (as a dict or JSON text). Any other parsed JSON value is rejected.
     """
-    if isinstance(spec, dict):
+    if not isinstance(spec, str):
         try:
+            if not isinstance(spec, dict):
+                raise TypeError(f"expected an object, got {type(spec).__name__}")
             for e in spec["edges"]:
                 if not isinstance(e, (list, tuple)) or len(e) != 2:
                     raise ValueError(f"malformed architecture JSON: edge {e!r} does not have two vertices")

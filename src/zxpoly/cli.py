@@ -51,7 +51,12 @@ def _load_circuit(path: str) -> circ.Circuit:
 
 
 def _load_arch(spec: str) -> Architecture:
-    return build_architecture(Path(spec).read_text() if spec.endswith(".json") else spec)
+    if not spec.endswith(".json"):
+        return build_architecture(spec)
+    graph = json.loads(Path(spec).read_text())
+    if isinstance(graph, str):  # build_architecture would read it as a descriptor
+        raise ValueError("malformed architecture JSON: expected an object, got str")
+    return build_architecture(graph)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -127,10 +127,9 @@ def _column_step(
     """Make column `pivot` a unit column using tree-edge row additions.
 
     Builds the terminal tree over the rows carrying the pivot bit plus the
-    pivot row inside the `allowed` vertex mask, rooted at the pivot (each
-    call builds it; no table keeps it), fills ones downward so every tree
-    row carries the bit, then eliminates upward so only the pivot row
-    keeps it. All ops stay inside `allowed`.
+    pivot row inside the `allowed` vertex mask, rooted at the pivot, fills
+    ones downward so every tree row carries the bit, then eliminates upward
+    so only the pivot row keeps it. All ops stay inside `allowed`.
     """
     bit = 1 << pivot
     carriers = sum(1 << r for r in mask_to_legs(allowed) if rows[r] & bit)

@@ -4,8 +4,8 @@ All rules are exact and unitary-preserving:
   * conjugating a gadget by a CNOT pair toggles one leg,
   * two gadgets commute iff they share a basis or overlap on an even
     number of wires,
-  * a non-commuting pair where one gadget has phase pi may still be
-    swapped by negating the other gadget's phase,
+  * `exchange` swaps adjacent gadgets: a commuting pair as it is, a
+    non-commuting pair with one pi phase by negating the other phase,
   * gadgets with identical basis and legs merge by adding phases.
 """
 
@@ -86,20 +86,20 @@ def commutes(a: PhaseGadget, b: PhaseGadget) -> bool:
     return (a.legs & b.legs).bit_count() % 2 == 0
 
 
-def pi_commute_swap(
+def exchange(
     a: PhaseGadget, b: PhaseGadget
 ) -> tuple[PhaseGadget, PhaseGadget] | None:
-    """Swap a non-commuting adjacent pair when one gadget has phase pi.
+    """Swap an adjacent pair of gadgets when a rule allows it.
 
     `(a, b)` is in temporal order (a applied first). Returns the swapped
-    pair `(b', a')`, again in temporal order, where the pi gadget passes
-    through unchanged and the other gadget's phase is negated, so that
-    U(b)*U(a) = U(a')*U(b'). Returns None when the pair already commutes
-    or when neither phase is pi. When both phases are pi the left gadget
-    is treated as the pi carrier (negating pi is a no-op).
+    pair `(b', a')`, again in temporal order, with U(b)*U(a) = U(a')*U(b'):
+    `(b, a)` when the pair commutes; otherwise, when one gadget has phase
+    pi, the pi gadget passes through unchanged and the other gadget's phase
+    is negated. Returns None when no rule applies. When both phases are pi
+    the left gadget is treated as the pi carrier (negating pi is a no-op).
     """
     if commutes(a, b):
-        return None
+        return b, a
     if a.phase.is_pi():
         return b.with_phase(-b.phase), a
     if b.phase.is_pi():

@@ -1,7 +1,7 @@
 """Peephole simplification of ZX polynomials.
 
 Each gadget tries to walk left toward the nearest gadget with the same
-basis and leg set, stepping only over neighbors it legally commutes with
+basis and leg set, stepping only over neighbors `exchange` lets it pass
 (freely, or via the pi rule, which flips one phase per step). If a merge
 partner is reached the two gadgets fuse by phase addition and a zero-phase
 result is dropped; if the walk is blocked first, nothing is changed. Zero
@@ -15,33 +15,30 @@ global phase.
 from __future__ import annotations
 
 from .poly import PhaseGadget, ZXPolynomial
-from .rules import commutes, pi_commute_swap, try_merge
+from .rules import exchange, try_merge
 
 
 def _attempt_merge_left(gadgets: list[PhaseGadget], start: int) -> bool:
     """Walk gadgets[start] leftward to its nearest merge partner.
 
-    On success the list is rewritten in place (partner replaced by the
-    merged gadget or dropped when its phase is zero, pi-flipped bystanders
-    updated) and True is returned. On failure the list is untouched.
+    On success the list is rewritten in place (partner merged, or dropped at
+    phase zero; passed neighbours in their `exchange`d forms) and True is
+    returned. On failure the list is untouched.
     """
     mover = gadgets[start]
-    flipped: dict[int, PhaseGadget] = {}
+    passed: list[PhaseGadget] = []
     for j in range(start - 1, -1, -1):
         left = gadgets[j]
         merged = try_merge(left, mover)
         if merged is not None:
             replacement = [] if merged.phase.is_zero() else [merged]
-            gadgets[j:start + 1] = replacement + [
-                flipped.get(k, gadgets[k]) for k in range(j + 1, start)
-            ]
+            gadgets[j:start + 1] = replacement + passed[::-1]
             return True
-        if commutes(left, mover):
-            continue
-        swapped = pi_commute_swap(left, mover)
+        swapped = exchange(left, mover)
         if swapped is None:
             return False
-        mover, flipped[j] = swapped
+        mover, left = swapped
+        passed.append(left)
     return False
 
 

@@ -11,16 +11,16 @@ Cost conventions: a gadget is priced at twice its tree weight, and
 `effect_zx` is the change (after minus before) in that gadget-tree CNOT
 estimate, so negative is an improvement. Both optimizers are one greedy
 sweep, `_sweep`, over one candidate order, every ordered (control, target)
-pair, control-major, with different flank pricers; there are no candidate
-sources and no seed lists. A pricer gives the ceiling, what the two flanking
-parity regions are charged now, and each candidate's absorbed price, with
-the CNOT pair absorbed; the sweep accepts a candidate when
-effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices by `cnot_cost`
-through `parity.flank_pricer`, which owns every size-dependent choice (one
-move on each flank's packed exact-table index up to 4 qubits, above, the
-Steiner-Gauss length behind a lower-bound skip), so it accepts exactly when
-the total emitted-CNOT estimate strictly decreases. `optimize_fast` charges
-2*d(c, t) against a ceiling of 0 and neither costs nor synthesizes a map.
+pair, control-major, with different flank pricers. A pricer gives the
+ceiling, what the two flanking parity regions are charged now, and each
+candidate's absorbed price, with the CNOT pair absorbed; the sweep accepts a
+candidate when effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices
+by `cnot_cost` through `parity.flank_pricer`, which owns every size-dependent
+choice (one move on each flank's packed exact-table index up to 4 qubits,
+above, the Steiner-Gauss length behind a lower-bound skip), so it accepts
+exactly when the total emitted-CNOT estimate strictly decreases.
+`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and neither costs
+nor synthesizes a map.
 
 The sweep reads every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
@@ -43,7 +43,7 @@ from .parity import (  # cnot_cost, steiner_gauss: not called here, but perfbenc
 )
 from .poly import PhaseGadget, ZXPolynomial, mask_to_legs
 from .rules import (
-    Cnot, commutes, pi_commute_swap, propagate_cnot_poly, propagated_legs, tested_toggled,
+    Cnot, exchange, propagate_cnot_poly, propagated_legs, tested_toggled,
 )
 
 
@@ -115,12 +115,11 @@ def _sweep(
     """The one greedy sweep: walk every ordered (control, target) pair of
     distinct wires once, control-major, and propagate a candidate whose net,
     effect_zx + absorbed - ceiling, is negative; `pricer` is asked again and
-    the zx table rebuilt after each accept. There is no other candidate
-    source. `price` gets the budget ceiling - effect_zx and, once the
-    absorbed price reaches it, may answer any value from the budget up to
-    that price: the candidate is rejected either way only because acceptance
-    is strict, so a rule that accepted net == 0 would have to raise the
-    budget by one."""
+    the zx table rebuilt after each accept. `price` gets the budget
+    ceiling - effect_zx and, once the absorbed price reaches it, may answer
+    any value from the budget up to that price: the candidate is rejected
+    either way only because acceptance is strict, so a rule that accepted
+    net == 0 would have to raise the budget by one."""
     ceiling, price = pricer(pl, pr, arch)
     table = _zx_table(poly, arch)
     for control, target in permutations(range(arch.num_qubits), 2):
@@ -149,8 +148,8 @@ def optimize_fast(
     """`_sweep` with the hop pricer: against a ceiling of 0 a candidate is
     charged 2*d(c, t), a heuristic estimate, not a bound on what the flanks
     may cost, so it is accepted when effect_zx < -2*d(c, t). It walks the
-    same candidates as `optimize_gauss`, with no seed lists, and neither
-    costs nor synthesizes a map."""
+    same candidates as `optimize_gauss` and neither costs nor synthesizes a
+    map."""
     hop = lambda c, t, budget: 2 * arch.dist[c][t]
     return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop))
 
@@ -169,26 +168,23 @@ def regroup(poly: ZXPolynomial) -> ZXPolynomial:
     """Insertion-sort-like regrouping pass.
 
     A gadget bubbles right while the gadget after it scores higher against
-    its predecessor than it does itself; each transposition is performed
-    only when legal (commuting, or pi-commutation with the mandated phase
-    flip), so the unitary is preserved up to global phase.
+    its predecessor than it does itself; each transposition is the pair
+    `exchange` returns and the bubble stops where it refuses, so the unitary
+    is preserved up to global phase.
     """
     gadgets = list(poly.gadgets)
     n = len(gadgets)
     q = poly.num_qubits
-    col = 1
-    while col < n - 1:
+    for col in range(1, n - 1):
         prev, cur, nxt = col - 1, col, col + 1
         while nxt < n and score(gadgets[prev], gadgets[cur], q) < score(
             gadgets[prev], gadgets[nxt], q
         ):
-            first, second = gadgets[cur], gadgets[nxt]
-            swapped = (second, first) if commutes(first, second) else pi_commute_swap(first, second)
+            swapped = exchange(gadgets[cur], gadgets[nxt])
             if swapped is None:
                 break
             gadgets[cur], gadgets[nxt] = swapped
             prev, cur, nxt = cur, nxt, nxt + 1
-        col += 1
     return ZXPolynomial(poly.num_qubits, tuple(gadgets))
 
 

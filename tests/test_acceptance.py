@@ -79,7 +79,9 @@ def test_criterion_1_rewrite_rule_soundness():
             a = a.with_phase(PH(1, 1))
         if rng.random() < 0.5:
             b = b.with_phase(PH(1, 1))
-        swapped = zx.pi_commute_swap(a, b)
+        if zx.commutes(a, b):
+            continue  # a commuting pair swaps as is; count only the pi rule's exchanges
+        swapped = zx.exchange(a, b)
         if swapped is None:
             continue
         swaps += 1

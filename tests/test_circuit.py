@@ -117,11 +117,28 @@ class TestLadderRoot:
                              ids=lambda a: a.name)
     def test_gather_length_is_root_independent(self, arch):
         # why the ladder may rotate on any one leg: its CNOT count is the same for each;
-        # on these graphs no tree leaf is a relay, so every tree edge and every relay carries
+        # 2w + 1 - k needs every tree leaf to be a leg, which KMB's last step (pruning
+        # non-terminal leaves) would ensure and `terminal_tree` does not; on these graphs
+        # no tree leaf is a relay, so every tree edge and every relay carries
         for legs in range(1, 1 << arch.num_qubits):
             lengths = {len(arch.gather(legs, root)) for root in mask_to_legs(legs)}
             assert len(lengths) == 1, (arch.name, bin(legs), lengths)
             assert lengths == {2 * arch.tree_weight(legs) + 1 - legs.bit_count()}, (arch.name, bin(legs))
+
+    def test_dead_relay_branch(self):
+        # the Prim paths 0->9 and 9->12 close the cycle 4-5-8-9-7-6-4, and the BFS prune
+        # from leg 0 keeps the relay branch 4-6-7, whose leaf 7 is not a leg; `gather`
+        # emits nothing for a branch without a leg, so only the bound below is sound
+        arch = zx.Architecture(13, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 8), (8, 9),
+                                    (4, 6), (6, 7), (7, 9), (4, 10), (10, 11), (11, 12)])
+        legs = 1 << 0 | 1 << 9 | 1 << 12
+        bound = 2 * arch.tree_weight(legs) + 1 - legs.bit_count()
+        for root in mask_to_legs(legs):
+            assert len(arch.gather(legs, root)) <= bound, root
+        for basis in "ZX":
+            g = zx.PhaseGadget(basis, legs, PH(1, 4))
+            circ = zx.steiner_gadget_circuit(g, arch)
+            assert sim.verify(zx.ZXPolynomial(13, (g,)), circ, arch)[:2] == ("certificate", True)
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_consecutive_legs_match_naive_on_line(self, q):

@@ -176,13 +176,14 @@ class TestSynthAndVerify:
 
     def test_explicit_arch_file(self, tmp_path):
         arch_path = tmp_path / "arch.json"
-        arch_path.write_text(json.dumps({"qubits": 3, "edges": [[0, 1], [1, 2]]}))
+        graph = json.dumps({"qubits": 3, "edges": [[0, 1], [1, 2]]})
+        arch_path.write_text(graph)
         poly_path = tmp_path / "poly.json"
         circ_path = tmp_path / "circ.qasm"
         poly_path.write_text(zx.random_poly(3, 4, 3, seed=7).to_json())
-        assert run_cli("synth", "--in", poly_path, "--arch", arch_path,
-                       "--out", circ_path) == 0
-        assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 0
+        for arch in (arch_path, graph):  # a file, or the same object inline
+            assert run_cli("synth", "--in", poly_path, "--arch", arch, "--out", circ_path) == 0
+            assert run_cli("verify", "--poly", poly_path, "--circuit", circ_path) == 0
 
     def test_bad_input_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -243,11 +244,25 @@ class TestSynthAndVerify:
                            f"--tol={tol}") == 2, tol
             assert "error:" in capsys.readouterr().err, tol
 
+    @pytest.mark.parametrize("text", ["[[0, 1]]", "[1, 2]", "3", "null", "true", '"line:4"',
+                                      json.dumps([[0, 1]] * 50000)],
+                             ids=["edge-list", "list", "number", "null", "bool", "string", "400kb"])
+    def test_arch_file_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        arch_path, poly_path = tmp_path / "arch.json", tmp_path / "poly.json"
+        arch_path.write_text(text)
+        poly_path.write_text(zx.random_poly(2, 3, 2, seed=1).to_json())
+        for args in (("synth", "--in", poly_path, "--arch", arch_path, "--out", tmp_path / "c.qasm"),
+                     ("verify", "--poly", poly_path, "--circuit", poly_path, "--arch", arch_path)):
+            assert run_cli(*args) == 2, args
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed architecture JSON: expected an object, got "), err
+            assert err.count("\n") == 1 and len(err) < 100, err
+        assert not (tmp_path / "c.qasm").exists()
+
     @pytest.mark.parametrize("reader", ["synth-in", "verify-poly", "verify-circuit", "arch-file",
                                         "bench-grid"])
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys, reader):
-        # deeper than the recursion limit, the JSON decoder raises RecursionError;
-        # an object, since an architecture argument is read as JSON only then
+        # deeper than the recursion limit, the JSON decoder raises RecursionError
         nested, poly_path, circ_path = tmp_path / "nested.json", tmp_path / "p.json", tmp_path / "c.json"
         nested.write_text('{"edges": ' + "[" * 200000 + "]" * 200000 + "}")
         poly_path.write_text(zx.ZXPolynomial(2, ()).to_json())

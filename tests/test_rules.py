@@ -81,30 +81,30 @@ class TestCommutes:
             assert zx.commutes(a, b) == numerically
 
 
-class TestPiCommuteSwap:
+class TestExchange:
     def test_canonical_example(self):
         # Z(alpha) then X(pi), odd overlap: X(pi) passes left, alpha negates
         a = zx.PhaseGadget.z([0, 1, 2], PH(1, 4))
         b = zx.PhaseGadget.x([2, 3], PH(1, 1))
         assert not zx.commutes(a, b)
-        swapped = zx.pi_commute_swap(a, b)
+        swapped = zx.exchange(a, b)
         assert swapped == (b, a.with_phase(PH(7, 4)))
 
     def test_double_pi(self):
         a = zx.PhaseGadget.z([0], PH(1, 1))
         b = zx.PhaseGadget.x([0], PH(1, 1))
-        assert zx.pi_commute_swap(a, b) == (b, a)
+        assert zx.exchange(a, b) == (b, a)
 
     def test_not_applicable(self):
         a = zx.PhaseGadget.z([0], PH(1, 4))
         b = zx.PhaseGadget.x([0], PH(1, 2))
-        assert zx.pi_commute_swap(a, b) is None  # no pi phase
+        assert zx.exchange(a, b) is None  # no pi phase
         c = zx.PhaseGadget.z([1], PH(1, 1))
-        assert zx.pi_commute_swap(a, c) is None  # already commutes
+        assert zx.exchange(a, c) == (c, a)  # already commutes: swapped as is
 
     def test_product_preserved_up_to_phase(self):
         rng = random.Random(303)
-        applicable = 0
+        applicable = commuting = 0
         while applicable < 300:
             q = rng.randint(1, 4)
             a, b = random_gadget(rng, q), random_gadget(rng, q)
@@ -112,16 +112,21 @@ class TestPiCommuteSwap:
                 a = a.with_phase(PH(1, 1))
             if rng.random() < 0.5:
                 b = b.with_phase(PH(1, 1))
-            swapped = zx.pi_commute_swap(a, b)
+            swapped = zx.exchange(a, b)
             if swapped is None:
                 continue
             applicable += 1
+            if zx.commutes(a, b):
+                commuting += 1
+                assert swapped == (b, a)
             first, second = swapped
             before = gadget_unitary(b, q) @ gadget_unitary(a, q)
             after = gadget_unitary(second, q) @ gadget_unitary(first, q)
             # phases are normalized into [0, 2pi), so the product is fixed
             # only up to the half-angle's global sign
             assert sim.equal_up_to_global_phase(before, after, 1e-12)
+        # both rules were exercised
+        assert 0 < commuting < applicable
 
 
 class TestMerge:
