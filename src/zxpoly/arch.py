@@ -53,13 +53,20 @@ Determinism conventions used throughout:
 Steiner trees are approximated by the minimum spanning tree of the terminal
 set's metric closure (the classic 2-approximation), expanded back into
 concrete shortest paths and pruned to a tree over physical vertices.
+
+The tree layer works on per-vertex neighbour bitmasks (a list of n ints).
+`terminal_tree` ORs the hops of each spanning-tree edge's `_walk`, the one
+path walk (`shortest_path` lists it), into them, and `rooted_tree`, the one
+rooting routine, a BFS visiting unvisited neighbours lowest bit first,
+prunes that union; `gather` and the Steiner-Gauss column step root
+`terminal_tree`'s edges with it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .poly import ascii_number, json_int, legs_to_mask, mask_to_legs
 
@@ -134,23 +141,31 @@ class Architecture:
         for w in (u, v):
             if not 0 <= w < self.num_qubits:
                 raise ValueError(f"vertex {w} out of range")
-        dist_to_v = self.distances_within(self._region(allowed))[v]
+        return [u, *self._walk(u, v, self.distances_within(self._region(allowed)))]
+
+    def _walk(self, u: int, v: int, dists) -> Iterator[int]:
+        """The vertices after u on the lexicographically smallest shortest
+        path from u to v, with `dists` a `distances_within` table: each step
+        moves to the lowest neighbour one hop nearer to v."""
+        dist_to_v = dists[v]
         if dist_to_v is None or dist_to_v[u] < 0:
             raise ValueError(f"no path from {u} to {v}")
-        path = [u]
-        cur = u
-        while cur != v:
-            cur = min(w for w in self.adj[cur] if dist_to_v[w] == dist_to_v[cur] - 1)
-            path.append(cur)
-        return path
+        adj = self.adj
+        for d in range(dist_to_v[u] - 1, -1, -1):
+            for u in adj[u]:  # ascending: the first one nearer is the lowest
+                if dist_to_v[u] == d:
+                    break
+            yield u
 
     def terminal_tree(self, terminals: Iterable[int], allowed: int = -1) -> TreeEdges:
         """Approximate Steiner tree connecting the terminals inside the
         `allowed` vertex mask (-1: anywhere).
 
-        Returns the tree's edges over physical vertices; its weight is their
-        number. A single terminal yields the empty tree. Each call builds
-        the tree.
+        Returns the tree's edges over physical vertices, sorted; its weight
+        is their number. A single terminal yields the empty tree. Each call
+        builds the tree: the `_walk` of each `_prim` edge ORs its hops into
+        per-vertex neighbour masks, whose union may have cycles, and
+        `rooted_tree` from the smallest terminal prunes it to its BFS tree.
         """
         terms = sorted(set(terminals))
         if not terms:
@@ -161,15 +176,20 @@ class Architecture:
                 raise ValueError(f"terminal {t} out of range")
             if not region >> t & 1:
                 raise ValueError(f"terminal {t} not in the allowed vertex set")
-        # Expand metric edges into concrete paths; the union may have cycles.
-        union_edges: set[tuple[int, int]] = set()
-        for u, v in self._prim(terms, self.distances_within(region)):
-            path = self.shortest_path(u, v, region)
-            for a, b in zip(path, path[1:]):
-                union_edges.add((min(a, b), max(a, b)))
-        # Prune the union back to a tree by BFS from the smallest terminal.
-        up, order = rooted_tree(union_edges, terms[0])
-        return tuple(sorted((min(v, up[v]), max(v, up[v])) for v in order[1:]))
+        dists = self.distances_within(region)
+        nbrs = [0] * self.num_qubits
+        for u, v in self._prim(terms, dists):
+            for w in self._walk(u, v, dists):
+                nbrs[u] |= 1 << w
+                nbrs[w] |= 1 << u
+                u = w
+        parent, order = rooted_tree(nbrs, terms[0])
+        edges = []
+        for v in order[1:]:
+            u = parent[v]
+            edges.append((u, v) if u < v else (v, u))
+        edges.sort()
+        return tuple(edges)
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs`
@@ -183,24 +203,26 @@ class Architecture:
         has one edge per vertex but its root. So the weight is |V(U)| - 1, where V(U)
         is the terminals together with the vertices of those paths: the OR
         of `legs` and each edge's "span" mask.
-        One or two terminals: the tree is the one shortest path, so the
-        weight is their distance (no Prim, no "span" or "weight" read).
-        Three or more: the "weight" table answers a mask weighed before.
+        The popcount decides first. One or two terminals: the tree is the
+        one shortest path, so the weight is their distance (no Prim, no
+        "span" or "weight" read). Three or more: the "weight" table answers
+        a mask weighed before; only a miss lists the terminals.
         """
-        terms = mask_to_legs(legs)
         n = self.num_qubits
-        if not terms:
-            raise ValueError("terminal set must be non-empty")
-        if terms[-1] >= n:
-            raise ValueError(f"terminal {terms[-1]} out of range")
-        if len(terms) <= 2:
-            return self.dist[terms[0]][terms[-1]]
+        if legs <= 0 or legs >> n:
+            if legs < 0:
+                raise ValueError(f"negative mask {legs}")
+            if not legs:
+                raise ValueError("terminal set must be non-empty")
+            raise ValueError(f"terminal {legs.bit_length() - 1} out of range")
+        if legs.bit_count() <= 2:
+            return self.dist[(legs & -legs).bit_length() - 1][legs.bit_length() - 1]
         weight = self.memos["weight"].get(legs)
         if weight is not None:
             return weight
         spans = self.memos["span"]
         covered = legs
-        for u, v in self._prim(terms, self.dist):
+        for u, v in self._prim(mask_to_legs(legs), self.dist):
             span = spans.get(u * n + v)
             if span is None:
                 span = memo_put(spans, u * n + v, legs_to_mask(self.shortest_path(u, v)))
@@ -220,31 +242,44 @@ class Architecture:
         and replaying the ops that do not target the root in reverse
         restores every other row. Raises ValueError when `root` is not in
         `terms`.
+
+        On masks: the reversed BFS order marks the carrying vertices, each
+        sets its bit in its parent's child mask, and a stack descends into
+        the lowest unvisited child bit.
         """
-        if not (0 <= root < self.num_qubits and terms >> root & 1):
+        n = self.num_qubits
+        if not (0 <= root < n and terms >> root & 1):
             raise ValueError(f"root {root} is not a terminal")
-        key = terms * self.num_qubits + root
+        key = terms * n + root
         cached = self.memos["gather"].get(key)
         if cached is not None:
             return cached
-        parent, order = rooted_tree(self.terminal_tree(mask_to_legs(terms), -1), root)
+        tree = self.terminal_tree(mask_to_legs(terms), -1)
+        parent, order = rooted_tree(neighbour_masks(tree, n), root)
         carries = terms  # vertices whose subtree holds a terminal
         for v in reversed(order):
             if carries >> v & 1:
                 carries |= 1 << parent[v]
-        children: dict[int, list[int]] = {v: [] for v in order}
-        for v in order[1:]:  # BFS order lists each vertex's children ascending
+        children = [0] * n
+        for v in order[1:]:
             if carries >> v & 1:
-                children[parent[v]].append(v)
+                children[parent[v]] |= 1 << v
         ops: list[tuple[int, int]] = []
-        stack = [(child, False) for child in reversed(children[root])]
+        stack = [root]
         while stack:
-            v, done = stack.pop()
-            if not done:
-                stack.append((v, True))
-                stack.extend((child, False) for child in reversed(children[v]))
-            if done or not terms >> v & 1:
-                ops.append((v, parent[v]))
+            v = stack[-1]
+            rest = children[v]
+            if rest:
+                low = rest & -rest
+                children[v] = rest ^ low
+                child = low.bit_length() - 1
+                if not terms >> child & 1:
+                    ops.append((child, v))
+                stack.append(child)
+            else:
+                stack.pop()
+                if stack:
+                    ops.append((v, parent[v]))
         return memo_put(self.memos["gather"], key, tuple(ops))
 
     def non_cut_vertices(self, vertices: int) -> int:
@@ -276,52 +311,64 @@ class Architecture:
     def _prim(terms: list[int], dist) -> list[tuple[int, int]]:
         """Edges (u, v), u < v, of the metric closure's minimum spanning
         tree over the ascending `terms`, with `dist` the hop table over n
-        vertices. Prim, grown from the smallest terminal: best[t] is the
-        least key of an edge from the tree to t, the edge (u, v) at distance
-        d keyed by the one int (d * n + u) * n + v, which orders as the
-        tuple (d, u, v) does since u, v < n. Keys are distinct, so the
-        spanning tree is unique."""
+        vertices. Prim, grown from the smallest terminal: keys[i] is the
+        least key of an edge from the tree to the terminal rest[i], the edge
+        (u, v) at distance d keyed by the one int (d * n + u) * n + v, which
+        orders as the tuple (d, u, v) does since u, v < n. Keys are
+        distinct, so the spanning tree is unique."""
         n = len(dist)
-        root = terms[0]
-        best = {t: (dist[root][t] * n + root) * n + t for t in terms[1:]}
+        root, *rest = terms
+        row = dist[root]
+        keys = [(row[t] * n + root) * n + t for t in rest]
         chosen: list[tuple[int, int]] = []
-        while best:
-            t = min(best, key=best.__getitem__)
-            key = best.pop(t)
+        while keys:
+            i = keys.index(min(keys))
+            key = keys.pop(i)
+            t = rest.pop(i)
             chosen.append((key // n % n, key % n))
             row = dist[t]
-            for s in best:
+            for j, s in enumerate(rest):
                 key = (row[s] * n + t) * n + s if t < s else (row[s] * n + s) * n + t
-                if key < best[s]:
-                    best[s] = key
+                if key < keys[j]:
+                    keys[j] = key
         return chosen
 
     def __repr__(self) -> str:
         return f"Architecture({self.name!r}, qubits={self.num_qubits}, edges={len(self.edges)})"
 
 
-def rooted_tree(edges: Iterable[tuple[int, int]], root: int) -> tuple[dict[int, int], list[int]]:
-    """Root an undirected tree edge set; return (parent map, BFS vertex order).
-
-    Children are visited in ascending index order; the root maps to itself.
-    Given edges with cycles, the parent map is their BFS spanning tree.
-    """
-    nbrs: dict[int, list[int]] = {root: []}
+def neighbour_masks(edges: Iterable[tuple[int, int]], num_qubits: int) -> list[int]:
+    """Per-vertex neighbour bitmasks of an undirected edge set over
+    vertices 0..num_qubits-1: bit b of entry a is set for each edge (a, b)."""
+    nbrs = [0] * num_qubits
     for a, b in edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    for ns in nbrs.values():
-        ns.sort()
-    parent = {root: root}
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return nbrs
+
+
+def rooted_tree(nbrs: list[int], root: int) -> tuple[list[int], list[int]]:
+    """Root a graph given by per-vertex neighbour bitmasks at `root`;
+    return (parent list, BFS vertex order) over the vertices reached.
+
+    Each vertex of the order visits its unvisited neighbours lowest bit
+    first, so children come in ascending index order; the root is its own
+    parent, and unreached vertices have parent -1. Given a graph with
+    cycles, the parents form its BFS spanning tree.
+    """
+    parent = [-1] * len(nbrs)
+    parent[root] = root
+    seen = 1 << root
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
+    for u in order:  # the order grows behind the loop: a BFS queue
+        fresh = nbrs[u] & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            v = low.bit_length() - 1
+            parent[v] = u
+            order.append(v)
+            fresh ^= low
     return parent, order
 
 

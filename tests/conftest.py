@@ -38,6 +38,14 @@ EXACT_ARCHS = [zx.line(3), zx.circle(3), zx.complete(3), zx.line(4), zx.circle(4
                zx.complete(4), zx.grid(2, 2), star(4)]
 
 
+def dead_relay_graph() -> zx.Architecture:
+    """13 vertices where the Prim paths of the terminals {0, 9, 12}, 0->9
+    and 9->12, close the cycle 4-5-8-9-7-6-4, and the BFS prune from 0
+    keeps the relay branch 4-6-7, whose leaf 7 is no terminal."""
+    return zx.Architecture(13, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 8), (8, 9),
+                                (4, 6), (6, 7), (7, 9), (4, 10), (10, 11), (11, 12)])
+
+
 def random_gadget(rng: random.Random, q: int, max_legs: int | None = None) -> zx.PhaseGadget:
     basis = "Z" if rng.random() < 0.5 else "X"
     count = rng.randint(1, max_legs or q)
@@ -72,6 +80,33 @@ def bfs_distances(num_qubits: int, edges, source: int) -> list[int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+# The dict-based rooting the mask BFS `zxpoly.arch.rooted_tree` replaced,
+# kept as its reference.
+def rooted_tree(edges, root: int) -> tuple[dict[int, int], list[int]]:
+    """Root an undirected tree edge set; return (parent map, BFS vertex order).
+
+    Children are visited in ascending index order; the root maps to itself.
+    Given edges with cycles, the parent map is their BFS spanning tree.
+    """
+    nbrs: dict[int, list[int]] = {root: []}
+    for a, b in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    for ns in nbrs.values():
+        ns.sort()
+    parent = {root: root}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+                queue.append(v)
+    return parent, order
 
 
 def exact_steiner_weight(arch: zx.Architecture, terminals: set[int]) -> int:

@@ -7,10 +7,10 @@ import pytest
 
 import zxpoly as zx
 from zxpoly import arch as zx_arch
-from zxpoly.arch import rooted_tree
 from zxpoly.poly import mask_to_legs
 from conftest import (
-    ARCH_FAMILIES, bfs_distances, exact_steiner_weight, random_connected_graph, star,
+    ARCH_FAMILIES, bfs_distances, dead_relay_graph, exact_steiner_weight, random_connected_graph,
+    rooted_tree, star,
 )
 
 
@@ -378,6 +378,55 @@ def _connected(arch, vertices):
     members = [v for v in range(arch.num_qubits) if vertices >> v & 1]
     dist = _sub_distances(arch, vertices, members[0])
     return all(dist[v] >= 0 for v in members)
+
+
+def _path_union(arch, terms, region):
+    """The edges of the shortest paths along the Prim edges of `terms`
+    inside `region`: the graph, cycles included, that `terminal_tree` prunes."""
+    union = set()
+    for u, v in zx_arch.Architecture._prim(terms, arch.distances_within(region)):
+        path = arch.shortest_path(u, v, region)
+        union.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return union
+
+
+def _assert_roots_as_reference(arch, edges, root):
+    parent, order = zx_arch.rooted_tree(zx_arch.neighbour_masks(edges, arch.num_qubits), root)
+    ref_parent, ref_order = rooted_tree(edges, root)
+    assert order == ref_order, (arch.name, sorted(edges), root)
+    assert parent == [ref_parent.get(v, -1) for v in range(arch.num_qubits)], \
+        (arch.name, sorted(edges), root)
+
+
+class TestRootedTree:
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_matches_reference_on_trees_and_path_unions(self, arch):
+        # every terminal tree at each terminal, and the path union it is
+        # pruned from and the region's own edges, cycles included, at each
+        # of their vertices: a child order other than ascending differs
+        for region in range(1, 1 << arch.num_qubits):
+            dist = arch.distances_within(region)
+            induced = [(u, v) for u, v in arch.edges if region >> u & 1 and region >> v & 1]
+            for root in mask_to_legs(region):
+                _assert_roots_as_reference(arch, induced, root)
+            for terms_mask in range(1, region + 1):
+                terms = mask_to_legs(terms_mask)
+                if terms_mask & ~region or min(dist[terms[0]][t] for t in terms) < 0:
+                    continue  # outside the region, or no tree joins them in it
+                union = _path_union(arch, terms, region)
+                for root in terms:
+                    _assert_roots_as_reference(arch, arch.terminal_tree(terms, region), root)
+                for root in sorted({v for e in union for v in e} | {terms[0]}):
+                    _assert_roots_as_reference(arch, union, root)
+
+    def test_matches_reference_on_dead_relay_unions(self):
+        # the one graph here whose path union has a cycle, 4-5-8-9-7-6-4 for {0, 9, 12}
+        arch = dead_relay_graph()
+        assert {(4, 5), (5, 8), (8, 9), (4, 6), (6, 7), (7, 9)} <= _path_union(arch, [0, 9, 12], -1)
+        for terms in range(1, 1 << arch.num_qubits):
+            union = _path_union(arch, mask_to_legs(terms), -1)
+            for root in sorted({v for e in union for v in e} | {mask_to_legs(terms)[0]}):
+                _assert_roots_as_reference(arch, union, root)
 
 
 class TestGraphMemos:

@@ -11,9 +11,11 @@ import pytest
 
 import zxpoly as zx
 from zxpoly import sim
-from zxpoly.arch import rooted_tree
 from zxpoly.poly import mask_to_legs
-from conftest import gadget_unitary, random_gadget, random_invertible_map, random_zx_poly, star
+from conftest import (
+    dead_relay_graph, gadget_unitary, random_gadget, random_invertible_map, random_zx_poly,
+    rooted_tree, star,
+)
 
 PH = zx.Phase
 
@@ -129,8 +131,7 @@ class TestLadderRoot:
         # the Prim paths 0->9 and 9->12 close the cycle 4-5-8-9-7-6-4, and the BFS prune
         # from leg 0 keeps the relay branch 4-6-7, whose leaf 7 is not a leg; `gather`
         # emits nothing for a branch without a leg, so only the bound below is sound
-        arch = zx.Architecture(13, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 8), (8, 9),
-                                    (4, 6), (6, 7), (7, 9), (4, 10), (10, 11), (11, 12)])
+        arch = dead_relay_graph()
         legs = 1 << 0 | 1 << 9 | 1 << 12
         bound = 2 * arch.tree_weight(legs) + 1 - legs.bit_count()
         for root in mask_to_legs(legs):
