@@ -290,8 +290,10 @@ class Architecture:
             cached = 0
             for v in mask_to_legs(vertices):
                 rest = vertices & ~(1 << v)
-                reach = self.bfs(rest.bit_length() - 1, rest) if rest else []
-                if all(reach[u] >= 0 for u in mask_to_legs(rest)):
+                # the BFS stays inside `rest`, so it reaches all of it iff
+                # it leaves just the vertices outside `rest` unreached
+                outside = self.num_qubits - rest.bit_count()
+                if not rest or self.bfs(rest.bit_length() - 1, rest).count(-1) == outside:
                     cached |= 1 << v
             cached = memo_put(self.memos["non_cut"], vertices, cached)
         return cached

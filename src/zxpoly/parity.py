@@ -134,7 +134,13 @@ def _column_step(
     keeps it. All ops stay inside `allowed`.
     """
     bit = 1 << pivot
-    carriers = sum(1 << r for r in mask_to_legs(allowed) if rows[r] & bit)
+    carriers = 0
+    region = allowed
+    while region:
+        low = region & -region
+        if rows[low.bit_length() - 1] & bit:
+            carriers |= low
+        region ^= low
     if not carriers:
         raise ValueError("parity map is singular")
     if carriers == bit:
@@ -348,8 +354,11 @@ def _structured(remaining: int, rows: list[int]) -> int:
     """Mask of the remaining vertices still carrying matrix structure: an
     off-diagonal bit in their row, or in their column among the remaining rows."""
     structured = 0
-    for u in mask_to_legs(remaining):
-        structured |= rows[u] & ~(1 << u) | (rows[u] != 1 << u) << u
+    while remaining:
+        low = remaining & -remaining
+        u = low.bit_length() - 1
+        structured |= rows[u] & ~low | (rows[u] != low) << u
+        remaining ^= low
     return structured
 
 

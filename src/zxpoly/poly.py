@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
+from math import gcd, pi
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -26,18 +26,26 @@ class Phase:
     """An angle of (numerator/denominator)*pi, normalized into [0, 2pi).
 
     Stored in lowest terms with a positive denominator, so equal angles
-    always compare equal. Addition and negation are modulo 2*pi.
+    always compare equal. The integers are normalized directly: the sign
+    moves onto the numerator, both are divided by their `math.gcd` and the
+    numerator is taken modulo 2 * denominator, which is `Fraction(n, d) % 2`
+    without building a Fraction. Addition and negation are modulo 2*pi,
+    on the integers too.
     """
 
     numerator: int
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        if self.denominator == 0:
+        n, d = self.numerator, self.denominator
+        if d == 0:
             raise ValueError("phase denominator must be nonzero")
-        frac = Fraction(self.numerator, self.denominator) % 2
-        object.__setattr__(self, "numerator", frac.numerator)
-        object.__setattr__(self, "denominator", frac.denominator)
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)  # d when n is 0, so zero is stored as 0/1
+        d //= g
+        object.__setattr__(self, "numerator", n // g % (2 * d))
+        object.__setattr__(self, "denominator", d)
 
     @staticmethod
     def from_fraction(frac: Fraction) -> "Phase":
@@ -66,10 +74,11 @@ class Phase:
         return self.numerator == 1 and self.denominator == 1
 
     def __add__(self, other: "Phase") -> "Phase":
-        return Phase.from_fraction(self.as_fraction() + other.as_fraction())
+        d, e = self.denominator, other.denominator
+        return Phase(self.numerator * e + other.numerator * d, d * e)
 
     def __neg__(self) -> "Phase":
-        return Phase.from_fraction(-self.as_fraction())
+        return Phase(-self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"

@@ -7,6 +7,11 @@ All rules are exact and unitary-preserving:
   * `exchange` swaps adjacent gadgets: a commuting pair as it is, a
     non-commuting pair with one pi phase by negating the other phase,
   * gadgets with identical basis and legs merge by adding phases.
+
+The exchange is one rule in two parts: `exchange_rule` decides, from the
+bases, legs and `is_pi` alone, which phase (if any) a swap negates, and
+`exchange` applies that decision. A walk that only needs to know whether
+a gadget can pass (`simplify`) reads the decision and builds nothing.
 """
 
 from __future__ import annotations
@@ -86,6 +91,32 @@ def commutes(a: PhaseGadget, b: PhaseGadget) -> bool:
     return (a.legs & b.legs).bit_count() % 2 == 0
 
 
+# The phases an exchange negates, as a mask over the pair (a, b).
+NEGATE_FIRST = 1
+NEGATE_SECOND = 2
+
+
+def exchange_rule(a: PhaseGadget, b: PhaseGadget) -> int | None:
+    """Which phase swapping the adjacent pair `(a, b)` negates, or None
+    when no rule lets them swap.
+
+    `(a, b)` is in temporal order (a applied first). The result is a mask
+    over the pair: 0 when the pair commutes (neither phase changes);
+    otherwise, when one gadget has phase pi, the pi gadget passes through
+    unchanged and the other's phase is negated: NEGATE_SECOND when a has
+    phase pi, NEGATE_FIRST when only b has. When both phases are pi the
+    left gadget is treated as the pi carrier (negating pi is a no-op).
+    Reads only bases, legs and `is_pi`, so it builds no gadget or phase.
+    """
+    if commutes(a, b):
+        return 0
+    if a.phase.is_pi():
+        return NEGATE_SECOND
+    if b.phase.is_pi():
+        return NEGATE_FIRST
+    return None
+
+
 def exchange(
     a: PhaseGadget, b: PhaseGadget
 ) -> tuple[PhaseGadget, PhaseGadget] | None:
@@ -93,18 +124,17 @@ def exchange(
 
     `(a, b)` is in temporal order (a applied first). Returns the swapped
     pair `(b', a')`, again in temporal order, with U(b)*U(a) = U(a')*U(b'):
-    `(b, a)` when the pair commutes; otherwise, when one gadget has phase
-    pi, the pi gadget passes through unchanged and the other gadget's phase
-    is negated. Returns None when no rule applies. When both phases are pi
-    the left gadget is treated as the pi carrier (negating pi is a no-op).
+    the pair with the phases `exchange_rule` names negated. Returns None
+    when no rule applies.
     """
-    if commutes(a, b):
-        return b, a
-    if a.phase.is_pi():
-        return b.with_phase(-b.phase), a
-    if b.phase.is_pi():
-        return b, a.with_phase(-a.phase)
-    return None
+    rule = exchange_rule(a, b)
+    if rule is None:
+        return None
+    if rule & NEGATE_FIRST:
+        a = a.with_phase(-a.phase)
+    if rule & NEGATE_SECOND:
+        b = b.with_phase(-b.phase)
+    return b, a
 
 
 def try_merge(a: PhaseGadget, b: PhaseGadget) -> PhaseGadget | None:

@@ -4,8 +4,8 @@ The oracles here are deliberately naive (BFS, exhaustive search, explicit
 matrix algebra) so they stay independent of the library code they check.
 The references at the end are definitions the library itself does not
 need: plain Gauss-Jordan synthesis, a gadget's cost, a parity region's
-absorption effect, and the unitaries of gadgets, parity maps and region
-lists.
+absorption effect, the unitaries of gadgets, parity maps and region
+lists, and the `exchange`-based peephole walk `simplify` replaced.
 """
 
 from __future__ import annotations
@@ -292,3 +292,49 @@ def regions_unitary(regions: list) -> np.ndarray:
             raise ValueError(f"{kind} has {size(region)} qubits, the list {q}")
         mat = (parity_unitary(region) if is_map else sim.poly_unitary(region)) @ mat
     return mat
+
+
+# The walk `zxpoly.simplify` replaced, which builds each passed neighbour's
+# `exchange`d form as it goes, kept as its reference.
+def _attempt_merge_left(gadgets: list[zx.PhaseGadget], start: int) -> bool:
+    """Walk gadgets[start] leftward to its nearest merge partner.
+
+    On success the list is rewritten in place (partner merged, or dropped at
+    phase zero; passed neighbours in their `exchange`d forms) and True is
+    returned. On failure the list is untouched.
+    """
+    mover = gadgets[start]
+    passed: list[zx.PhaseGadget] = []
+    for j in range(start - 1, -1, -1):
+        left = gadgets[j]
+        merged = zx.try_merge(left, mover)
+        if merged is not None:
+            replacement = [] if merged.phase.is_zero() else [merged]
+            gadgets[j:start + 1] = replacement + passed[::-1]
+            return True
+        swapped = zx.exchange(left, mover)
+        if swapped is None:
+            return False
+        mover, left = swapped
+        passed.append(left)
+    return False
+
+
+def reference_simplify(poly: zx.ZXPolynomial) -> zx.ZXPolynomial:
+    """Merge, remove, and commute gadgets until no pass changes anything."""
+    gadgets = list(poly.gadgets)
+    changed = True
+    while changed:
+        changed = False
+        kept = [g for g in gadgets if not g.phase.is_zero()]
+        if len(kept) != len(gadgets):
+            gadgets = kept
+            changed = True
+        i = 1
+        while i < len(gadgets):
+            if _attempt_merge_left(gadgets, i):
+                changed = True
+                i = max(i - 1, 1)
+            else:
+                i += 1
+    return zx.ZXPolynomial(poly.num_qubits, tuple(gadgets))

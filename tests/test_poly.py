@@ -4,11 +4,12 @@ import dataclasses
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from zxpoly import Phase, PhaseGadget, ZXPolynomial
-from zxpoly.poly import legs_to_mask
+from zxpoly.poly import COEFFICIENT_BITS, legs_to_mask
 
 
 class TestPhase:
@@ -35,6 +36,9 @@ class TestPhase:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             Phase(1, 0)
+        with pytest.raises(ValueError):
+            Phase(0, 0)
+
 
     def test_parse_and_str(self):
         assert Phase.parse("1/2") == Phase(1, 2)
@@ -76,6 +80,66 @@ class TestPhase:
             for p in shuffled:
                 total_b = total_b + p
             assert total_a == total_b
+
+
+def fraction_phase(numerator: int, denominator: int) -> tuple[int, int]:
+    """The (numerator, denominator) that `Fraction(n, d) % 2` normalizes to."""
+    frac = Fraction(numerator, denominator) % 2
+    return frac.numerator, frac.denominator
+
+
+def as_pair(phase: Phase) -> tuple[int, int]:
+    return phase.numerator, phase.denominator
+
+
+class TestIntegerNormalization:
+    """The integer normalization and arithmetic agree with Fraction's % 2."""
+
+    def random_parts(self, rng: random.Random, bits: int) -> tuple[int, int]:
+        numerator = rng.randint(-(1 << bits), 1 << bits)
+        denominator = 0
+        while not denominator:
+            denominator = rng.randint(-(1 << bits), 1 << bits)
+        return numerator, denominator
+
+    def test_normalization_matches_fraction(self):
+        rng = random.Random(40)
+        for bits in (1, 3, 8, 64):
+            for _ in range(300):
+                n, d = self.random_parts(rng, bits)
+                assert as_pair(Phase(n, d)) == fraction_phase(n, d)
+
+    def test_negative_denominators_and_zero(self):
+        for n in range(-9, 10):
+            for d in (-8, -4, -3, -1, 1, 3, 4, 8):
+                assert as_pair(Phase(n, d)) == fraction_phase(n, d)
+        assert as_pair(Phase(0, -7)) == (0, 1)
+        assert as_pair(Phase(0)) == (0, 1)
+
+    def test_add_and_negate_match_fraction(self):
+        rng = random.Random(41)
+        for bits in (2, 5, 40):
+            for _ in range(300):
+                a, b = Phase(*self.random_parts(rng, bits)), Phase(*self.random_parts(rng, bits))
+                fa, fb = a.as_fraction(), b.as_fraction()
+                assert as_pair(a + b) == fraction_phase(*(fa + fb).as_integer_ratio())
+                assert as_pair(-a) == fraction_phase(*(-fa).as_integer_ratio())
+
+    def test_coefficient_bits_parts(self):
+        # parts of exactly COEFFICIENT_BITS bits, the widest a QASM angle may reach
+        rng = random.Random(42)
+
+        def wide() -> int:
+            magnitude = 1 << (COEFFICIENT_BITS - 1) | rng.getrandbits(COEFFICIENT_BITS - 1)
+            return magnitude if rng.random() < 0.5 else -magnitude
+
+        for _ in range(5):
+            n, d = wide(), wide()
+            assert as_pair(Phase(n, d)) == fraction_phase(n, d)
+            a, b = Phase(n, d), Phase(wide(), wide())
+            assert as_pair(a + b) == fraction_phase(
+                *(a.as_fraction() + b.as_fraction()).as_integer_ratio())
+            assert as_pair(-a) == fraction_phase(*(-a.as_fraction()).as_integer_ratio())
 
 
 class TestPhaseGadget:

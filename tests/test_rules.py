@@ -7,6 +7,7 @@ import pytest
 
 import zxpoly as zx
 from zxpoly import sim
+from zxpoly.rules import NEGATE_FIRST, NEGATE_SECOND, exchange_rule
 from conftest import gadget_unitary, random_gadget
 
 PH = zx.Phase
@@ -127,6 +128,38 @@ class TestExchange:
             assert sim.equal_up_to_global_phase(before, after, 1e-12)
         # both rules were exercised
         assert 0 < commuting < applicable
+
+
+class TestExchangeRule:
+    def test_outcomes(self):
+        z, x = zx.PhaseGadget.z([0], PH(1, 4)), zx.PhaseGadget.x([0], PH(1, 4))
+        pi_z, pi_x = z.with_phase(PH(1, 1)), x.with_phase(PH(1, 1))
+        assert exchange_rule(z, zx.PhaseGadget.x([1], PH(1, 4))) == 0  # commutes
+        assert exchange_rule(pi_z, x) == NEGATE_SECOND
+        assert exchange_rule(z, pi_x) == NEGATE_FIRST
+        assert exchange_rule(pi_z, pi_x) == NEGATE_SECOND  # the left one carries pi
+        assert exchange_rule(z, x) is None
+
+    def test_exchange_applies_the_decision(self):
+        rng = random.Random(505)
+        seen = set()
+        for _ in range(2000):
+            q = rng.randint(1, 4)
+            a, b = random_gadget(rng, q), random_gadget(rng, q)
+            if rng.random() < 0.4:
+                a = a.with_phase(PH(1, 1))
+            if rng.random() < 0.4:
+                b = b.with_phase(PH(1, 1))
+            rule = exchange_rule(a, b)
+            seen.add(rule)
+            if rule is None:
+                assert zx.exchange(a, b) is None
+                continue
+            negated_a = a.with_phase(-a.phase) if rule & NEGATE_FIRST else a
+            negated_b = b.with_phase(-b.phase) if rule & NEGATE_SECOND else b
+            assert zx.exchange(a, b) == (negated_b, negated_a)
+        # every outcome came up
+        assert seen == {None, 0, NEGATE_FIRST, NEGATE_SECOND}
 
 
 class TestMerge:
