@@ -25,8 +25,10 @@ takes a candidate's two flanks once and prices each CNOT absorbed into
 them. Up to EXACT_QUBITS it reads the packed indices: the append move (the
 control row onto the target row) of the BFS and the walk-back for the left
 flank, and the prepend move (the target column onto the control column)
-for the right. Above, it answers with `cnot_lower_bound` when that already
-spends the sweep's budget, and synthesizes the two maps otherwise.
+for the right. Above, it absorbs the CNOT into copies of the flanks' row
+tuples and bounds both with `_rows_lower_bound`, the formula of
+`cnot_lower_bound`; it answers with that bound when it already spends the
+sweep's budget, and builds and synthesizes the two maps otherwise.
 
 `_sequence` is the one sequence read of `steiner_gauss` at every size, and
 of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -502,15 +504,26 @@ def flank_pricer(
     packed index, read from the "exact" table with no map built, whatever
     the budget: appending adds the control row onto the target row, as in
     `_walk_back`, and prepending adds the target column onto the control
-    column, bit t of every row moved to bit c. Above, the pricer builds both
-    maps and returns the sum of their `cnot_lower_bound`s when it reaches
-    the budget, so only a candidate that may fit it is costed."""
+    column, bit t of every row moved to bit c. Above, the pricer absorbs the
+    CNOT into copies of the flanks' row tuples (the control row onto the
+    target row on the left; on the right, bit c toggled in every row that
+    holds bit t) and returns the sum of their `_rows_lower_bound`s when it
+    reaches the budget, so a rejected candidate builds no `Cnot` and no map,
+    and only a candidate that may fit the budget is costed."""
     if arch.num_qubits > EXACT_QUBITS:
+        dist = arch.dist
+
         def price(c: int, t: int, budget: int) -> int:
+            left = list(pl.rows)
+            left[t] ^= left[c]
+            tbit, cbit = 1 << t, 1 << c
+            right = [row ^ cbit if row & tbit else row for row in pr.rows]
+            bound = _rows_lower_bound(left, dist) + _rows_lower_bound(right, dist)
+            if bound >= budget:
+                return bound
             cnot = Cnot(c, t)
-            left, right = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
-            bound = cnot_lower_bound(left, arch) + cnot_lower_bound(right, arch)
-            return bound if bound >= budget else cnot_cost(left, arch) + cnot_cost(right, arch)
+            return (cnot_cost(append_cnot(pl, cnot), arch)
+                    + cnot_cost(prepend_cnot(pr, cnot), arch))
 
         return cnot_cost(pl, arch) + cnot_cost(pr, arch), price
     table, left = _exact_entry(pl, arch)
@@ -584,25 +597,35 @@ def cnot_lower_bound(m: ParityMap, arch: Architecture) -> int:
     least twice, so the sequence has at least r + 2 * max(0, D - r) gates.
     A sequence for the transpose is the same gates reversed with control
     and target exchanged, on the same distances, which gives the same with c.
+
+    The formula is `_rows_lower_bound`, on the map's rows and `arch.dist`.
     """
     _check_size(m, arch)
-    rows = off_diagonal = diagonal = reach = 0
+    return _rows_lower_bound(m.rows, arch.dist)
+
+
+def _rows_lower_bound(rows: Sequence[int], dist: Sequence[Sequence[int]]) -> int:
+    """`cnot_lower_bound` of the map with these rows, whose count must equal
+    the architecture's qubits, under its distance table `dist`; it builds no
+    map and checks nothing, so `flank_pricer` bounds a candidate on row
+    copies."""
+    non_unit = off_diagonal = diagonal = reach = 0
     bit = 1  # the diagonal bit of the current row
-    for dist, row in zip(arch.dist, m.rows):
+    for hops_from, row in zip(dist, rows):
         if row != bit:
-            rows += 1
+            non_unit += 1
             off = row & ~bit
             off_diagonal |= off
             while off:
                 low = off & -off
-                hops = dist[low.bit_length() - 1]
+                hops = hops_from[low.bit_length() - 1]
                 if hops > reach:
                     reach = hops
                 off ^= low
         diagonal |= row & bit
         bit <<= 1
     columns = (off_diagonal | (bit - 1) & ~diagonal).bit_count()
-    return max(rows, columns, 2 * reach - min(rows, columns))
+    return max(non_unit, columns, 2 * reach - min(non_unit, columns))
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:

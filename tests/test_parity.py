@@ -539,6 +539,28 @@ class TestFlankPricer:
                     short += answer < absorbed
         assert short
 
+    @pytest.mark.parametrize("arch", [build(q) for build in (zx.line, zx.circle, zx.complete)
+                                      for q in range(parity.EXACT_QUBITS + 1, 9)]
+                             + [zx.grid(2, 4)], ids=lambda arch: arch.name)
+    def test_bound_matches_absorbed_maps(self, arch):
+        # the pricer bounds a candidate on row copies exactly as
+        # cnot_lower_bound bounds the two absorbed maps, and a budget it
+        # reaches is answered with that bound
+        rng = random.Random(36)
+        q = arch.num_qubits
+        maps = [zx.identity_map(q)] + [random_invertible_map(rng, q) for _ in range(2)]
+        reach_bites = False  # some bound beats the architecture-blind one
+        for pl, pr in itertools.product(maps, repeat=2):
+            _, price = parity.flank_pricer(pl, pr, arch)
+            for c, t in itertools.permutations(range(q), 2):
+                cnot = zx.Cnot(c, t)
+                left, right = zx.append_cnot(pl, cnot), zx.prepend_cnot(pr, cnot)
+                bound = zx.cnot_lower_bound(left, arch) + zx.cnot_lower_bound(right, arch)
+                for budget in range(bound + 1):
+                    assert price(c, t, budget) == bound, (pl, pr, cnot, budget)
+                reach_bites |= bound > row_column_bound(left) + row_column_bound(right)
+        assert reach_bites or arch.name.startswith("complete")
+
 
 _FAMILY_ARCHS = {  # shared by every example
     (family, q): build(q) for family, build in ARCH_FAMILIES.items() for q in range(2, 9)

@@ -199,7 +199,8 @@ class TestOptimizeGauss:
 
     @pytest.fixture
     def exact_costings(self, monkeypatch):
-        """Maps one sweep costs exactly when it skips with `bound`, and the
+        """Maps one sweep costs exactly when it skips with `bound`, a
+        rows-level bound (rows, dist) as `parity._rows_lower_bound`, and the
         flank pricers it takes (one, and one more per accept); the sweep
         must still return `expected`."""
         costings, pricers = [], []
@@ -211,7 +212,7 @@ class TestOptimizeGauss:
                             lambda *args: pricers.append(args) or flank_pricer(*args))
 
         def count(bound, pl, poly, pr, arch, expected):
-            monkeypatch.setattr(parity, "cnot_lower_bound", bound)
+            monkeypatch.setattr(parity, "_rows_lower_bound", bound)
             costings.clear()
             pricers.clear()
             assert zx.optimize_gauss(pl, poly, pr, arch) == expected
@@ -220,7 +221,7 @@ class TestOptimizeGauss:
 
     def test_prune_matches_unpruned_sweep(self, exact_costings):
         # above EXACT_QUBITS, where the pricer costs maps and so can skip
-        lower_bound = parity.cnot_lower_bound  # the fixture patches the name
+        lower_bound = parity._rows_lower_bound  # the fixture patches the name
         rng = random.Random(28)
         pruned_some = False
         totals = {"bound": 0, "row_column": 0, "zx_only": 0}
@@ -232,8 +233,9 @@ class TestOptimizeGauss:
                       for _ in range(2))
             args = (pl, poly, pr, arch, self._unpruned(pl, poly, pr, arch))
             bound, pricers = exact_costings(lower_bound, *args)
-            row_column, _ = exact_costings(lambda m, arch: row_column_bound(m), *args)
-            zx_only, _ = exact_costings(lambda m, arch: 0, *args)  # skip on zx >= ceiling alone
+            row_column, _ = exact_costings(
+                lambda rows, dist: row_column_bound(zx.ParityMap(len(rows), rows)), *args)
+            zx_only, _ = exact_costings(lambda rows, dist: 0, *args)  # skip on zx >= ceiling alone
             every = 2 * pricers + 2 * q * (q - 1)  # each pricer's flanks, two maps per candidate
             assert bound <= row_column <= zx_only <= every
             pruned_some |= zx_only < every
@@ -244,10 +246,10 @@ class TestOptimizeGauss:
         assert totals["bound"] < totals["row_column"] < totals["zx_only"]
 
     def test_bound_only_above_exact_qubits(self, monkeypatch):
-        def bound(m, arch):
-            raise AssertionError("cnot_lower_bound called")
+        def bound(rows, dist):
+            raise AssertionError("lower bound called")
 
-        monkeypatch.setattr(parity, "cnot_lower_bound", bound)
+        monkeypatch.setattr(parity, "_rows_lower_bound", bound)
         rng = random.Random(29)
         for _ in range(60):
             q = rng.randint(2, parity.EXACT_QUBITS)
@@ -265,7 +267,7 @@ class TestOptimizeGauss:
                 assert zx.optimize_gauss(pl, poly, pr, arch) == self._unpruned(pl, poly, pr, arch)
         # C(0, 1) shrinks the gadget (zx = -2 < ceiling = 0), so it is bounded
         poly = zx.ZXPolynomial(5, (zx.PhaseGadget.z([0, 1], PH(1, 4)),))
-        with pytest.raises(AssertionError, match="cnot_lower_bound called"):
+        with pytest.raises(AssertionError, match="lower bound called"):
             zx.optimize_gauss(identity_map(5), poly, identity_map(5), zx.line(5))
 
     def test_exact_rejects_build_nothing(self, monkeypatch):
@@ -312,7 +314,28 @@ class TestOptimizeGauss:
             assert args[0] == args[2] == identity
             expected = self._unpruned(*args)
             assert expected == args[:3]
-            assert exact_costings(parity.cnot_lower_bound, *args, expected) == (2, 1)
+            assert exact_costings(parity._rows_lower_bound, *args, expected) == (2, 1)
+
+    def test_bounded_rejects_build_nothing(self, monkeypatch):
+        # above EXACT_QUBITS a candidate is bounded on copies of the flanks'
+        # rows: one the bound rejects builds no Cnot and no map
+        cases = [(zx.maxcut_qaoa(8, 0.5, layers, seed), build)
+                 for build in (lambda: zx.line(8), lambda: zx.circle(8), lambda: zx.grid(2, 4))
+                 for layers in (1, 2, 3) for seed in range(3)]
+        expected = [zx.synthesize(poly, build(), "gauss") for poly, build in cases]
+
+        def refuse(*args):
+            raise AssertionError("a candidate was built")
+
+        for name in ("append_cnot", "prepend_cnot", "Cnot"):
+            monkeypatch.setattr(parity, name, refuse)
+        assert [zx.synthesize(poly, build(), "gauss") for poly, build in cases] == expected
+        # C(0, 1) saves 4 on the two gadgets, more than the bound of 2, so
+        # it is costed, and its maps are built
+        poly = zx.ZXPolynomial(5, (zx.PhaseGadget.z([0, 1], PH(1, 4)),
+                                   zx.PhaseGadget.z([0, 1], PH(1, 8))))
+        with pytest.raises(AssertionError, match="a candidate was built"):
+            zx.optimize_gauss(identity_map(5), poly, identity_map(5), zx.line(5))
 
 
 def _fast_per_candidate(pl, poly, pr, arch):
@@ -385,6 +408,7 @@ class TestOptimizeFast:
             raise AssertionError("fast mode priced or synthesized a parity region")
 
         for module, name in ((parity, "cnot_cost"), (parity, "cnot_lower_bound"),
+                             (parity, "_rows_lower_bound"),
                              (synth, "cnot_cost"), (synth, "flank_pricer"),
                              (synth, "steiner_gauss")):
             monkeypatch.setattr(module, name, refuse)
