@@ -110,9 +110,9 @@ class Architecture:
                                   "gather", "zx")
         }
         self.memos["exact"] = bytearray()
-        self.dist = self.distances_within((1 << num_qubits) - 1)
-        if -1 in self.dist[0]:
+        if -1 in self.bfs(0):  # one BFS refuses it before the n-row all-pairs table
             raise ValueError("architecture graph must be connected")
+        self.dist = self.distances_within((1 << num_qubits) - 1)
 
     def bfs(self, source: int, allowed: int = -1) -> list[int]:
         """Hop counts from source (-1 if unreachable), moving only through

@@ -21,14 +21,16 @@ elimination along a Steiner tree, and gets a map's inverse by replaying its
 own direct synthesis backwards.
 
 `flank_pricer` is where the gauss sweep's pricing decides by size. It
-takes a candidate's two flanks once and prices each CNOT absorbed into
-them. Up to EXACT_QUBITS it reads the packed indices: the append move (the
-control row onto the target row) of the BFS and the walk-back for the left
-flank, and the prepend move (the target column onto the control column)
-for the right. Above, it absorbs the CNOT into copies of the flanks' row
-tuples and bounds both with `_rows_lower_bound`, the formula of
-`cnot_lower_bound`; it answers with that bound when it already spends the
-sweep's budget, and builds and synthesizes the two maps otherwise.
+takes a candidate's two flanks once and answers one question for each CNOT
+(c, t): fits(c, t, budget) is True exactly when the flanks' cost with the
+CNOT absorbed is below the budget. Up to EXACT_QUBITS it reads the packed
+indices: the append move (the control row onto the target row) of the BFS
+and the walk-back for the left flank, and the prepend move (the target
+column onto the control column) for the right. Above, it absorbs the CNOT
+into copies of the flanks' row tuples and bounds both with
+`_rows_lower_bound`, the formula of `cnot_lower_bound`; it answers False
+when that bound already spends the budget, and costs the two row copies as
+maps otherwise.
 
 `_sequence` is the one sequence read of `steiner_gauss` at every size, and
 of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
@@ -42,9 +44,10 @@ is not a unit vector), so the identity takes no round. Each round is
 decided once per elimination state and kept in the "round" table as
 (pivot, row additions); fresh and stored rounds are applied by one replay.
 The greedy, like every stored sequence, works on (control, target) int
-pairs; `Cnot` objects are built only for the list `steiner_gauss` returns. Each row step gathers its
-sources onto the pivot with `Architecture.gather`, the tree walk the
-gadget ladders use too.
+pairs; `Cnot` objects are built for the list `steiner_gauss` returns and
+for `_shortest_variant`'s replay of the direct synthesis through
+`from_cnots`. Each row step gathers its sources onto the pivot with
+`Architecture.gather`, the tree walk the gadget ladders use too.
 """
 
 from __future__ import annotations
@@ -490,53 +493,50 @@ def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
 
 def flank_pricer(
     pl: ParityMap, pr: ParityMap, arch: Architecture
-) -> tuple[int, Callable[[int, int, int], int]]:
+) -> tuple[int, Callable[[int, int, int], bool]]:
     """What a gauss flank pair (pl, pr) costs now, the ceiling
-    cnot_cost(pl) + cnot_cost(pr), and a pricer for its candidates: with C
-    the CNOT (c, t) and absorbed = cnot_cost(append_cnot(pl, C)) +
-    cnot_cost(prepend_cnot(pr, C)), price(c, t, budget) is absorbed or a
-    value >= budget that is at most absorbed, so min(price, budget) ==
-    min(absorbed, budget). Raises ValueError, as `cnot_cost` does, when a
-    flank does not fit the architecture or is singular.
+    cnot_cost(pl) + cnot_cost(pr), and the sweep's question for its
+    candidates: with C the CNOT (c, t), fits(c, t, budget) is True exactly
+    when cnot_cost(append_cnot(pl, C)) + cnot_cost(prepend_cnot(pr, C)) <
+    budget. Raises ValueError, as `cnot_cost` does, when a flank does not
+    fit the architecture or is singular.
 
     Up to EXACT_QUBITS qubits each flank is checked and packed once, by
     `_exact_entry`, and a candidate's two maps are one move each on the
-    packed index, read from the "exact" table with no map built, whatever
-    the budget: appending adds the control row onto the target row, as in
-    `_walk_back`, and prepending adds the target column onto the control
-    column, bit t of every row moved to bit c. Above, the pricer absorbs the
-    CNOT into copies of the flanks' row tuples (the control row onto the
-    target row on the left; on the right, bit c toggled in every row that
-    holds bit t) and returns the sum of their `_rows_lower_bound`s when it
-    reaches the budget, so a rejected candidate builds no `Cnot` and no map,
-    and only a candidate that may fit the budget is costed."""
-    if arch.num_qubits > EXACT_QUBITS:
+    packed index, read from the "exact" table with no map built: appending
+    adds the control row onto the target row, as in `_walk_back`, and
+    prepending adds the target column onto the control column, bit t of
+    every row moved to bit c. Above, `fits` absorbs the CNOT into copies of
+    the flanks' row tuples (the control row onto the target row on the
+    left; on the right, bit c toggled in every row that holds bit t) and
+    answers False once the sum of their `_rows_lower_bound`s reaches the
+    budget, so a rejected candidate builds no map; otherwise it costs the
+    two row copies as maps. It builds no `Cnot`."""
+    q = arch.num_qubits
+    if q > EXACT_QUBITS:
         dist = arch.dist
 
-        def price(c: int, t: int, budget: int) -> int:
+        def fits(c: int, t: int, budget: int) -> bool:
             left = list(pl.rows)
             left[t] ^= left[c]
             tbit, cbit = 1 << t, 1 << c
             right = [row ^ cbit if row & tbit else row for row in pr.rows]
-            bound = _rows_lower_bound(left, dist) + _rows_lower_bound(right, dist)
-            if bound >= budget:
-                return bound
-            cnot = Cnot(c, t)
-            return (cnot_cost(append_cnot(pl, cnot), arch)
-                    + cnot_cost(prepend_cnot(pr, cnot), arch))
+            if _rows_lower_bound(left, dist) + _rows_lower_bound(right, dist) >= budget:
+                return False
+            return (cnot_cost(ParityMap(q, tuple(left)), arch)
+                    + cnot_cost(ParityMap(q, tuple(right)), arch)) < budget
 
-        return cnot_cost(pl, arch) + cnot_cost(pr, arch), price
+        return cnot_cost(pl, arch) + cnot_cost(pr, arch), fits
     table, left = _exact_entry(pl, arch)
     _, right = _exact_entry(pr, arch)
-    q = arch.num_qubits
     full = (1 << q) - 1
     ones = sum(1 << q * i for i in range(q))  # bit 0 of every row
 
-    def price(c: int, t: int, budget: int) -> int:
+    def fits(c: int, t: int, budget: int) -> bool:
         return (table[left ^ (left >> q * c & full) << q * t]
-                + table[right ^ (right >> t & ones) << c] - 2)
+                + table[right ^ (right >> t & ones) << c] - 2) < budget
 
-    return table[left] + table[right] - 2, price
+    return table[left] + table[right] - 2, fits
 
 
 def _walk_back(m: ParityMap, arch: Architecture) -> tuple[tuple[int, int], ...]:

@@ -12,15 +12,17 @@ Cost conventions: a gadget is priced at twice its tree weight, and
 estimate, so negative is an improvement. Both optimizers are one greedy
 sweep, `_sweep`, over one candidate order, every ordered (control, target)
 pair, control-major, with different flank pricers. A pricer gives the
-ceiling, what the two flanking parity regions are charged now, and each
-candidate's absorbed price, with the CNOT pair absorbed; the sweep accepts a
-candidate when effect_zx + absorbed - ceiling < 0. `optimize_gauss` prices
-by `cnot_cost` through `parity.flank_pricer`, which owns every size-dependent
-choice (one move on each flank's packed exact-table index up to 4 qubits,
-above, the Steiner-Gauss length behind a lower-bound skip), so it accepts
-exactly when the total emitted-CNOT estimate strictly decreases.
-`optimize_fast` charges 2*d(c, t) against a ceiling of 0 and neither costs
-nor synthesizes a map.
+ceiling, what the two flanking parity regions are charged now, and one
+yes/no question, fits(c, t, budget): is the candidate's absorbed flank
+cost, with the CNOT pair absorbed, below the budget? The sweep asks it with
+budget = ceiling - effect_zx, so it accepts a candidate when
+effect_zx + absorbed - ceiling < 0. `optimize_gauss` costs by `cnot_cost`
+through `parity.flank_pricer`, which owns every size-dependent choice (one
+move on each flank's packed exact-table index up to 4 qubits, above, the
+Steiner-Gauss length behind a lower-bound skip), so it accepts exactly
+when the total emitted-CNOT estimate strictly decreases. `optimize_fast`
+charges 2*d(c, t) against a ceiling of 0 and neither costs nor synthesizes
+a map.
 
 The sweep reads every candidate's effect_zx from one q x q table,
 `_zx_table`, built in one pass over the run and rebuilt only after an
@@ -110,26 +112,25 @@ def _gadget_effects(gadget: PhaseGadget, arch: Architecture) -> tuple[int, ...]:
 
 def _sweep(
     pl: ParityMap, poly: ZXPolynomial, pr: ParityMap, arch: Architecture,
-    pricer: Callable[..., tuple[int, Callable[[int, int, int], int]]],
+    pricer: Callable[..., tuple[int, Callable[[int, int, int], bool]]],
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
     """The one greedy sweep: walk every ordered (control, target) pair of
     distinct wires once, control-major, and propagate a candidate whose net,
     effect_zx + absorbed - ceiling, is negative; `pricer` is asked again and
-    the zx table rebuilt after each accept. `price` gets the budget
-    ceiling - effect_zx and, once the absorbed price reaches it, may answer
-    any value from the budget up to that price: the candidate is rejected
-    either way only because acceptance is strict, so a rule that accepted
-    net == 0 would have to raise the budget by one."""
-    ceiling, price = pricer(pl, pr, arch)
+    the zx table rebuilt after each accept. `pricer` gives the ceiling and
+    fits(c, t, budget), True exactly when the candidate's absorbed flank
+    cost is below budget; the sweep asks it with budget = ceiling -
+    effect_zx (a rule that accepted net == 0 would ask with budget + 1)."""
+    ceiling, fits = pricer(pl, pr, arch)
     table = _zx_table(poly, arch)
     for control, target in permutations(range(arch.num_qubits), 2):
         zx = table[control][target]
-        if zx >= ceiling or zx + price(control, target, ceiling - zx) >= ceiling:
+        if zx >= ceiling or not fits(control, target, ceiling - zx):
             continue
         cnot = Cnot(control, target)
         pl, pr = append_cnot(pl, cnot), prepend_cnot(pr, cnot)
         poly = propagate_cnot_poly(poly, cnot)
-        ceiling, price = pricer(pl, pr, arch)
+        ceiling, fits = pricer(pl, pr, arch)
         table = _zx_table(poly, arch)
     return pl, poly, pr
 
@@ -147,10 +148,10 @@ def optimize_fast(
 ) -> tuple[ParityMap, ZXPolynomial, ParityMap]:
     """`_sweep` with the hop pricer: against a ceiling of 0 a candidate is
     charged 2*d(c, t), a heuristic estimate, not a bound on what the flanks
-    may cost, so it is accepted when effect_zx < -2*d(c, t). It walks the
-    same candidates as `optimize_gauss` and neither costs nor synthesizes a
-    map."""
-    hop = lambda c, t, budget: 2 * arch.dist[c][t]
+    may cost, so fits(c, t, budget) is 2*d(c, t) < budget and a candidate is
+    accepted when effect_zx < -2*d(c, t). It walks the same candidates as
+    `optimize_gauss` and neither costs nor synthesizes a map."""
+    hop = lambda c, t, budget: 2 * arch.dist[c][t] < budget
     return _sweep(pl, poly, pr, arch, lambda pl, pr, arch: (0, hop))
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 
@@ -48,6 +49,13 @@ class TestBuilders:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             zx.build_architecture({"qubits": 3, "edges": [[0, 1]]})
+
+    def test_disconnected_rejected_before_the_distance_table(self):
+        # one BFS refuses it; the all-pairs table would hold 10^10 entries
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^architecture graph must be connected$"):
+            zx.build_architecture({"qubits": 100000, "edges": []})
+        assert time.perf_counter() - start < 1
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):

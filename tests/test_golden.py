@@ -53,6 +53,12 @@ CASES = [
     ("qaoa8-s5", _qaoa(5), "grid:2x4", "gauss", "20d95a88def2c339", 144),
     ("qaoa8-s5", _qaoa(5), "line:8", "fast", "0b087e88248efc74", 264),
     ("qaoa8-s5", _qaoa(5), "grid:2x4", "fast", "20d95a88def2c339", 144),
+    # gauss above four qubits with candidates the lower bound leaves to
+    # cnot_cost (the q = 8 QAOA sweeps reject every one by the bound)
+    ("rand8-s1", _random(8, 60, 4, 1), "line:8", "gauss", "da2a74d2dde66403", 512),
+    ("rand12-s3", _random(12, 60, 4, 3), "grid:3x4", "gauss", "fa0f6b38ec5f6fc4", 403),
+    # the paper regime
+    ("rand20-s1", _random(20, 200, 4, 1), "grid:4x5", "fast", "ca31572de594255d", 1856),
 ]
 
 

@@ -463,18 +463,31 @@ class TestExactTable:
             assert gates(poly, warm) == gates(poly, build(4))
 
 
+def _absorbed(pl, pr, cnot, arch):
+    """A candidate's flank cost by definition: both maps built and costed."""
+    return (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
+            + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch))
+
+
+@pytest.fixture
+def costed(monkeypatch):
+    """The maps handed to `parity.cnot_cost` since the list was last cleared."""
+    maps = []
+    cnot_cost = parity.cnot_cost
+    monkeypatch.setattr(parity, "cnot_cost", lambda m, arch: maps.append(m) or cnot_cost(m, arch))
+    return maps
+
+
 class TestExactPricer:
-    # `flank_pricer` up to EXACT_QUBITS, where it prices on the packed flanks
+    # `flank_pricer` up to EXACT_QUBITS, where it answers on the packed flanks
     @staticmethod
     def _check(pl, pr, arch):
-        ceiling, price = parity.flank_pricer(pl, pr, arch)
+        ceiling, fits = parity.flank_pricer(pl, pr, arch)
         assert ceiling == zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
         for c, t in itertools.permutations(range(arch.num_qubits), 2):
-            cnot = zx.Cnot(c, t)
-            # exact whatever the budget, even one no absorbed cost fits
-            absorbed = (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
-                        + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch))
-            assert price(c, t, 0) == absorbed, (pl, pr, cnot)
+            absorbed = _absorbed(pl, pr, zx.Cnot(c, t), arch)
+            for budget in range(absorbed + 2):
+                assert fits(c, t, budget) == (absorbed < budget), (pl, pr, c, t, budget)
 
     @pytest.mark.parametrize("arch", [a for a in EXACT_ARCHS if a.num_qubits == 3],
                              ids=lambda arch: arch.name)
@@ -516,48 +529,51 @@ class TestExactPricer:
 
 
 class TestFlankPricer:
-    # above EXACT_QUBITS the pricer may answer a budget with a bound
+    # above EXACT_QUBITS `fits` costs a candidate's maps only when the
+    # lower bound leaves room under the budget
     @pytest.mark.parametrize("arch", [zx.line(5), zx.circle(6), zx.grid(2, 3)],
                              ids=lambda arch: arch.name)
-    def test_price_meets_every_budget(self, arch):
+    def test_price_meets_every_budget(self, arch, costed):
         rng = random.Random(33)
         q = arch.num_qubits
         identity = zx.identity_map(q)
         maps = [identity] + [random_invertible_map(rng, q) for _ in range(3)]
-        short = 0  # answers below the absorbed cost, where the bound sufficed
+        unbuilt = 0  # answers given by the bound, with no map costed
         for pl, pr in itertools.product(maps, repeat=2):
-            ceiling, price = parity.flank_pricer(pl, pr, arch)
+            ceiling, fits = parity.flank_pricer(pl, pr, arch)
             assert ceiling == zx.cnot_cost(pl, arch) + zx.cnot_cost(pr, arch)
             for c, t in itertools.permutations(range(q), 2):
-                cnot = zx.Cnot(c, t)
-                absorbed = (zx.cnot_cost(zx.append_cnot(pl, cnot), arch)
-                            + zx.cnot_cost(zx.prepend_cnot(pr, cnot), arch))
+                absorbed = _absorbed(pl, pr, zx.Cnot(c, t), arch)
                 for budget in range(absorbed + 2):
-                    answer = price(c, t, budget)
-                    assert min(answer, budget) == min(absorbed, budget), (pl, pr, cnot, budget)
-                    assert answer <= absorbed
-                    short += answer < absorbed
-        assert short
+                    costed.clear()
+                    assert fits(c, t, budget) == (absorbed < budget), (pl, pr, c, t, budget)
+                    assert len(costed) in (0, 2)
+                    unbuilt += not costed
+        assert unbuilt
 
     @pytest.mark.parametrize("arch", [build(q) for build in (zx.line, zx.circle, zx.complete)
                                       for q in range(parity.EXACT_QUBITS + 1, 9)]
                              + [zx.grid(2, 4)], ids=lambda arch: arch.name)
-    def test_bound_matches_absorbed_maps(self, arch):
-        # the pricer bounds a candidate on row copies exactly as
-        # cnot_lower_bound bounds the two absorbed maps, and a budget it
-        # reaches is answered with that bound
+    def test_bound_matches_absorbed_maps(self, arch, costed):
+        # `fits` bounds a candidate on row copies exactly as cnot_lower_bound
+        # bounds the two absorbed maps: a budget the bound reaches is refused
+        # with no map costed, and the next budget costs the two absorbed maps
         rng = random.Random(36)
         q = arch.num_qubits
         maps = [zx.identity_map(q)] + [random_invertible_map(rng, q) for _ in range(2)]
         reach_bites = False  # some bound beats the architecture-blind one
         for pl, pr in itertools.product(maps, repeat=2):
-            _, price = parity.flank_pricer(pl, pr, arch)
+            _, fits = parity.flank_pricer(pl, pr, arch)
             for c, t in itertools.permutations(range(q), 2):
                 cnot = zx.Cnot(c, t)
                 left, right = zx.append_cnot(pl, cnot), zx.prepend_cnot(pr, cnot)
                 bound = zx.cnot_lower_bound(left, arch) + zx.cnot_lower_bound(right, arch)
                 for budget in range(bound + 1):
-                    assert price(c, t, budget) == bound, (pl, pr, cnot, budget)
+                    costed.clear()
+                    assert not fits(c, t, budget), (pl, pr, cnot, budget)
+                    assert costed == [], (pl, pr, cnot, budget)
+                fits(c, t, bound + 1)
+                assert costed == [left, right], (pl, pr, cnot)
                 reach_bites |= bound > row_column_bound(left) + row_column_bound(right)
         assert reach_bites or arch.name.startswith("complete")
 

@@ -318,24 +318,37 @@ class TestOptimizeGauss:
 
     def test_bounded_rejects_build_nothing(self, monkeypatch):
         # above EXACT_QUBITS a candidate is bounded on copies of the flanks'
-        # rows: one the bound rejects builds no Cnot and no map
+        # rows: `fits` hands cnot_cost no map for one the bound rejects
         cases = [(zx.maxcut_qaoa(8, 0.5, layers, seed), build)
                  for build in (lambda: zx.line(8), lambda: zx.circle(8), lambda: zx.grid(2, 4))
                  for layers in (1, 2, 3) for seed in range(3)]
         expected = [zx.synthesize(poly, build(), "gauss") for poly, build in cases]
+        costed, asked = [], []  # maps handed to cnot_cost; (c, t, maps) per fits call
+        cnot_cost = parity.cnot_cost
+        monkeypatch.setattr(parity, "cnot_cost", lambda m, arch: costed.append(m) or cnot_cost(m, arch))
+        flank_pricer = synth.flank_pricer
 
-        def refuse(*args):
-            raise AssertionError("a candidate was built")
+        def pricer(*args):
+            ceiling, fits = flank_pricer(*args)
 
-        for name in ("append_cnot", "prepend_cnot", "Cnot"):
-            monkeypatch.setattr(parity, name, refuse)
+            def counted(c, t, budget):
+                costed.clear()
+                answer = fits(c, t, budget)
+                asked.append((c, t, costed[:]))
+                return answer
+            return ceiling, counted
+
+        monkeypatch.setattr(synth, "flank_pricer", pricer)
         assert [zx.synthesize(poly, build(), "gauss") for poly, build in cases] == expected
+        assert asked and all(maps == [] for _, _, maps in asked)
         # C(0, 1) saves 4 on the two gadgets, more than the bound of 2, so
-        # it is costed, and its maps are built
+        # `fits` costs its two absorbed maps
+        asked.clear()
         poly = zx.ZXPolynomial(5, (zx.PhaseGadget.z([0, 1], PH(1, 4)),
                                    zx.PhaseGadget.z([0, 1], PH(1, 8))))
-        with pytest.raises(AssertionError, match="a candidate was built"):
-            zx.optimize_gauss(identity_map(5), poly, identity_map(5), zx.line(5))
+        identity, cnot = identity_map(5), zx.Cnot(0, 1)
+        zx.optimize_gauss(identity, poly, identity, zx.line(5))
+        assert asked[0] == (0, 1, [zx.append_cnot(identity, cnot), zx.prepend_cnot(identity, cnot)])
 
 
 def _fast_per_candidate(pl, poly, pr, arch):
