@@ -1,8 +1,9 @@
 """Hardware coupling graphs: distances, topologies, and Steiner trees.
 
 An Architecture is an undirected connected graph over qubit indices
-0..num_qubits-1, with `dist` its all-pairs hop-count table. Its graph is
-immutable after construction. It is the one owner of every memo of the
+0..num_qubits-1, with `dist` its all-pairs hop-count table, built on first
+read (a polynomial of another qubit count is refused without it). Its graph
+is immutable after construction. It is the one owner of every memo of the
 package, the named tables of its `memos` dict, each filled lazily on first
 use (without a lock). A vertex set (a region) is an int mask, bit v for
 vertex v; -1 means "anywhere" and is normalized to the full mask
@@ -17,7 +18,7 @@ With n = num_qubits, the nine tables and their keys are:
   * "non_cut": `non_cut_vertices` by vertex mask: the vertices whose
     removal keeps the rest connected,
   * "distances": `distances_within` by vertex mask: BFS hop tables inside it;
-    the full mask's entry, built first, is `dist`,
+    the full mask's entry is `dist`, built on its first read,
   * "exact": for n <= 4, `parity._exact_table`, one byte per map packed
     into n * n bits, 1 + its depth (0: singular), built whole on first use
     (empty until then) and read through `parity._exact_entry`: by
@@ -54,23 +55,23 @@ Steiner trees are approximated by the minimum spanning tree of the terminal
 set's metric closure (the classic 2-approximation), expanded back into
 concrete shortest paths and pruned to a tree over physical vertices.
 
-The tree layer works on per-vertex neighbour bitmasks (a list of n ints).
-`terminal_tree` ORs the hops of each spanning-tree edge's `_walk`, the one
-path walk (`shortest_path` lists it), into them, and `rooted_tree`, the one
-rooting routine, a BFS visiting unvisited neighbours lowest bit first,
-prunes that union; `gather` and the Steiner-Gauss column step root
-`terminal_tree`'s edges with it.
+A tree is one format throughout: per-vertex neighbour bitmasks, a tuple of
+n ints, whose popcounts sum to twice its edge count. `terminal_tree` ORs the
+hops of each spanning-tree edge's `_walk`, the one path walk
+(`shortest_path` lists it, and a "span" miss ORs it into one mask), into
+them, and `rooted_tree`, the one rooting routine, a BFS visiting unvisited
+neighbours lowest bit first, prunes that union; `gather` and the
+Steiner-Gauss column step root `terminal_tree`'s masks with it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
-from .poly import ascii_number, json_int, legs_to_mask, mask_to_legs
-
-TreeEdges = tuple[tuple[int, int], ...]
+from .poly import ascii_number, json_int, mask_to_legs
 
 MEMO_CAP = 1 << 14  # entries per memo
 
@@ -85,7 +86,7 @@ def memo_put(memo: dict, key, value):
 
 
 class Architecture:
-    """Undirected coupling graph with precomputed shortest-path distances."""
+    """Undirected coupling graph with lazily built shortest-path distances."""
 
     def __init__(self, num_qubits: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if num_qubits < 1:
@@ -110,9 +111,14 @@ class Architecture:
                                   "gather", "zx")
         }
         self.memos["exact"] = bytearray()
-        if -1 in self.bfs(0):  # one BFS refuses it before the n-row all-pairs table
+        if -1 in self.bfs(0):  # one BFS, not the n-row all-pairs table
             raise ValueError("architecture graph must be connected")
-        self.dist = self.distances_within((1 << num_qubits) - 1)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop counts, `distances_within` the full mask, built on
+        first read; after it a plain instance attribute."""
+        return self.distances_within((1 << self.num_qubits) - 1)
 
     def bfs(self, source: int, allowed: int = -1) -> list[int]:
         """Hop counts from source (-1 if unreachable), moving only through
@@ -157,15 +163,17 @@ class Architecture:
                     break
             yield u
 
-    def terminal_tree(self, terminals: Iterable[int], allowed: int = -1) -> TreeEdges:
+    def terminal_tree(self, terminals: Iterable[int], allowed: int = -1) -> tuple[int, ...]:
         """Approximate Steiner tree connecting the terminals inside the
         `allowed` vertex mask (-1: anywhere).
 
-        Returns the tree's edges over physical vertices, sorted; its weight
-        is their number. A single terminal yields the empty tree. Each call
-        builds the tree: the `_walk` of each `_prim` edge ORs its hops into
-        per-vertex neighbour masks, whose union may have cycles, and
-        `rooted_tree` from the smallest terminal prunes it to its BFS tree.
+        Returns the tree as `num_qubits` neighbour masks, bit w of entry v
+        set for each tree edge (v, w), the format `rooted_tree` roots; its
+        weight is half the masks' popcount sum. A single terminal yields
+        all-zero masks. Each call builds the tree: the `_walk` of each
+        `_prim` edge ORs its hops into the masks, whose union may have
+        cycles, and `rooted_tree` from the smallest terminal prunes it to
+        its BFS tree.
         """
         terms = sorted(set(terminals))
         if not terms:
@@ -184,17 +192,17 @@ class Architecture:
                 nbrs[w] |= 1 << u
                 u = w
         parent, order = rooted_tree(nbrs, terms[0])
-        edges = []
+        tree = [0] * self.num_qubits
         for v in order[1:]:
             u = parent[v]
-            edges.append((u, v) if u < v else (v, u))
-        edges.sort()
-        return tuple(edges)
+            tree[u] |= 1 << v
+            tree[v] |= 1 << u
+        return tuple(tree)
 
     def tree_weight(self, legs: int) -> int:
         """Weight of the terminal tree over the wires set in the `legs`
-        bitmask: `len(terminal_tree(mask_to_legs(legs)))`, without building
-        the tree's edges.
+        bitmask, half the popcount sum of `terminal_tree(mask_to_legs(legs))`,
+        without building the tree.
 
         That tree is the union U of the shortest paths along the metric
         closure's Prim edges, pruned by a BFS from the smallest terminal.
@@ -202,7 +210,8 @@ class Architecture:
         two ends, so U is connected, and the BFS tree of a connected graph
         has one edge per vertex but its root. So the weight is |V(U)| - 1, where V(U)
         is the terminals together with the vertices of those paths: the OR
-        of `legs` and each edge's "span" mask.
+        of `legs` and each edge's "span" mask, which a miss builds by ORing
+        the edge's `_walk` hops into its first end's bit.
         The popcount decides first. One or two terminals: the tree is the
         one shortest path, so the weight is their distance (no Prim, no
         "span" or "weight" read). Three or more: the "weight" table answers
@@ -225,14 +234,17 @@ class Architecture:
         for u, v in self._prim(mask_to_legs(legs), self.dist):
             span = spans.get(u * n + v)
             if span is None:
-                span = memo_put(spans, u * n + v, legs_to_mask(self.shortest_path(u, v)))
+                span = 1 << u
+                for w in self._walk(u, v, self.dist):
+                    span |= 1 << w
+                memo_put(spans, u * n + v, span)
             covered |= span
         return memo_put(self.memos["weight"], legs, covered.bit_count() - 1)
 
     def gather(self, terms: int, root: int) -> tuple[tuple[int, int], ...]:
         """Row additions (child, parent), each meaning rows[parent] ^=
         rows[child], that XOR the rows of the `terms` mask onto the `root`
-        terminal along `terminal_tree`'s edges over the whole graph, rooted
+        terminal along `terminal_tree`'s masks over the whole graph, rooted
         there by `rooted_tree`; a miss builds that tree and keeps only the ops.
 
         The ops come in post-order, children in ascending order. A relay (a
@@ -254,8 +266,7 @@ class Architecture:
         cached = self.memos["gather"].get(key)
         if cached is not None:
             return cached
-        tree = self.terminal_tree(mask_to_legs(terms), -1)
-        parent, order = rooted_tree(neighbour_masks(tree, n), root)
+        parent, order = rooted_tree(self.terminal_tree(mask_to_legs(terms), -1), root)
         carries = terms  # vertices whose subtree holds a terminal
         for v in reversed(order):
             if carries >> v & 1:
@@ -339,17 +350,7 @@ class Architecture:
         return f"Architecture({self.name!r}, qubits={self.num_qubits}, edges={len(self.edges)})"
 
 
-def neighbour_masks(edges: Iterable[tuple[int, int]], num_qubits: int) -> list[int]:
-    """Per-vertex neighbour bitmasks of an undirected edge set over
-    vertices 0..num_qubits-1: bit b of entry a is set for each edge (a, b)."""
-    nbrs = [0] * num_qubits
-    for a, b in edges:
-        nbrs[a] |= 1 << b
-        nbrs[b] |= 1 << a
-    return nbrs
-
-
-def rooted_tree(nbrs: list[int], root: int) -> tuple[list[int], list[int]]:
+def rooted_tree(nbrs: Sequence[int], root: int) -> tuple[list[int], list[int]]:
     """Root a graph given by per-vertex neighbour bitmasks at `root`;
     return (parent list, BFS vertex order) over the vertices reached.
 

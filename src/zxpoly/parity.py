@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .arch import Architecture, memo_put, neighbour_masks, rooted_tree
+from .arch import Architecture, memo_put, rooted_tree
 from .poly import mask_to_legs
 from .rules import Cnot
 
@@ -133,8 +133,8 @@ def _column_step(
 
     Builds the terminal tree over the rows carrying the pivot bit plus the
     pivot row inside the `allowed` vertex mask with `arch.terminal_tree`,
-    roots its edges' neighbour masks at the pivot with `rooted_tree`, the
-    mask BFS that also prunes the tree, fills ones downward so every tree
+    roots its neighbour masks at the pivot with `rooted_tree`, the mask
+    BFS that also prunes the tree, fills ones downward so every tree
     row carries the bit, then eliminates upward so only the pivot row
     keeps it. All ops stay inside `allowed`.
     """
@@ -152,7 +152,7 @@ def _column_step(
         return []
     ops: list[tuple[int, int]] = []
     tree = arch.terminal_tree(mask_to_legs(carriers | bit), allowed)
-    parent, bfs_order = rooted_tree(neighbour_masks(tree, arch.num_qubits), pivot)
+    parent, bfs_order = rooted_tree(tree, pivot)
     if not rows[pivot] & bit:
         # Pull a 1 up to the pivot along the path from the nearest carrier;
         # every vertex strictly between them lacks the bit, so each hop sets it.

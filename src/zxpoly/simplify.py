@@ -8,8 +8,10 @@ walk decides before it builds: the mover keeps its basis and legs, and
 whose phase flips are all it tracks. If a merge partner is reached the
 two gadgets fuse by phase addition, a zero-phase result is dropped and
 the flipped neighbours are built; if the walk is blocked first, nothing
-is built or changed. Zero phase gadgets are removed and the whole pass
-repeats until a full pass leaves the polynomial unchanged.
+is built or changed. Zero phase gadgets are removed once, up front: a
+merge drops its own zero result and a negation never makes a phase zero,
+so no later pass meets one. The pass repeats until a full pass leaves the
+polynomial unchanged.
 
 The gadget count never increases and the unitary is preserved up to a
 global phase.
@@ -52,14 +54,10 @@ def _attempt_merge_left(gadgets: list[PhaseGadget], start: int) -> bool:
 
 def simplify(poly: ZXPolynomial) -> ZXPolynomial:
     """Merge, remove, and commute gadgets until no pass changes anything."""
-    gadgets = list(poly.gadgets)
+    gadgets = [g for g in poly.gadgets if not g.phase.is_zero()]
     changed = True
     while changed:
         changed = False
-        kept = [g for g in gadgets if not g.phase.is_zero()]
-        if len(kept) != len(gadgets):
-            gadgets = kept
-            changed = True
         i = 1
         while i < len(gadgets):
             if _attempt_merge_left(gadgets, i):

@@ -82,6 +82,24 @@ def bfs_distances(num_qubits: int, edges, source: int) -> list[int]:
     return dist
 
 
+def tree_edges(masks) -> tuple[tuple[int, int], ...]:
+    """The edges (u, v), u < v, sorted, of a graph given as per-vertex
+    neighbour masks, the format `Architecture.terminal_tree` returns."""
+    return tuple((u, v) for u, nbrs in enumerate(masks) for v in range(u + 1, len(masks))
+                 if nbrs >> v & 1)
+
+
+def edge_masks(edges, num_qubits: int) -> list[int]:
+    """Per-vertex neighbour masks of an undirected edge set over vertices
+    0..num_qubits-1, cycles allowed: bit b of entry a is set for each edge
+    (a, b)."""
+    masks = [0] * num_qubits
+    for a, b in edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
 # The dict-based rooting the mask BFS `zxpoly.arch.rooted_tree` replaced,
 # kept as its reference.
 def rooted_tree(edges, root: int) -> tuple[dict[int, int], list[int]]:

@@ -10,8 +10,8 @@ import zxpoly as zx
 from zxpoly import arch as zx_arch
 from zxpoly.poly import mask_to_legs
 from conftest import (
-    ARCH_FAMILIES, bfs_distances, dead_relay_graph, exact_steiner_weight, random_connected_graph,
-    rooted_tree, star,
+    ARCH_FAMILIES, bfs_distances, dead_relay_graph, edge_masks, exact_steiner_weight,
+    random_connected_graph, rooted_tree, star, tree_edges,
 )
 
 
@@ -56,6 +56,15 @@ class TestBuilders:
         with pytest.raises(ValueError, match="^architecture graph must be connected$"):
             zx.build_architecture({"qubits": 100000, "edges": []})
         assert time.perf_counter() - start < 1
+
+    def test_qubit_count_mismatch_refused_before_the_distance_table(self):
+        # `dist` is built on first read, and `synthesize` compares the counts first
+        arch = zx.build_architecture({"qubits": 5000, "edges": [[i, i + 1] for i in range(4999)]})
+        poly = zx.ZXPolynomial(1, (zx.PhaseGadget.z([0], zx.Phase(1, 2)),))
+        with pytest.raises(ValueError, match="^polynomial and architecture disagree: "):
+            zx.synthesize(poly, arch)
+        assert "dist" not in vars(arch)
+        assert not arch.memos["distances"]
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +178,10 @@ def _kruskal_tree(arch, terms, region):
     return tuple(sorted((min(v, up[v]), max(v, up[v])) for v in order[1:]))
 
 
+def _terminal_tree_edges(arch, terms, region):
+    return tree_edges(arch.terminal_tree(terms, region))
+
+
 def _tree_or_error(build, *args):
     try:
         return build(*args)
@@ -186,7 +199,7 @@ class TestTerminalTree:
                         continue
                     terms = mask_to_legs(terms_mask)
                     expected = _tree_or_error(_kruskal_tree, arch, terms, region)
-                    assert _tree_or_error(arch.terminal_tree, terms, region) == expected, \
+                    assert _tree_or_error(_terminal_tree_edges, arch, terms, region) == expected, \
                         (arch.name, terms, region)
                     pairs += 1
                     errors += isinstance(expected, str)
@@ -195,17 +208,17 @@ class TestTerminalTree:
 
     def test_line5_three_terminals(self):
         arch = zx.build_architecture("line:5")
-        edges = arch.terminal_tree([0, 2, 4])
+        edges = tree_edges(arch.terminal_tree([0, 2, 4]))
         assert len(edges) == exact_steiner_weight(arch, {0, 2, 4}) == 4
         assert set(edges) == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_single_terminal(self):
         arch = zx.build_architecture("grid:2x3")
-        assert arch.terminal_tree([3]) == ()
+        assert tree_edges(arch.terminal_tree([3])) == ()
 
     def test_complete_unit_metric(self):
         arch = zx.build_architecture("complete:4")
-        assert len(arch.terminal_tree([0, 1, 2])) == 2
+        assert len(tree_edges(arch.terminal_tree([0, 1, 2]))) == 2
 
     def test_empty_terminals_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +227,7 @@ class TestTerminalTree:
     def test_anywhere_is_one_region(self):
         arch = zx.build_architecture("grid:2x3")
         terms, anywhere = [0, 2, 5], (-1, 0b111111)
-        trees = [arch.terminal_tree(terms, allowed) for allowed in anywhere]
+        trees = [tree_edges(arch.terminal_tree(terms, allowed)) for allowed in anywhere]
         assert trees[0] == trees[1]
         assert arch.tree_weight(0b100101) == len(trees[0])
         with pytest.raises(ValueError, match="not in the allowed vertex set"):
@@ -226,7 +239,7 @@ class TestTerminalTree:
             q = rng.randint(2, 6)
             arch = zx.Architecture(q, random_connected_graph(rng, q))
             terminals = set(rng.sample(range(q), rng.randint(1, q)))
-            edges = arch.terminal_tree(terminals)
+            edges = tree_edges(arch.terminal_tree(terminals))
             weight = len(edges)
             assert arch.tree_weight(sum(1 << t for t in terminals)) == weight
             for u, v in edges:
@@ -256,7 +269,7 @@ class TestTreeWeight:
     def test_matches_terminal_tree_on_every_mask(self, build):
         reference, arch = build(), build()
         masks = range(1, 1 << arch.num_qubits)
-        expected = [len(reference.terminal_tree(mask_to_legs(m))) for m in masks]
+        expected = [len(tree_edges(reference.terminal_tree(mask_to_legs(m)))) for m in masks]
         assert [arch.tree_weight(m) for m in masks] == expected  # fresh
         for warm in (arch, reference):  # spans filled; trees filled
             assert [warm.tree_weight(m) for m in masks] == expected, warm.name
@@ -268,7 +281,7 @@ class TestTreeWeight:
                       lambda: star(7)):
             reference, arch = build(), build()
             masks = range(1, 1 << arch.num_qubits)
-            expected = [len(reference.terminal_tree(mask_to_legs(m))) for m in masks]
+            expected = [len(tree_edges(reference.terminal_tree(mask_to_legs(m)))) for m in masks]
             assert [arch.tree_weight(m) for m in masks] == expected, arch.name
             assert set(arch.memos["weight"]) == {m for m in masks if m.bit_count() >= 3}
             with monkeypatch.context() as patched:
@@ -286,7 +299,7 @@ class TestTreeWeight:
         for q in range(2, 9):
             arch = ARCH_FAMILIES[family](q)
             masks = [1 << u | 1 << v for u in range(q) for v in range(u, q)]
-            expected = [len(arch.terminal_tree(mask_to_legs(m))) for m in masks]
+            expected = [len(tree_edges(arch.terminal_tree(mask_to_legs(m)))) for m in masks]
             assert [arch.tree_weight(m) for m in masks] == expected, arch.name
             assert not arch.memos["span"], arch.name
 
@@ -366,7 +379,7 @@ class TestTreeStorage:
             for root in mask_to_legs(terms):
                 arch.gather(terms, root)
         assert {name for name, memo in arch.memos.items() if memo} == {"distances", "gather"}
-        assert list(arch.memos["distances"]) == [0b11111]  # `dist`, built with the graph
+        assert list(arch.memos["distances"]) == [0b11111]  # the whole graph's, which `dist` reads
 
 
 def _star(q):
@@ -374,6 +387,36 @@ def _star(q):
 
 
 MEMO_GRAPHS = [zx.line(5), zx.grid(2, 3), zx.grid(3, 3), zx.circle(6), _star(6)]
+
+
+class TestTreeMasks:
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_one_symmetric_tree_from_the_smallest_terminal(self, arch):
+        # on every terminal set of every region that joins it: bit w of entry
+        # v iff bit v of entry w, every tree vertex and terminal reached from
+        # the smallest terminal, and |V| - 1 edges, each counted at both ends
+        q = arch.num_qubits
+        for region in range(1, 1 << q):
+            dist = arch.distances_within(region)
+            for terms_mask in range(1, region + 1):
+                terms = mask_to_legs(terms_mask)
+                if terms_mask & ~region or min(dist[terms[0]][t] for t in terms) < 0:
+                    continue
+                masks = arch.terminal_tree(terms, region)
+                assert edge_masks(tree_edges(masks), q) == list(masks), (arch.name, terms, region)
+                vertices = terms_mask | sum(1 << v for v, nbrs in enumerate(masks) if nbrs)
+                assert not vertices & ~region, (arch.name, terms, region)
+                reach = bfs_distances(q, tree_edges(masks), terms[0])
+                assert all(reach[v] >= 0 for v in mask_to_legs(vertices)), (arch.name, terms, region)
+                assert sum(nbrs.bit_count() for nbrs in masks) == 2 * (vertices.bit_count() - 1)
+
+    def test_dead_relay_tree(self):
+        # the prune from 0 cuts the cycle 4-5-8-9-7-6-4 at 7-9 and keeps the
+        # relay branch 4-6-7, whose leaf 7 is no terminal
+        arch = dead_relay_graph()
+        assert tree_edges(arch.terminal_tree([0, 9, 12])) == (
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 10), (5, 8), (6, 7), (8, 9),
+            (10, 11), (11, 12))
 
 
 def _sub_distances(arch, vertices, source):
@@ -399,7 +442,7 @@ def _path_union(arch, terms, region):
 
 
 def _assert_roots_as_reference(arch, edges, root):
-    parent, order = zx_arch.rooted_tree(zx_arch.neighbour_masks(edges, arch.num_qubits), root)
+    parent, order = zx_arch.rooted_tree(edge_masks(edges, arch.num_qubits), root)
     ref_parent, ref_order = rooted_tree(edges, root)
     assert order == ref_order, (arch.name, sorted(edges), root)
     assert parent == [ref_parent.get(v, -1) for v in range(arch.num_qubits)], \
@@ -423,7 +466,7 @@ class TestRootedTree:
                     continue  # outside the region, or no tree joins them in it
                 union = _path_union(arch, terms, region)
                 for root in terms:
-                    _assert_roots_as_reference(arch, arch.terminal_tree(terms, region), root)
+                    _assert_roots_as_reference(arch, tree_edges(arch.terminal_tree(terms, region)), root)
                 for root in sorted({v for e in union for v in e} | {terms[0]}):
                     _assert_roots_as_reference(arch, union, root)
 
@@ -468,7 +511,7 @@ class TestGraphMemos:
         # every root of every terminal set, as the row step roots gather at any pivot
         for terms in range(1, 1 << arch.num_qubits):
             for root in mask_to_legs(terms):
-                parent, order = rooted_tree(arch.terminal_tree(mask_to_legs(terms)), root)
+                parent, order = rooted_tree(tree_edges(arch.terminal_tree(mask_to_legs(terms))), root)
                 children = {v: [] for v in order}
                 for v in order[1:]:
                     children[parent[v]].append(v)

@@ -14,7 +14,7 @@ from zxpoly import sim
 from zxpoly.poly import mask_to_legs
 from conftest import (
     dead_relay_graph, gadget_unitary, random_gadget, random_invertible_map, random_zx_poly,
-    rooted_tree, star,
+    rooted_tree, star, tree_edges,
 )
 
 PH = zx.Phase
@@ -83,7 +83,7 @@ def _recursive_gadget_gates(gadget, arch):
     legs = gadget.leg_list()
     root, up = legs[-1], []
     if len(legs) > 1:
-        parent, order = rooted_tree(arch.terminal_tree(legs), root)
+        parent, order = rooted_tree(tree_edges(arch.terminal_tree(legs)), root)
         children = {v: [] for v in order}
         for v in order[1:]:
             children[parent[v]].append(v)

@@ -167,6 +167,17 @@ class TestSynthAndVerify:
                        "--out", tmp_path / "c.qasm") == 2
         assert "polynomial has 3 qubits, architecture line:5 has 5" in capsys.readouterr().err
 
+    def test_large_arch_file_of_another_size_exits_2(self, tmp_path, capsys):
+        # refused before the 5000-qubit line's all-pairs table is built
+        arch_path, poly_path = tmp_path / "long.json", tmp_path / "poly.json"
+        arch_path.write_text(json.dumps({"qubits": 5000, "edges": [[i, i + 1] for i in range(4999)]}))
+        poly_path.write_text(zx.random_poly(1, 3, 1, seed=2).to_json())
+        assert run_cli("synth", "--in", poly_path, "--arch", arch_path,
+                       "--out", tmp_path / "c.qasm") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: polynomial and architecture disagree: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "c.qasm").exists()
+
     def test_non_positive_grid_is_an_error(self, tmp_path, capsys):
         poly_path = tmp_path / "poly.json"
         poly_path.write_text(zx.random_poly(1, 3, 1, seed=2).to_json())
