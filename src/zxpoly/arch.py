@@ -22,13 +22,12 @@ With n = num_qubits, the nine tables and their keys are:
   * "exact": for n <= 4, `parity._exact_table`, one byte per map packed
     into n * n bits, 1 + its depth (0: singular), built whole on first use
     (empty until then) and read through `parity._exact_entry`: by
-    `cnot_cost` for a map's depth, by `parity.flank_pricer`, the gauss
-    sweep's pricer, for the depths of a flank pair's absorbing moves, and
-    on a "sequence" miss to walk a map back, each step undoing the first
-    move that lowers the depth by one,
+    `parity.flank_pricer`, the gauss sweep's pricer, for the depths of a
+    flank pair's absorbing moves, and on a "sequence" miss to walk a map
+    back, each step undoing the first move that lowers the depth by one,
   * "sequence": `parity.steiner_gauss` results as (control, target) pairs by
     the map's rows tuple, the identity's () too, at every n, used only in
-    `parity._sequence` (for n <= 4, only when a map is lowered),
+    `parity._sequence`, which `cnot_cost` and `steiner_gauss` both read,
   * "round": the Steiner-Gauss greedy's decided rounds, each a (pivot, row
     additions) pair, by elimination state, the remaining mask and the rows
     packed into one int; empty for n <= 4,
@@ -61,7 +60,8 @@ hops of each spanning-tree edge's `_walk`, the one path walk
 (`shortest_path` lists it, and a "span" miss ORs it into one mask), into
 them, and `rooted_tree`, the one rooting routine, a BFS visiting unvisited
 neighbours lowest bit first, prunes that union; `gather` and the
-Steiner-Gauss column step root `terminal_tree`'s masks with it.
+Steiner-Gauss column step root `terminal_tree`'s masks with it and read
+their ops off its (parent list, BFS order), the one tree walk.
 """
 
 from __future__ import annotations
@@ -247,17 +247,27 @@ class Architecture:
         terminal along `terminal_tree`'s masks over the whole graph, rooted
         there by `rooted_tree`; a miss builds that tree and keeps only the ops.
 
-        The ops come in post-order, children in ascending order. A relay (a
-        tree vertex outside `terms`) is first added onto its parent once
-        more, so its own row cancels; a subtree holding no terminal is
-        skipped. Afterwards the root row holds the XOR of the terminal rows,
-        and replaying the ops that do not target the root in reverse
-        restores every other row. Raises ValueError when `root` is not in
-        `terms`.
+        The ops come in two passes over `rooted_tree`'s BFS order, after a
+        pass that marks the vertices carrying a terminal in their subtree
+        (a subtree holding no terminal is skipped): first each carrying
+        relay (a tree vertex outside `terms`) is added onto its parent in
+        BFS order, then every carrying non-root vertex is added onto its
+        parent in reversed BFS order. Why that is correct:
 
-        On masks: the reversed BFS order marks the carrying vertices, each
-        sets its bit in its parent's child mask, and a stack descends into
-        the lowest unvisited child bit.
+          * pass 1 reads each relay's original row: it runs parents before
+            children, so no relay's row has changed yet when that relay's
+            pre-cancel reads it;
+          * pass 2 adds each vertex after all deeper ones, so by then a
+            vertex's row holds its subtree's terminal XOR (for a relay, plus
+            its own row, which pass 1 has already added onto its parent, so
+            there it cancels);
+          * ops that target the root change only the root row, which no op
+            reads, so replaying the other ops in reverse restores every
+            other row.
+
+        Afterwards the root row holds the XOR of the terminal rows. There is
+        one op per carrying non-root vertex and one more per carrying relay.
+        Raises ValueError when `root` is not in `terms`.
         """
         n = self.num_qubits
         if not (0 <= root < n and terms >> root & 1):
@@ -271,26 +281,9 @@ class Architecture:
         for v in reversed(order):
             if carries >> v & 1:
                 carries |= 1 << parent[v]
-        children = [0] * n
-        for v in order[1:]:
-            if carries >> v & 1:
-                children[parent[v]] |= 1 << v
-        ops: list[tuple[int, int]] = []
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            rest = children[v]
-            if rest:
-                low = rest & -rest
-                children[v] = rest ^ low
-                child = low.bit_length() - 1
-                if not terms >> child & 1:
-                    ops.append((child, v))
-                stack.append(child)
-            else:
-                stack.pop()
-                if stack:
-                    ops.append((v, parent[v]))
+        below = [v for v in order[1:] if carries >> v & 1]
+        ops = [(v, parent[v]) for v in below if not terms >> v & 1]
+        ops += [(v, parent[v]) for v in reversed(below)]
         return memo_put(self.memos["gather"], key, tuple(ops))
 
     def non_cut_vertices(self, vertices: int) -> int:

@@ -150,11 +150,11 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     """Tree-placed circuit for one gadget.
 
     The parity of the legs is accumulated onto the root, the highest leg,
-    by the post-order CNOT(child, parent) ops of `arch.gather`; each
-    non-leg relay vertex emits one extra cancelling CNOT before its subtree
-    so its own input drops out of the parity. The sweep is mirrored after
-    the rotation. X gadgets use the same structure with every CNOT
-    direction reversed and an RX rotation.
+    by the CNOT(child, parent) ops of `arch.gather`, read off the tree's
+    BFS order; each non-leg relay vertex emits one extra cancelling CNOT,
+    before its own, so its input drops out of the parity. The sweep is
+    mirrored after the rotation. X gadgets use the same structure with
+    every CNOT direction reversed and an RX rotation.
 
     The CNOT count, twice the number of `gather` ops (one per carrying tree
     edge, one more per carrying relay), is the same whichever leg is the

@@ -13,12 +13,11 @@ EXACT_QUBITS qubits it is exact: GL(q, 2) has at most 20,160 maps there
 (9,999,360 at q = 5), so one BFS over them from the identity, vectorized
 over each level's frontier and run the first time such a map is asked for,
 leaves one byte per map, 1 + its depth, in the Architecture's "exact"
-table. There `cnot_cost` is the map's depth byte, read through
-`_exact_entry` like the walk-back, which steps from the map to the identity
-by undoing, at each step, the first move that reaches a map one level
-shallower. Larger maps get a greedy that organizes each pivot column's
-elimination along a Steiner tree, and gets a map's inverse by replaying its
-own direct synthesis backwards.
+table. `_exact_entry` reads it for `flank_pricer` and for the walk-back,
+which steps from the map to the identity by undoing, at each step, the
+first move that reaches a map one level shallower. Larger maps get a greedy
+that organizes each pivot column's elimination along a Steiner tree, and
+gets a map's inverse by replaying its own direct synthesis backwards.
 
 `flank_pricer` is where the gauss sweep's pricing decides by size. It
 takes a candidate's two flanks once and answers one question for each CNOT
@@ -32,13 +31,13 @@ into copies of the flanks' row tuples and bounds both with
 when that bound already spends the budget, and costs the two row copies as
 maps otherwise.
 
-`_sequence` is the one sequence read of `steiner_gauss` at every size, and
-of `cnot_cost` above EXACT_QUBITS: it checks the map fits and gives its
+`_sequence` is the one sequence read of `steiner_gauss` and `cnot_cost`,
+the sequence's length, at every size: it checks the map fits and gives its
 entry in the Architecture's "sequence" table (bounded by `memo_put`), the
 identity's () included, a tuple of (control, target) pairs. On a miss it
 walks a q <= 4 map back through the "exact" table, or synthesizes a larger
-one, and stores the result, so a larger map costed and lowered later is
-synthesized once, and a q <= 4 map is walked back only when it is lowered.
+one, and stores the result, so a map costed and lowered later is walked
+back or synthesized once.
 The greedy runs while a remaining vertex is structured (its row or column
 is not a unit vector), so the identity takes no round. Each round is
 decided once per elimination state and kept in the "round" table as
@@ -476,8 +475,9 @@ def _exact_table(arch: Architecture) -> bytearray:
 
 def _exact_entry(m: ParityMap, arch: Architecture) -> tuple[bytearray, int]:
     """The Architecture's "exact" table, built on first use, and the map's
-    index in it, sum(rows[i] << q * i). Raises ValueError when the map does
-    not fit the architecture or is singular."""
+    index in it, sum(rows[i] << q * i), for `_walk_back` and `flank_pricer`.
+    Raises ValueError when the map does not fit the architecture or is
+    singular."""
     _check_size(m, arch)
     table = arch.memos["exact"]
     if not table:
@@ -629,12 +629,8 @@ def _rows_lower_bound(rows: Sequence[int], dist: Sequence[Sequence[int]]) -> int
 
 
 def cnot_cost(m: ParityMap, arch: Architecture) -> int:
-    """Number of CNOTs steiner_gauss emits for the map. Up to EXACT_QUBITS
-    qubits it is the optimum, the map's depth, its one byte in the "exact"
-    table less 1, so costing walks no sequence back and stores none; above,
-    it is the length of its `_sequence`. Raises ValueError when the map does
-    not fit the architecture or is singular."""
-    if m.size > EXACT_QUBITS:
-        return len(_sequence(m, arch))
-    table, index = _exact_entry(m, arch)
-    return table[index] - 1
+    """Number of CNOTs steiner_gauss emits for the map, the length of its
+    `_sequence`; up to EXACT_QUBITS qubits it is the optimum, the map's
+    depth, since the walk-back takes one move per level. Raises ValueError
+    when the map does not fit the architecture or is singular."""
+    return len(_sequence(m, arch))

@@ -121,19 +121,22 @@ def verify(
     if arch is not None and arch.num_qubits != q:
         raise ValueError(f"polynomial has {q} qubits, architecture {arch.name} "
                          f"has {arch.num_qubits}")
-    identity = [1 << i for i in range(q)]
-    rows, cols, undo = list(identity), list(identity), []  # P by rows, P^-1 by columns
+    # P by rows and P^-1 by columns, over the wires some CNOT touched; an
+    # untouched wire w is the unit vector 1 << w in both
+    rows, cols, undo = {}, {}, []
     for gate in circuit.gates:
         if isinstance(gate, Cnot):
-            if arch is not None and not arch.is_edge(gate.control, gate.target):
+            c, t = gate.control, gate.target
+            if arch is not None and not arch.is_edge(c, t):
                 return "edges", False, gate
-            rows[gate.target] ^= rows[gate.control]
-            cols[gate.control] ^= cols[gate.target]
+            rows[t] = rows.get(t, 1 << t) ^ rows.get(c, 1 << c)
+            cols[c] = cols.get(c, 1 << c) ^ cols.get(t, 1 << t)
         else:
-            legs = (rows if gate.basis == "Z" else cols)[gate.qubit]
+            w = gate.qubit
+            legs = (rows if gate.basis == "Z" else cols).get(w, 1 << w)
             undo.append(PhaseGadget(gate.basis, legs, -gate.phase))
     undone = ZXPolynomial(q, poly.gadgets + tuple(reversed(undo)))
-    if rows == identity and not simplify(undone).gadgets:
+    if all(row == 1 << w for w, row in rows.items()) and not simplify(undone).gadgets:
         return "certificate", True, None
     if q > MAX_QUBITS:
         return "unproven", False, None

@@ -127,6 +127,24 @@ def rooted_tree(edges, root: int) -> tuple[dict[int, int], list[int]]:
     return parent, order
 
 
+def two_pass_gather(arch: zx.Architecture, terms: int, root: int) -> list[tuple[int, int]]:
+    """The (child, parent) row additions that gather the `terms` mask's rows
+    onto `root`, read off the dict-based rooting of the terminal tree: a
+    vertex carries when it lies on a terminal's path up to the root; first
+    each carrying relay (outside `terms`) is added onto its parent in BFS
+    order, then every carrying non-root vertex in reversed BFS order."""
+    terminals = [v for v in range(arch.num_qubits) if terms >> v & 1]
+    parent, order = rooted_tree(tree_edges(arch.terminal_tree(terminals)), root)
+    carrying = set()
+    for v in terminals:
+        while v != root:
+            carrying.add(v)
+            v = parent[v]
+    below = [v for v in order if v in carrying]
+    return ([(v, parent[v]) for v in below if not terms >> v & 1]
+            + [(v, parent[v]) for v in reversed(below)])
+
+
 def exact_steiner_weight(arch: zx.Architecture, terminals: set[int]) -> int:
     """Exhaustive Steiner oracle: the cheapest connected vertex superset.
 

@@ -11,7 +11,7 @@ from zxpoly import arch as zx_arch
 from zxpoly.poly import mask_to_legs
 from conftest import (
     ARCH_FAMILIES, bfs_distances, dead_relay_graph, edge_masks, exact_steiner_weight,
-    random_connected_graph, rooted_tree, star, tree_edges,
+    random_connected_graph, rooted_tree, star, tree_edges, two_pass_gather,
 )
 
 
@@ -508,7 +508,8 @@ class TestGraphMemos:
 
     @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
     def test_gather_matches_recursive_walk(self, arch):
-        # every root of every terminal set, as the row step roots gather at any pivot
+        # every root of every terminal set, as the row step roots gather at any pivot;
+        # the post-order walk is a reference for the ops, not for their order
         for terms in range(1, 1 << arch.num_qubits):
             for root in mask_to_legs(terms):
                 parent, order = rooted_tree(tree_edges(arch.terminal_tree(mask_to_legs(terms))), root)
@@ -523,8 +524,24 @@ class TestGraphMemos:
                     relay = [] if terms >> v & 1 else [(v, parent[v])]
                     return relay + below + [(v, parent[v])]
 
-                expected = tuple(op for child in sorted(children[root]) for op in walk(child))
-                assert arch.gather(terms, root) == expected, (arch.name, bin(terms), root)
+                expected = sorted(op for child in sorted(children[root]) for op in walk(child))
+                assert sorted(arch.gather(terms, root)) == expected, (arch.name, bin(terms), root)
+
+    @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
+    def test_gather_follows_two_pass_bfs_order(self, arch):
+        for terms in range(1, 1 << arch.num_qubits):
+            for root in mask_to_legs(terms):
+                assert arch.gather(terms, root) == tuple(two_pass_gather(arch, terms, root)), (
+                    arch.name, bin(terms), root)
+
+    def test_gather_on_the_dead_relay_tree(self):
+        # BFS order from 0 is 0 1 2 3 4 5 6 10 8 7 11 9 12, and the relay branch 6-7
+        # holds no terminal: the carrying relays' pre-cancels come first in BFS order,
+        # then every carrying vertex in reversed BFS order, so no op touches 6 or 7
+        arch = dead_relay_graph()
+        assert arch.gather(1 << 0 | 1 << 9 | 1 << 12, 0) == (
+            (1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (10, 4), (8, 5), (11, 10),
+            (12, 11), (9, 8), (11, 10), (8, 5), (10, 4), (5, 4), (4, 3), (3, 2), (2, 1), (1, 0))
 
     @pytest.mark.parametrize("arch", MEMO_GRAPHS, ids=lambda a: a.name)
     def test_gather_xors_terminals_onto_root(self, arch):

@@ -302,17 +302,16 @@ class TestSequenceMemo:
         memo = arch.memos["sequence"] = _CountingMemo()
         rng = random.Random(26)
         maps = {random_invertible_map(rng, q) for _ in range(30)} - {zx.identity_map(q)}
-        # up to EXACT_QUBITS, cnot_cost reads the map's depth from the "exact"
-        # table: no "sequence" read, no walk-back, nothing stored
-        costed = q > parity.EXACT_QUBITS
+        # at every size, costing reads the "sequence" table once and a miss
+        # computes and stores the entry that lowering then reads
         with _computing(q) as computed:
             for m in maps:
                 gets, calls, stored = memo.gets, computed.call_count, len(memo)
                 cost = zx.cnot_cost(m, arch)
-                assert (memo.gets - gets, computed.call_count - calls) == (costed, costed)
-                assert len(memo) == stored + costed
+                assert (memo.gets - gets, computed.call_count - calls) == (1, 1)
+                assert len(memo) == stored + 1
                 assert len(zx.steiner_gauss(m, arch)) == cost
-                assert (memo.gets - gets, computed.call_count - calls) == (costed + 1, 1)
+                assert (memo.gets - gets, computed.call_count - calls) == (2, 1)
         assert len(memo) == len(maps)
 
     @settings(max_examples=150, deadline=None)
@@ -343,11 +342,10 @@ class TestSequenceMemo:
     def test_identity_is_stored_once(self, q):
         arch = zx.line(q)
         identity = zx.identity_map(q)
-        costed = q > parity.EXACT_QUBITS  # up to EXACT_QUBITS costing stores nothing
         with _computing(q) as computed:
             assert zx.cnot_cost(identity, arch) == 0
-            assert computed.call_count == costed
-            assert arch.memos["sequence"] == ({identity.rows: ()} if costed else {})
+            assert computed.call_count == 1
+            assert arch.memos["sequence"] == {identity.rows: ()}
             assert not arch.memos["round"]  # synthesized in zero rounds, or not at all
             assert zx.steiner_gauss(identity, arch) == []
             assert zx.cnot_cost(identity, arch) == 0

@@ -2,6 +2,7 @@
 `sim.verify`, the one output check, against the oracle."""
 
 import random
+import time
 from dataclasses import replace
 from math import cos, pi, sin
 
@@ -232,6 +233,16 @@ class TestVerify:
         circuit = zx.Circuit(3, [zx.Cnot(0, 2), zx.Cnot(0, 2)])
         assert sim.verify(poly, circuit, zx.line(3)) == ("edges", False, zx.Cnot(0, 2))
         assert sim.verify(poly, circuit) == ("certificate", True, None)
+
+    @pytest.mark.parametrize("gates", [[], [zx.Cnot(999_999, 0), zx.Cnot(999_999, 0)]],
+                             ids=["empty", "far-pair"])
+    def test_memory_follows_the_touched_wires(self, gates):
+        # a wire no CNOT touches keeps its unit row and column unstored, so a
+        # million-qubit register costs what its gates do, not a row per wire
+        start = time.perf_counter()
+        assert sim.verify(zx.ZXPolynomial(10**6, ()), zx.Circuit(10**6, gates)) == (
+            "certificate", True, None)
+        assert time.perf_counter() - start < 1
 
     def test_qubit_counts_must_match(self):
         with pytest.raises(ValueError, match="polynomial has 2 qubits, circuit has 3"):
