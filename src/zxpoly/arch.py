@@ -69,6 +69,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from functools import cached_property
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .poly import ascii_number, json_int, mask_to_legs
@@ -428,21 +429,48 @@ def build_architecture(spec: str | dict) -> Architecture:
             return Architecture(json_int(spec["qubits"], "qubit count"), edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed architecture JSON: {exc}") from exc
-    text = spec.strip()
-    if text.startswith("{"):
-        return build_architecture(json.loads(text))
-    kind, _, arg = text.partition(":")
-    kind = kind.lower()
+    if spec.strip().startswith("{"):
+        return build_architecture(json.loads(spec))
+    kind, sizes = _descriptor(spec)
     try:
-        if kind == "line":
-            return line(_count(arg))
-        if kind == "circle":
-            return circle(_count(arg))
-        if kind == "complete":
-            return complete(_count(arg))
-        if kind == "grid":
-            rows, _, cols = arg.lower().partition("x")
-            return grid(_count(rows), _count(cols))
+        return _SHAPES[kind](*map(_count, sizes))
     except ValueError as exc:
         raise ValueError(f"bad architecture descriptor {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown architecture descriptor {spec!r}")
+
+
+_SHAPES = {"line": line, "circle": circle, "grid": grid, "complete": complete}
+
+
+def _descriptor(spec: str) -> tuple[str, tuple[str, ...]]:
+    """The kind a descriptor names and its size texts: "grid:2x3" gives
+    ("grid", ("2", "3"))."""
+    kind, _, arg = spec.strip().partition(":")
+    kind = kind.lower()
+    if kind not in _SHAPES:
+        raise ValueError(f"unknown architecture descriptor {spec!r}")
+    return kind, arg.lower().partition("x")[::2] if kind == "grid" else (arg,)
+
+
+def descriptor_size(spec: str) -> tuple[str, int] | None:
+    """The name and qubit count of the architecture `build_architecture`
+    builds from the descriptor `spec`, read without building its edges, so
+    a wrongly sized `complete:N` is refused before its N(N-1)/2 edges exist.
+    None for JSON text, a file path, or a descriptor that building refuses.
+    """
+    try:
+        kind, texts = _descriptor(spec)
+        sizes = [_count(text) for text in texts]
+    except ValueError:
+        return None
+    if min(sizes) < 1:
+        return None
+    return f"{kind}:{'x'.join(map(str, sizes))}", prod(sizes)
+
+
+def check_qubit_count(poly_qubits: int, arch_name: str, arch_qubits: int) -> None:
+    """Refuse a polynomial on `poly_qubits` wires for the architecture
+    `arch_name` of `arch_qubits` qubits: the one wording of that error, for
+    `synthesize`, `naive_poly_circuit` and `zxpoly synth` alike."""
+    if poly_qubits != arch_qubits:
+        raise ValueError(f"polynomial and architecture disagree: polynomial has {poly_qubits} "
+                         f"qubits, architecture {arch_name} has {arch_qubits}")

@@ -6,18 +6,24 @@ QASM/JSON writers and `sim` read in place of asking for the class, and one
 name table serves both readers. A `Circuit` is a frozen value: its gates
 are a tuple, checked against the wire count once, when it is built, so
 each emitter and reader first collects its gates and then builds the
-circuit in one call. Two gadget emitters are provided:
+circuit in one call.
 
-  * `naive_gadget_circuit` is the definitional ladder (parity cascade over
-    ascending legs, one rotation, mirrored cascade) with every non-adjacent
-    logical CNOT expanded into a 4(d-1)-CNOT edge-only zig-zag; it is the
-    baseline that CNOT-reduction percentages are measured against.
+A gadget is lowered as a ladder: CNOTs that gather the parity of its legs
+onto its highest leg, its rotation there, and those CNOTs mirrored (each
+one reversed for an X gadget). Both gadget emitters build it through one
+`_ladder` and differ only in where its CNOTs come from:
+
+  * `naive_gadget_circuit` cascades parity over consecutive ascending
+    legs, with every non-adjacent logical CNOT expanded into a
+    4(d-1)-CNOT edge-only zig-zag; it is the baseline that
+    CNOT-reduction percentages are measured against.
   * `steiner_gadget_circuit` places CNOTs along a Steiner tree over the
     legs, cancelling non-leg relay wires, and is what the synthesis
-    pipeline emits. Its ladder is `Architecture.gather`, the tree walk the
-    Steiner-Gauss row step uses too, memoized as its op tuple.
+    pipeline emits. Its CNOTs are `Architecture.gather`'s ops, the tree
+    walk the Steiner-Gauss row step uses too, memoized as its op tuple; a
+    one-leg gadget asks for no tree.
 
-Both rotate on the highest leg, so on a line a gadget over consecutive
+Since both rotate on the highest leg, on a line a gadget over consecutive
 wires gets the same gates from either; any other leg would give the Steiner
 ladder the same CNOT count (why: `steiner_gadget_circuit`). Both produce
 circuits whose unitary equals the gadget's exactly.
@@ -32,7 +38,7 @@ from fractions import Fraction
 from math import pi
 from typing import ClassVar
 
-from .arch import Architecture
+from .arch import Architecture, check_qubit_count
 from .parity import ParityMap, steiner_gauss
 from .poly import COEFFICIENT_BITS, Phase, PhaseGadget, ZXPolynomial, decimal_fraction, json_int
 from .rules import Cnot
@@ -112,16 +118,12 @@ def routed_cnot(arch: Architecture, control: int, target: int) -> list[Cnot]:
     return gates
 
 
-def _ladder_cnot(arch: Architecture, upstream: int, downstream: int, basis: str) -> list[Cnot]:
-    # Z ladders cascade parity downward (control above), X ladders are the
-    # Hadamard-conjugated mirror with control and target exchanged.
-    if basis == "Z":
-        return routed_cnot(arch, upstream, downstream)
-    return routed_cnot(arch, downstream, upstream)
-
-
-def _rotation(basis: str, phase: Phase, qubit: int) -> Gate:
-    return Rz(phase, qubit) if basis == "Z" else Rx(phase, qubit)
+def _ladder(gadget: PhaseGadget, arch: Architecture, up: list[Cnot]) -> Circuit:
+    """The gadget's circuit around `up`, CNOTs that gather its legs' parity
+    onto its highest leg: `up`, the gadget's rotation on that leg, and `up`
+    mirrored. Both emitters build their ladders here."""
+    rotation = (Rz if gadget.basis == "Z" else Rx)(gadget.phase, gadget.legs.bit_length() - 1)
+    return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
 
 
 def naive_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
@@ -129,18 +131,15 @@ def naive_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     if gadget.legs >> arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
     legs = gadget.leg_list()
-    up: list[Cnot] = []
-    for a, b in zip(legs, legs[1:]):
-        up.extend(_ladder_cnot(arch, a, b, gadget.basis))
-    rotation = _rotation(gadget.basis, gadget.phase, legs[-1])
-    return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
+    # Z ladders cascade parity downward (control above), X ladders are the
+    # Hadamard-conjugated mirror with control and target exchanged.
+    pairs = zip(legs, legs[1:]) if gadget.basis == "Z" else zip(legs[1:], legs)
+    return _ladder(gadget, arch, [cnot for pair in pairs for cnot in routed_cnot(arch, *pair)])
 
 
 def naive_poly_circuit(poly: ZXPolynomial, arch: Architecture) -> Circuit:
     """Concatenated naive ladders for every gadget; the metric baseline."""
-    if poly.num_qubits != arch.num_qubits:
-        raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
-                         f"qubits, architecture {arch.name} has {arch.num_qubits}")
+    check_qubit_count(poly.num_qubits, arch.name, arch.num_qubits)
     return Circuit(arch.num_qubits, [
         gate for gadget in poly.gadgets for gate in naive_gadget_circuit(gadget, arch).gates
     ])
@@ -152,9 +151,9 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     The parity of the legs is accumulated onto the root, the highest leg,
     by the CNOT(child, parent) ops of `arch.gather`, read off the tree's
     BFS order; each non-leg relay vertex emits one extra cancelling CNOT,
-    before its own, so its input drops out of the parity. The sweep is
-    mirrored after the rotation. X gadgets use the same structure with
-    every CNOT direction reversed and an RX rotation.
+    before its own, so its input drops out of the parity. X gadgets use the
+    same ops with every CNOT direction reversed. A one-leg gadget asks
+    `gather` for nothing: its ladder is the rotation alone.
 
     The CNOT count, twice the number of `gather` ops (one per carrying tree
     edge, one more per carrying relay), is the same whichever leg is the
@@ -163,16 +162,13 @@ def steiner_gadget_circuit(gadget: PhaseGadget, arch: Architecture) -> Circuit:
     root; a relay carries exactly when it lies on the tree path between two
     legs, which does not depend on the root either.
     """
-    if gadget.legs >> arch.num_qubits:
+    legs = gadget.legs
+    if legs >> arch.num_qubits:
         raise ValueError("gadget legs invalid for the architecture")
-    legs = gadget.leg_list()
-    rotation = _rotation(gadget.basis, gadget.phase, legs[-1])
-    if len(legs) == 1:
-        return Circuit(arch.num_qubits, (rotation,))
+    ops = arch.gather(legs, legs.bit_length() - 1) if legs & legs - 1 else ()
     flip = gadget.basis == "X"
-    up = [Cnot(parent, child) if flip else Cnot(child, parent)
-          for child, parent in arch.gather(gadget.legs, legs[-1])]
-    return Circuit(arch.num_qubits, [*up, rotation, *reversed(up)])
+    return _ladder(gadget, arch, [Cnot(parent, child) if flip else Cnot(child, parent)
+                                  for child, parent in ops])
 
 
 def lower_regions(regions: list[ParityMap | ZXPolynomial], arch: Architecture) -> Circuit:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import circuit as circ
 from . import sim
-from .arch import Architecture, build_architecture
+from .arch import Architecture, build_architecture, check_qubit_count, descriptor_size
 from .bench import records_to_csv, run_bench
 from .generators import maxcut_qaoa, random_poly
 from .poly import ZXPolynomial, ascii_number
@@ -76,6 +76,8 @@ def _cmd_simplify(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     poly = _load_poly(args.infile)
+    if (named := descriptor_size(args.arch)) is not None:  # before a complete:N builds its edges
+        check_qubit_count(poly.num_qubits, *named)
     arch = _load_arch(args.arch)
     lowered = circ.lower_regions(synthesize(simplify_poly(poly), arch, args.mode), arch)
     method, ok, _ = sim.verify(poly, lowered, arch)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Callable
 
-from .arch import Architecture, memo_put
+from .arch import Architecture, check_qubit_count, memo_put
 from .parity import (  # cnot_cost, steiner_gauss: not called here, but perfbench's tracer wraps both
     ParityMap, append_cnot, cnot_cost, flank_pricer, identity_map, prepend_cnot, steiner_gauss,
 )
@@ -220,9 +220,7 @@ def synthesize(
     """
     if mode not in _OPTIMIZERS:
         raise ValueError(f"mode must be one of {sorted(_OPTIMIZERS)}, got {mode!r}")
-    if poly.num_qubits != arch.num_qubits:
-        raise ValueError(f"polynomial and architecture disagree: polynomial has {poly.num_qubits} "
-                         f"qubits, architecture {arch.name} has {arch.num_qubits}")
+    check_qubit_count(poly.num_qubits, arch.name, arch.num_qubits)
     identity = identity_map(arch.num_qubits)
     if len(poly.gadgets) == 0:
         return [identity]

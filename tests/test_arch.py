@@ -89,6 +89,23 @@ class TestBuilders:
         with pytest.raises(ValueError):
             zx.build_architecture("torus:4")
 
+    @pytest.mark.parametrize("spec", ["line:4", "LINE:04", "circle:6", " grid:2X3 ", "complete:5",
+                                      "grid:1x1"])
+    def test_descriptor_size_is_the_built_name_and_count(self, spec):
+        arch = zx.build_architecture(spec)
+        assert zx_arch.descriptor_size(spec) == (arch.name, arch.num_qubits)
+
+    @pytest.mark.parametrize("spec", ["torus:4", "line:0", "grid:-1x-1", "grid:2x-1", "grid:3",
+                                      "line:3_0", "circle:+4", "line", "arch.json",
+                                      '{"qubits": 2, "edges": [[0, 1]]}'])
+    def test_descriptor_size_leaves_other_specs_to_the_builder(self, spec):
+        assert zx_arch.descriptor_size(spec) is None
+
+    def test_descriptor_size_builds_no_graph(self):
+        start = time.perf_counter()
+        assert zx_arch.descriptor_size("complete:100000") == ("complete:100000", 100000)
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("family", sorted(ARCH_FAMILIES))
     def test_adjacency_is_a_frozen_view_of_the_edges(self, family):
         arch = ARCH_FAMILIES[family](6)

@@ -228,6 +228,18 @@ class TestLowerRegions:
         lowered = zx.lower_regions([m], arch)
         assert zx.from_cnots(4, lowered.gates) == m
 
+    def test_one_leg_gadgets_build_no_tree(self, monkeypatch):
+        # the QAOA mixers: a one-leg ladder is its rotation, with no `gather` call
+        mixers = tuple(g for g in zx.maxcut_qaoa(8, 0.5, 2, 5).gadgets if g.legs & g.legs - 1 == 0)
+        assert len(mixers) == 16
+        arch, calls, gather = zx.grid(2, 4), [], zx.Architecture.gather
+        monkeypatch.setattr(zx.Architecture, "gather",
+                            lambda self, *args: calls.append(args) or gather(self, *args))
+        lowered = zx.lower_regions([zx.identity_map(8), zx.ZXPolynomial(8, mixers),
+                                    zx.identity_map(8)], arch)
+        assert lowered.gates == tuple(zx.Rx(g.phase, g.legs.bit_length() - 1) for g in mixers)
+        assert calls == [] and not arch.memos["gather"]
+
     @pytest.mark.parametrize("rows", [(1, 2, 4), (1, 3, 4)])  # identity, one CNOT
     def test_parity_region_of_another_size_rejected(self, rows):
         with pytest.raises(ValueError, match="map size 3 does not match architecture line:2"):

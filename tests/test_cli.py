@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import time
 import weakref
 from dataclasses import replace
 
@@ -176,6 +177,18 @@ class TestSynthAndVerify:
                        "--out", tmp_path / "c.qasm") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: polynomial and architecture disagree: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "c.qasm").exists()
+
+    def test_large_descriptor_of_another_size_exits_2_at_once(self, tmp_path, capsys):
+        # refused from the descriptor, before complete:2000 lists its 1,999,000 edges
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(zx.random_poly(4, 3, 2, seed=2).to_json())
+        start = time.perf_counter()
+        assert run_cli("synth", "--in", poly_path, "--arch", "complete:2000",
+                       "--out", tmp_path / "c.qasm") == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ("error: polynomial and architecture disagree: polynomial "
+                                           "has 4 qubits, architecture complete:2000 has 2000\n")
         assert not (tmp_path / "c.qasm").exists()
 
     def test_non_positive_grid_is_an_error(self, tmp_path, capsys):

@@ -97,3 +97,42 @@ def test_summed_cnot_cost_is_unchanged(build, total):
     rng = random.Random(44)
     assert sum(zx.cnot_cost(random_invertible_map(rng, arch.num_qubits), arch)
                for _ in range(200)) == total
+
+
+# Both gadget emitters, gadget by gadget: 120 seeded gadgets per graph, each
+# basis, with single legs and with consecutive legs that the naive cascade
+# must route. (architecture, naive digest, Steiner digest)
+EMITTER_CASES = [
+    ("line:6", "6c097d81ebcc430a", "2c78227b329503b5"),
+    ("circle:7", "3b78df90b5012aa1", "0fb4136ba8243364"),
+    ("grid:3x3", "ac7a5617314a4ba0", "d02eca99ed2823c8"),
+    ("complete:5", "f8d60ca070aaa622", "396e89a89ebaf26d"),
+    ("grid:2x4", "a9e6c0222c0a1095", "da2654a468400032"),
+]
+
+
+def _emitter_gadgets(arch: zx.Architecture) -> list[zx.PhaseGadget]:
+    rng = random.Random(45)
+    gadgets = []
+    for _ in range(120):
+        legs = rng.sample(range(arch.num_qubits), rng.randint(1, arch.num_qubits))
+        basis = rng.choice("ZX")
+        gadgets.append(zx.PhaseGadget(basis, sum(1 << l for l in legs), zx.Phase(rng.randint(1, 7), 4)))
+    return gadgets
+
+
+@pytest.mark.parametrize("arch_spec, naive, steiner", EMITTER_CASES,
+                         ids=[case[0] for case in EMITTER_CASES])
+def test_emitted_gadget_gates_are_unchanged(arch_spec, naive, steiner):
+    arch = zx.build_architecture(arch_spec)
+    gadgets = _emitter_gadgets(arch)
+    assert {g.basis for g in gadgets if g.legs & g.legs - 1 == 0} == {"Z", "X"}
+    if arch.num_qubits > 5:  # complete:5 has no pair to route
+        assert any(not arch.is_edge(a, b) for g in gadgets
+                   for a, b in zip(g.leg_list(), g.leg_list()[1:]))
+
+    def digest(emit):
+        text = " | ".join(gate_text(emit(g, arch)) for g in gadgets)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert (digest(zx.naive_gadget_circuit), digest(zx.steiner_gadget_circuit)) == (naive, steiner)
